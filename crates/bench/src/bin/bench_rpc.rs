@@ -14,10 +14,12 @@
 //! ```
 //!
 //! The request stream is derived from the seed alone, so two runs with the
-//! same arguments issue byte-identical traffic.
+//! same arguments issue byte-identical traffic. The output's `host` block
+//! records the CPUs, toolchain and git revision the sweep ran on.
 
 #![forbid(unsafe_code)]
 
+use dcperf_bench::host::Host;
 use dcperf_rpc::{PipelineConfig, PoolConfig, Response, TcpClient, TcpServer};
 use dcperf_util::{Histogram, Rng, Xoshiro256pp};
 use serde::Serialize;
@@ -37,6 +39,7 @@ struct DepthResult {
 #[derive(Debug, Serialize)]
 struct BenchOutput {
     benchmark: String,
+    host: Host,
     seed: u64,
     requests_per_depth: u64,
     payload_bytes: usize,
@@ -217,6 +220,7 @@ fn main() {
 
     let output = BenchOutput {
         benchmark: "rpc_pipeline_depth_sweep".to_owned(),
+        host: Host::detect(),
         seed: args.seed,
         requests_per_depth: args.requests,
         payload_bytes: args.payload,

@@ -10,5 +10,6 @@
 #![forbid(unsafe_code)]
 
 pub mod figures;
+pub mod host;
 
 pub use figures::{render, render_all, FIGURE_IDS};

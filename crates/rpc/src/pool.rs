@@ -9,6 +9,7 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dcperf_telemetry::{metrics, Counter, Telemetry};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Which pool a job is routed to.
@@ -58,6 +59,46 @@ impl PoolConfig {
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Work a job hands to the end of its worker's dequeue batch, such as
+/// writing out the responses the batch completed in one syscall.
+pub(crate) trait BatchEnd {
+    /// Runs once the worker's current batch of jobs is done.
+    fn batch_end(&self);
+}
+
+thread_local! {
+    /// `Some` on a pool worker: the tasks to run when its current dequeue
+    /// batch ends. `None` on every other thread.
+    static BATCH_END: RefCell<Option<Vec<Arc<dyn BatchEnd>>>> = const { RefCell::new(None) };
+}
+
+/// Schedules `task` to run once at the end of the calling worker's
+/// current dequeue batch; scheduling the same task again in one batch is
+/// a no-op. Returns `false`, scheduling nothing, when the caller is not a
+/// pool worker: no batch end will come, so the caller must act at once.
+pub(crate) fn defer_to_batch_end<T: BatchEnd + 'static>(task: &Arc<T>) -> bool {
+    BATCH_END.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        let Some(tasks) = slot.as_mut() else {
+            return false;
+        };
+        let ptr = Arc::as_ptr(task).cast::<()>();
+        if !tasks.iter().any(|t| Arc::as_ptr(t).cast::<()>() == ptr) {
+            tasks.push(Arc::clone(task) as Arc<dyn BatchEnd>);
+        }
+        true
+    })
+}
+
+/// Runs and clears the tasks the finished batch scheduled. The list is
+/// taken out first, so a task may schedule work for the next batch.
+fn end_batch() {
+    let tasks = BATCH_END.with(|slot| slot.borrow_mut().as_mut().map(std::mem::take));
+    for task in tasks.into_iter().flatten() {
+        task.batch_end();
+    }
+}
 
 /// Counters exposed by a running pool, recorded through the unified
 /// telemetry layer (namespace `rpc.pool.*` by default).
@@ -214,7 +255,10 @@ impl ThreadPool {
                 // Under a pipelined burst this trades one wakeup for a
                 // run of jobs; under light load try_recv misses and the
                 // loop parks again, identical to one-at-a-time dequeue.
+                // Work the jobs deferred (see `defer_to_batch_end`) runs
+                // before the worker parks again.
                 const DEQUEUE_BATCH: usize = 16;
+                BATCH_END.with(|slot| *slot.borrow_mut() = Some(Vec::new()));
                 while let Ok(job) = rx.recv() {
                     job();
                     for _ in 1..DEQUEUE_BATCH {
@@ -223,6 +267,7 @@ impl ThreadPool {
                             Err(_) => break,
                         }
                     }
+                    end_batch();
                 }
             })
             // analyzer: allow(panic-path) — spawn failure at pool construction is fatal by design
@@ -400,6 +445,63 @@ mod tests {
         let pool = ThreadPool::new(PoolConfig::fast_slow(3, 2));
         assert_eq!(pool.worker_count(), 5);
         pool.shutdown();
+    }
+
+    /// Records, at each batch end, how many jobs had run by then.
+    struct BatchProbe {
+        jobs: AtomicUsize,
+        seen_at_batch_end: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl BatchEnd for BatchProbe {
+        fn batch_end(&self) {
+            // ordering: the jobs ran earlier on this same thread
+            let jobs = self.jobs.load(Ordering::Relaxed);
+            self.seen_at_batch_end.lock().unwrap().push(jobs);
+        }
+    }
+
+    #[test]
+    fn defer_to_batch_end_is_refused_off_a_worker() {
+        let probe = Arc::new(BatchProbe {
+            jobs: AtomicUsize::new(0),
+            seen_at_batch_end: std::sync::Mutex::new(Vec::new()),
+        });
+        assert!(!defer_to_batch_end(&probe));
+        end_batch();
+        assert!(probe.seen_at_batch_end.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn deferred_task_runs_once_after_the_whole_batch() {
+        let pool = ThreadPool::new(PoolConfig::single_lane(1));
+        let probe = Arc::new(BatchProbe {
+            jobs: AtomicUsize::new(0),
+            seen_at_batch_end: std::sync::Mutex::new(Vec::new()),
+        });
+        // Hold the worker on a gate so the next three jobs queue up and
+        // are drained as one batch.
+        let (gate_tx, gate_rx) = bounded::<()>(1);
+        pool.spawn_blocking(Lane::Fast, move || {
+            let _ = gate_rx.recv();
+        })
+        .unwrap();
+        for _ in 0..3 {
+            let probe = Arc::clone(&probe);
+            pool.spawn_blocking(Lane::Fast, move || {
+                // ordering: read back on this thread at the batch end
+                probe.jobs.fetch_add(1, Ordering::Relaxed);
+                assert!(defer_to_batch_end(&probe), "jobs run on a pool worker");
+            })
+            .unwrap();
+        }
+        gate_tx.send(()).unwrap();
+        pool.shutdown();
+        assert_eq!(
+            *probe.seen_at_batch_end.lock().unwrap(),
+            vec![3],
+            "one run, after all three jobs of the batch"
+        );
     }
 
     #[test]

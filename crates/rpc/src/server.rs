@@ -8,17 +8,17 @@
 //! whose clients run on other machines.
 
 use crate::frame::{append_frame, read_frame, Request, Response};
-use crate::pipeline::{PipelineConfig, PipelineStats};
-use crate::pool::{Lane, PoolConfig, SpawnError, ThreadPool};
+use crate::pipeline::{InflightGuard, PipelineConfig, PipelineStats};
+use crate::pool::{self, BatchEnd, Lane, PoolConfig, SpawnError, ThreadPool};
 use crate::stats::RpcStats;
 use crossbeam::channel;
 use dcperf_resilience::Deadline;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-#[cfg(feature = "fault-injection")]
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// The server-side request handler.
 pub type Handler = dyn Fn(&Request) -> Response + Send + Sync + 'static;
@@ -247,12 +247,107 @@ impl InProcServer {
     }
 }
 
+/// How long shutdown waits for connection threads to exit. A reader sees
+/// the stop flag within its 200 ms read timeout, or once the request it is
+/// blocked on enters the pool.
+const CONN_JOIN_WAIT: Duration = Duration::from_secs(2);
+
+/// How long one response write may block on a peer that stopped reading
+/// before the connection is dropped. Writes run on pool workers, so a
+/// stalled peer must not hold a worker for longer than this.
+const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Encoded response frames waiting to be written as one burst.
+#[derive(Default)]
+struct Outbox {
+    buf: Vec<u8>,
+    frames: usize,
+}
+
+/// The write side of one pipelined connection. Pool workers append their
+/// responses to the outbox and write it out themselves. The outbox lock
+/// also serializes writes, so frames never interleave on the wire.
+struct Connection {
+    stream: TcpStream,
+    outbox: Mutex<Outbox>,
+    /// The read-ahead window: the reader sends a permit per request and
+    /// parks once `max_inflight` are out; each reply takes one back.
+    permits: channel::Receiver<()>,
+    pipeline: Arc<PipelineStats>,
+    max_batch: usize,
+}
+
+/// One request's place in the read-ahead window.
+struct WindowSlot {
+    conn: Arc<Connection>,
+    _inflight: InflightGuard,
+}
+
+impl Drop for WindowSlot {
+    fn drop(&mut self) {
+        // Each slot owns exactly one queued permit, so this never misses;
+        // dropping the slot (reply queued, request shed, or closure
+        // discarded by a draining pool) reopens the window.
+        let _ = self.conn.permits.try_recv();
+    }
+}
+
+impl Connection {
+    fn lock_outbox(&self) -> MutexGuard<'_, Outbox> {
+        self.outbox.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Queues `resp` and releases its window slot. The frame is written at
+    /// the end of the current pool worker's dequeue batch, at once when
+    /// the outbox holds `max_batch` frames, and at once when the reply is
+    /// made off a pool worker (a request shed on the connection thread),
+    /// where no batch end will come.
+    fn reply(self: &Arc<Self>, resp: Response, slot: WindowSlot) {
+        let payload = resp.encode();
+        let mut out = self.lock_outbox();
+        if append_frame(&mut out.buf, &payload).is_ok() {
+            out.frames += 1;
+        }
+        // Release the slot before any write: once the frame is on the wire
+        // the client may send its next request, and the window must
+        // already have room for it.
+        drop(slot);
+        if out.frames >= self.max_batch || !pool::defer_to_batch_end(self) {
+            self.write_out(&mut out);
+        }
+    }
+
+    /// Writes every queued frame in one `write_all`. A failed write shuts
+    /// the socket down, which ends the reader too.
+    fn write_out(&self, out: &mut Outbox) {
+        if out.frames == 0 {
+            return;
+        }
+        match (&self.stream).write_all(&out.buf) {
+            Ok(()) => self.pipeline.record_flush(out.frames),
+            Err(_) => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+            }
+        }
+        out.buf.clear();
+        out.frames = 0;
+    }
+}
+
+impl BatchEnd for Connection {
+    fn batch_end(&self) {
+        self.write_out(&mut self.lock_outbox());
+    }
+}
+
 /// A TCP RPC server on localhost or beyond, framing requests per
 /// [`crate::frame`].
 pub struct TcpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    accept_thread: Option<JoinHandle<()>>,
+    /// One reader thread per open connection, joined on shutdown.
+    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     core: Arc<ServerCore>,
 }
 
@@ -339,9 +434,11 @@ impl TcpServer {
             config,
             pipeline,
         ));
+        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
 
         let stop2 = Arc::clone(&stop);
         let core2 = Arc::clone(&core);
+        let threads2 = Arc::clone(&conn_threads);
         let accept_thread = std::thread::Builder::new()
             .name("rpc-accept".into())
             .spawn(move || {
@@ -353,14 +450,16 @@ impl TcpServer {
                     let Ok(stream) = stream else { continue };
                     let core = Arc::clone(&core2);
                     let stop = Arc::clone(&stop2);
-                    // Connection threads are detached: they hold their own
-                    // Arc to the core and exit when the peer disconnects or
-                    // the stop flag trips (observed via the read timeout).
-                    // Joining them here would deadlock shutdown against
-                    // clients that keep their connections open.
-                    let _ = std::thread::Builder::new()
+                    let spawned = std::thread::Builder::new()
                         .name("rpc-conn".into())
                         .spawn(move || Self::serve_connection(stream, core, stop));
+                    if let Ok(handle) = spawned {
+                        let mut threads = threads2.lock().unwrap_or_else(|e| e.into_inner());
+                        // Closed connections' threads have exited; drop
+                        // their handles so the list tracks open ones.
+                        threads.retain(|t| !t.is_finished());
+                        threads.push(handle);
+                    }
                 }
             })?;
 
@@ -368,23 +467,24 @@ impl TcpServer {
             addr: local,
             stop,
             accept_thread: Some(accept_thread),
+            conn_threads,
             core,
         })
     }
 
     /// Serves one connection with a pipelined read-ahead window.
     ///
-    /// Three moving parts per connection:
+    /// Two moving parts per connection:
     ///
     /// * the *reader* (this thread) decodes frames and dispatches them
     ///   into the worker pool, blocking on a bounded permit channel once
     ///   `max_inflight` requests are outstanding (the read-ahead window);
     /// * the *pool workers* complete requests in whatever order their
-    ///   lanes finish them and enqueue encoded responses — out-of-order
-    ///   completion is matched up client-side by correlation id;
-    /// * the *writer thread* drains the response queue, coalescing up to
-    ///   `max_batch` frames into one buffered `write_all` + flush so a
-    ///   burst of completions costs one syscall, not `max_batch`.
+    ///   lanes finish them and write the responses themselves: each worker
+    ///   appends to the connection's outbox and writes the outbox out once
+    ///   per dequeue batch, or as soon as it holds `max_batch` frames (see
+    ///   [`Connection::reply`]). Out-of-order completion is matched up
+    ///   client-side by correlation id.
     ///
     /// With `max_inflight == 1` the window admits a single request at a
     /// time, which degenerates to the v1 one-request-per-turn behavior
@@ -393,78 +493,22 @@ impl TcpServer {
         let cfg = core.pipeline_cfg;
         // A read timeout lets the loop observe the stop flag even while a
         // client holds the connection open without sending.
-        let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+        let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
         // Response bursts are small; Nagle + the client's delayed ACK
         // would park each one for ~40ms otherwise.
         let _ = stream.set_nodelay(true);
-        let Ok(mut write_half) = stream.try_clone() else {
+        let Ok(write_half) = stream.try_clone() else {
             return;
         };
-
-        // Encoded responses waiting for the writer. The window bounds how
-        // many can be pending, so the capacity never blocks completions
-        // for long; a dead writer disconnects the channel and sends fail
-        // cleanly instead of blocking forever.
-        let (resp_tx, resp_rx) = channel::bounded::<Vec<u8>>(cfg.max_inflight.max(cfg.max_batch));
-        let pstats = Arc::clone(&core.pipeline);
-        let max_batch = cfg.max_batch;
-        let writer = std::thread::Builder::new()
-            .name("rpc-conn-writer".into())
-            .spawn(move || {
-                let mut buf = Vec::new();
-                while let Ok(first) = resp_rx.recv() {
-                    buf.clear();
-                    let mut batched = 0usize;
-                    if append_frame(&mut buf, &first).is_ok() {
-                        batched = 1;
-                    }
-                    // Opportunistically coalesce whatever has already
-                    // completed, up to the batch cap — never waiting, so
-                    // a lone response still flushes immediately.
-                    while batched < max_batch {
-                        match resp_rx.try_recv() {
-                            Ok(payload) => {
-                                if append_frame(&mut buf, &payload).is_ok() {
-                                    batched += 1;
-                                }
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if batched == 0 {
-                        continue;
-                    }
-                    if write_half
-                        .write_all(&buf)
-                        .and_then(|()| write_half.flush())
-                        .is_err()
-                    {
-                        break;
-                    }
-                    pstats.record_flush(batched);
-                }
-            });
-        let Ok(writer) = writer else {
-            return;
-        };
-
-        // The read-ahead window: the reader parks on `send` once
-        // `max_inflight` permits are out; completing (or shedding) a
-        // request returns its permit via the slot guard's drop.
-        let (permit_tx, permit_rx) = channel::bounded::<()>(cfg.max_inflight);
-
-        struct WindowSlot {
-            permits: channel::Receiver<()>,
-            _inflight: crate::pipeline::InflightGuard,
-        }
-        impl Drop for WindowSlot {
-            fn drop(&mut self) {
-                // Each slot owns exactly one queued permit, so this never
-                // misses; dropping the slot (reply sent, request shed, or
-                // closure discarded by a draining pool) reopens the window.
-                let _ = self.permits.try_recv();
-            }
-        }
+        let (permit_tx, permits) = channel::bounded::<()>(cfg.max_inflight);
+        let conn = Arc::new(Connection {
+            stream: write_half,
+            outbox: Mutex::new(Outbox::default()),
+            permits,
+            pipeline: Arc::clone(&core.pipeline),
+            max_batch: cfg.max_batch,
+        });
 
         let mut reader = BufReader::new(stream);
         loop {
@@ -491,20 +535,16 @@ impl TcpServer {
                 break;
             }
             let slot = WindowSlot {
-                permits: permit_rx.clone(),
+                conn: Arc::clone(&conn),
                 _inflight: core.pipeline.track(),
             };
-            let resp_tx = resp_tx.clone();
             core.dispatch(req, true, move |resp| {
-                let payload = resp.encode();
-                let _ = resp_tx.send(payload);
-                drop(slot);
+                let conn = Arc::clone(&slot.conn);
+                conn.reply(resp, slot);
             });
         }
-        // Dropping our sender lets the writer exit once every in-flight
-        // request has replied (their closures hold the remaining clones).
-        drop(resp_tx);
-        let _ = writer.join();
+        // In-flight requests keep the connection alive through their
+        // reply closures; the socket closes when the last one has written.
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -535,19 +575,38 @@ impl TcpServer {
         self.core.install_fault_plan(plan);
     }
 
-    /// Stops accepting, closes the pool, and joins server threads.
+    /// Stops accepting, joins the connection threads (waiting a bounded
+    /// time for each), then closes the pool once the last handle to it
+    /// drops.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
-    fn shutdown_inner(&mut self) {
-        // ordering: advisory stop flag; the join below is the real synchronization
+    /// Returns how many connection threads were still running when the
+    /// bounded wait ran out; those are left to exit on their own.
+    fn shutdown_inner(&mut self) -> usize {
+        // ordering: advisory stop flag; the joins below are the real synchronization
         self.stop.store(true, Ordering::Relaxed);
         // Poke the accept loop so it observes the stop flag.
         let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        let threads =
+            std::mem::take(&mut *self.conn_threads.lock().unwrap_or_else(|e| e.into_inner()));
+        let give_up = Instant::now() + CONN_JOIN_WAIT;
+        let mut still_running = 0;
+        for t in threads {
+            while !t.is_finished() && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if t.is_finished() {
+                let _ = t.join();
+            } else {
+                still_running += 1;
+            }
+        }
+        still_running
     }
 }
 
@@ -731,5 +790,225 @@ mod tests {
     fn tcp_shutdown_is_idempotent_via_drop() {
         let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
         drop(server); // must not hang
+    }
+
+    /// A connection whose peer end the test reads, with `permits` window
+    /// slots already taken.
+    fn test_connection(max_batch: usize, permits: usize) -> (Arc<Connection>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let (permit_tx, permit_rx) = channel::bounded::<()>(permits.max(1));
+        for _ in 0..permits {
+            permit_tx.send(()).unwrap();
+        }
+        let conn = Arc::new(Connection {
+            stream: server_side,
+            outbox: Mutex::new(Outbox::default()),
+            permits: permit_rx,
+            pipeline: Arc::new(PipelineStats::new()),
+            max_batch,
+        });
+        (conn, peer)
+    }
+
+    fn slot(conn: &Arc<Connection>) -> WindowSlot {
+        WindowSlot {
+            conn: Arc::clone(conn),
+            _inflight: conn.pipeline.track(),
+        }
+    }
+
+    fn read_corrs(peer: &TcpStream, n: usize) -> Vec<u64> {
+        let mut reader = BufReader::new(peer);
+        (0..n)
+            .map(|_| {
+                let frame = read_frame(&mut reader).unwrap().unwrap();
+                Response::decode(&frame).unwrap().corr
+            })
+            .collect()
+    }
+
+    fn ok_with_corr(corr: u64) -> Response {
+        let mut resp = Response::ok(vec![]);
+        resp.corr = corr;
+        resp
+    }
+
+    #[test]
+    fn reply_off_a_pool_worker_is_written_at_once() {
+        let (conn, peer) = test_connection(16, 1);
+        conn.reply(ok_with_corr(7), slot(&conn));
+        // No batch end will come on this thread: the frame must already
+        // be on the wire (the peer's read timeout turns a hang into a
+        // failure).
+        assert_eq!(read_corrs(&peer, 1), vec![7]);
+        assert_eq!(conn.pipeline.flushes(), 1);
+        assert_eq!(conn.pipeline.inflight(), 0, "the window slot was released");
+        assert!(conn.permits.try_recv().is_err(), "the permit was returned");
+    }
+
+    #[test]
+    fn replies_in_one_worker_batch_share_one_write() {
+        let (conn, peer) = test_connection(16, 3);
+        let pool = ThreadPool::new(PoolConfig::single_lane(1));
+        let c = Arc::clone(&conn);
+        pool.spawn_blocking(Lane::Fast, move || {
+            for corr in 1..=3 {
+                c.reply(ok_with_corr(corr), slot(&c));
+            }
+            assert_eq!(c.pipeline.flushes(), 0, "nothing is written mid-batch");
+        })
+        .unwrap();
+        assert_eq!(read_corrs(&peer, 3), vec![1, 2, 3]);
+        pool.shutdown();
+        assert_eq!(conn.pipeline.flushes(), 1);
+        assert_eq!(conn.pipeline.batched_responses(), 3);
+    }
+
+    #[test]
+    fn a_full_outbox_is_written_without_waiting_for_the_batch_end() {
+        let (conn, peer) = test_connection(2, 3);
+        let pool = ThreadPool::new(PoolConfig::single_lane(1));
+        let c = Arc::clone(&conn);
+        pool.spawn_blocking(Lane::Fast, move || {
+            c.reply(ok_with_corr(1), slot(&c));
+            c.reply(ok_with_corr(2), slot(&c));
+            assert_eq!(c.pipeline.flushes(), 1, "max_batch frames go out at once");
+            c.reply(ok_with_corr(3), slot(&c));
+        })
+        .unwrap();
+        assert_eq!(read_corrs(&peer, 3), vec![1, 2, 3]);
+        pool.shutdown();
+        assert_eq!(conn.pipeline.flushes(), 2);
+        assert_eq!(conn.pipeline.batched_responses(), 3);
+    }
+
+    #[test]
+    fn tcp_expired_deadline_is_shed_without_hanging() {
+        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        let mut client = TcpClient::connect(server.local_addr()).unwrap();
+        // A 1us budget is spent before the handler could run. The shed
+        // reply comes from the connection thread or from a worker; either
+        // way it must be written, and a reply that never came would read
+        // as `Timeout` once the client's read timeout fires.
+        for _ in 0..20 {
+            let err = client
+                .call_with_deadline("x", vec![], Duration::from_micros(1))
+                .unwrap_err();
+            assert!(
+                matches!(err, crate::frame::RpcError::DeadlineExceeded),
+                "got {err:?}"
+            );
+        }
+        assert_eq!(server.stats().deadline_shed(), 20);
+        // The connection is still usable afterwards.
+        assert_eq!(client.call("echo", vec![5]).unwrap().body, vec![5]);
+        server.shutdown();
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn tcp_injected_faults_reply_without_hanging() {
+        use dcperf_resilience::FaultPlan;
+        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        let mut client = TcpClient::connect(server.local_addr())
+            .unwrap()
+            .with_window(8);
+        server.install_fault_plan(Some(Arc::new(FaultPlan::new(3).with_error_rate(1.0))));
+        let outcomes =
+            client.call_many_with_deadline("echo", vec![vec![1]; 8], Duration::from_secs(5));
+        for outcome in outcomes {
+            assert!(
+                matches!(outcome, Err(crate::frame::RpcError::Application(_))),
+                "got {outcome:?}"
+            );
+        }
+        server.install_fault_plan(None);
+        assert!(client.call("echo", vec![2]).is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn tcp_inflight_peak_never_exceeds_the_client_window() {
+        const WINDOW: usize = 16;
+        // The default batch covers the batch-end write; a batch of one
+        // writes every reply at once, where a slot released after the
+        // write would let the client's next request in first.
+        for pipeline in [
+            PipelineConfig::default(),
+            PipelineConfig::default().with_max_batch(1),
+        ] {
+            let server = TcpServer::bind_with_pipeline(
+                "127.0.0.1:0",
+                echo,
+                PoolConfig::single_lane(1),
+                pipeline,
+            )
+            .unwrap();
+            let mut client = TcpClient::connect(server.local_addr())
+                .unwrap()
+                .with_window(WINDOW);
+            for burst in 0..300u32 {
+                // Alternate full windows with longer bursts, which refill
+                // the window one request per response read.
+                let n = if burst % 2 == 0 { WINDOW } else { 3 * WINDOW };
+                let outcomes = client.call_many("echo", vec![vec![1, 2, 3]; n]);
+                assert!(outcomes.iter().all(Result::is_ok));
+            }
+            let peak = server.pipeline().inflight_peak();
+            assert!(peak > 1, "the window must have been used, peak={peak}");
+            assert!(
+                peak <= WINDOW as i64,
+                "{pipeline:?}: in-flight peak {peak} exceeds the client window {WINDOW}"
+            );
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn tcp_shutdown_under_pipelined_load_joins_every_thread() {
+        let mut server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(2)).unwrap();
+        let addr = server.local_addr();
+        let clients: Vec<_> = (0..3)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut client = TcpClient::connect(addr).unwrap().with_window(16);
+                    let mut ok = 0u64;
+                    // Runs until shutdown breaks the connection.
+                    while client
+                        .call_many("echo", vec![vec![0u8; 32]; 64])
+                        .iter()
+                        .all(Result::is_ok)
+                    {
+                        ok += 1;
+                    }
+                    ok
+                })
+            })
+            .collect();
+        // Let every connection reach steady pipelined load.
+        while server.pipeline().batched_responses() < 3_000 {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let started = Instant::now();
+        assert_eq!(
+            server.shutdown_inner(),
+            0,
+            "a connection thread outlived shutdown"
+        );
+        assert!(
+            started.elapsed() < CONN_JOIN_WAIT,
+            "shutdown waited out its bound"
+        );
+        assert_eq!(
+            Arc::strong_count(&server.core),
+            1,
+            "accept and connection threads must have released the server"
+        );
+        for c in clients {
+            assert!(c.join().unwrap() > 0, "each client completed some bursts");
+        }
     }
 }

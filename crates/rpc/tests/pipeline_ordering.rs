@@ -7,6 +7,8 @@ use dcperf_rpc::frame::{read_frame, write_frame};
 use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpServer};
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SLOW_MS: u64 = 150;
@@ -121,5 +123,81 @@ fn disabled_pipeline_serializes_the_window() {
         arrived.push(Response::decode(&frame).expect("decodes").corr);
     }
     assert_eq!(arrived, vec![1, 2, 3], "one-at-a-time mode preserves order");
+    server.shutdown();
+}
+
+#[test]
+fn blocked_slow_lane_batch_does_not_hold_back_fast_responses() {
+    // The slow worker may finish "slow_quick", queue its response, and
+    // then block on "gated" in the same dequeue batch. The fast response
+    // must still be written by the fast worker's own batch end, not wait
+    // for the slow worker's.
+    /// Opens the gate when dropped, so a failed assertion cannot leave
+    /// the slow worker blocked and the server's shutdown hanging.
+    struct Gate(Arc<AtomicBool>);
+    impl Drop for Gate {
+        fn drop(&mut self) {
+            // ordering: a test gate; the response carries no data it guards
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let flag = Arc::new(AtomicBool::new(false));
+    let gate = Arc::clone(&flag);
+    let server = TcpServer::bind_full(
+        "127.0.0.1:0",
+        move |req: &Request| {
+            if req.method == "gated" {
+                // ordering: a test gate; the response carries no data it guards
+                while !gate.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            Response::ok(req.body.clone())
+        },
+        |req: &Request| {
+            if req.method == "fast" {
+                Lane::Fast
+            } else {
+                Lane::Slow
+            }
+        },
+        PoolConfig::fast_slow(1, 1).with_queue_depth(256),
+        PipelineConfig::default(),
+    )
+    .expect("bind fast/slow server");
+    // Declared after the server, so it drops (and opens) first.
+    let open = Gate(flag);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    // A hang fails the test instead of stalling it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+
+    let mut burst = Vec::new();
+    for (corr, method) in [(1u64, "slow_quick"), (2, "gated"), (3, "fast")] {
+        let mut req = Request::new(method, vec![]);
+        req.seq = corr;
+        req.corr = corr;
+        write_frame(&mut burst, &req.encode()).expect("encode burst");
+    }
+    stream.write_all(&burst).expect("send burst");
+
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    let mut arrived = Vec::new();
+    while !arrived.contains(&3) {
+        let frame = read_frame(&mut reader)
+            .expect("the fast response arrives while the slow lane is blocked")
+            .expect("open");
+        arrived.push(Response::decode(&frame).expect("decodes").corr);
+    }
+    assert!(!arrived.contains(&2), "the gated request is still blocked");
+    drop(open);
+    while arrived.len() < 3 {
+        let frame = read_frame(&mut reader).expect("read").expect("open");
+        arrived.push(Response::decode(&frame).expect("decodes").corr);
+    }
+    arrived.sort_unstable();
+    assert_eq!(arrived, vec![1, 2, 3]);
     server.shutdown();
 }
