@@ -12,9 +12,11 @@
 //!    current [`Cache`] is measured twice: scalar `get` per key, and one
 //!    shard-grouped [`Cache::get_many`] per burst (how the TaoBench
 //!    mget/Django feed paths drive it), which amortises those rounds
-//!    across the burst. On multi-core hosts the `RwLock` read path adds
-//!    reader parallelism on top; this sweep's speedup is the part that
-//!    survives even a single-core box.
+//!    across the burst. Both builds hold one mutex per shard and refresh
+//!    recency inline; the current cache hands out shared `Arc<[u8]>`
+//!    handles where the baseline copies each hit. The output's `host`
+//!    block records the core count, so thread rows beyond it read as
+//!    oversubscription, not scaling.
 //! 2. **Fill amplification.** Eight threads race `get_or_load` on a
 //!    fresh cold key every round against a slow loader, with
 //!    single-flight on and off. The on/off loader-invocation ratio is
@@ -30,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 
+use dcperf_bench::host::Host;
 use dcperf_kvstore::shard::Shard;
 use dcperf_kvstore::{Cache, CacheConfig};
 use dcperf_tax::hash::fnv1a;
@@ -59,8 +62,8 @@ struct ReadPoint {
     burst_depth: usize,
     total_ops: u64,
     baseline_mutex_rps: f64,
-    rwlock_scalar_rps: f64,
-    rwlock_batched_rps: f64,
+    cache_scalar_rps: f64,
+    cache_batched_rps: f64,
     /// Batched `get_many` bursts vs the pre-rewrite scalar mutex path —
     /// the headline regression-tracked ratio.
     speedup: f64,
@@ -81,13 +84,13 @@ struct FillSide {
 #[derive(Debug, Serialize)]
 struct BenchOutput {
     benchmark: String,
+    host: Host,
     seed: u64,
     key_space: u64,
     value_bytes: usize,
     shards: usize,
     zipf_s: f64,
     read_reps: usize,
-    recency_sample_every: u32,
     read_path: Vec<ReadPoint>,
     fill_threads: usize,
     fill_amplification: Vec<FillSide>,
@@ -174,10 +177,10 @@ fn parse_args() -> Result<Args, String> {
 /// The pre-rewrite read path, reconstructed faithfully: every lookup
 /// reads the clock, takes its shard's exclusive lock, refreshes LRU
 /// recency inline through [`Shard::get`] over the era's SipHash key map
-/// (`RandomState`), and bumps a hit/miss counter — exactly the per-op
-/// cost profile `Cache::get` had before the `RwLock` + batched-recency +
-/// batch-API + FNV-map change. Kept here (not in the library) so the
-/// library carries only the current implementation.
+/// (`RandomState`), copies the hit out, and bumps a hit/miss counter —
+/// the per-op cost profile `Cache::get` had before the zero-copy values,
+/// the batch API and the multiply-rotate hashing. Kept here (not in the
+/// library) so the library carries only the current implementation.
 struct MutexShardedCache {
     shards: Vec<Mutex<Shard<RandomState>>>,
     mask: u64,
@@ -208,14 +211,17 @@ impl MutexShardedCache {
     }
 
     fn shard_for(&self, key: &[u8]) -> &Mutex<Shard<RandomState>> {
-        // Same FNV-1a shard selection as `Cache`, so both builds see an
-        // identical key-to-shard distribution.
+        // The pre-rewrite FNV-1a shard selection, kept on purpose: it is
+        // part of the baseline's per-op cost. `Cache` now shards by its
+        // multiply-rotate key hash, so the two builds spread keys over
+        // their shards differently.
         &self.shards[(fnv1a(key) & self.mask) as usize]
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let now = self.now_ms();
-        let result = self.shard_for(key).lock().get(key, now);
+        // The pre-rewrite `Shard::get` returned an owned copy of the hit.
+        let result = self.shard_for(key).lock().get(key, now).map(|v| v.to_vec());
         match &result {
             // ordering: relaxed stat counter, aggregated after the run
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -362,48 +368,48 @@ fn run_read_point(args: &Args, threads: usize, skew: &'static str) -> ReadPoint 
     // round-robin min-of-reps keeps the *ratios* stable even when
     // absolute throughput wobbles between runs.
     let mut mutex_elapsed = f64::INFINITY;
-    let mut rw_scalar_elapsed = f64::INFINITY;
-    let mut rw_batched_elapsed = f64::INFINITY;
+    let mut scalar_elapsed = f64::INFINITY;
+    let mut batched_elapsed = f64::INFINITY;
     for _ in 0..READ_REPS {
         let mutex_cache = Arc::new(MutexShardedCache::new(capacity, SHARDS));
-        let rw_cache = Arc::new(Cache::new(
+        let cache = Arc::new(Cache::new(
             CacheConfig::with_capacity_bytes(capacity).with_shards(SHARDS),
         ));
         for id in 0..args.keyspace {
             mutex_cache.set(&key_bytes(id), value.clone());
-            rw_cache.set(&key_bytes(id), value.clone());
+            cache.set(&key_bytes(id), value.clone());
         }
         timed_reads(&mutex_cache, &warmup, scalar_pass(MutexShardedCache::get));
-        timed_reads(&rw_cache, &warmup, scalar_pass(|c: &Cache, k| c.get(k)));
-        timed_reads(&rw_cache, &warmup, batched_pass(args.depth));
+        timed_reads(&cache, &warmup, scalar_pass(|c: &Cache, k| c.get(k)));
+        timed_reads(&cache, &warmup, batched_pass(args.depth));
 
         mutex_elapsed = mutex_elapsed.min(timed_reads(
             &mutex_cache,
             &streams,
             scalar_pass(MutexShardedCache::get),
         ));
-        rw_scalar_elapsed = rw_scalar_elapsed.min(timed_reads(
-            &rw_cache,
+        scalar_elapsed = scalar_elapsed.min(timed_reads(
+            &cache,
             &streams,
             scalar_pass(|c: &Cache, k| c.get(k)),
         ));
-        rw_batched_elapsed =
-            rw_batched_elapsed.min(timed_reads(&rw_cache, &streams, batched_pass(args.depth)));
+        batched_elapsed =
+            batched_elapsed.min(timed_reads(&cache, &streams, batched_pass(args.depth)));
     }
 
     let baseline_mutex_rps = total_ops as f64 / mutex_elapsed;
-    let rwlock_scalar_rps = total_ops as f64 / rw_scalar_elapsed;
-    let rwlock_batched_rps = total_ops as f64 / rw_batched_elapsed;
+    let cache_scalar_rps = total_ops as f64 / scalar_elapsed;
+    let cache_batched_rps = total_ops as f64 / batched_elapsed;
     ReadPoint {
         threads,
         skew,
         burst_depth: args.depth,
         total_ops,
         baseline_mutex_rps,
-        rwlock_scalar_rps,
-        rwlock_batched_rps,
-        speedup: rwlock_batched_rps / baseline_mutex_rps,
-        scalar_speedup: rwlock_scalar_rps / baseline_mutex_rps,
+        cache_scalar_rps,
+        cache_batched_rps,
+        speedup: cache_batched_rps / baseline_mutex_rps,
+        scalar_speedup: cache_scalar_rps / baseline_mutex_rps,
     }
 }
 
@@ -482,13 +488,13 @@ fn main() {
         for skew in ["uniform", "zipf"] {
             let point = run_read_point(&args, threads, skew);
             eprintln!(
-                "  read {:>7} x{:>2} threads: mutex {:>9.0}  rw-scalar {:>9.0}  \
-                 rw-batched {:>9.0} rps  {:.2}x",
+                "  read {:>7} x{:>2} threads: baseline {:>9.0}  scalar {:>9.0}  \
+                 batched {:>9.0} rps  {:.2}x",
                 point.skew,
                 point.threads,
                 point.baseline_mutex_rps,
-                point.rwlock_scalar_rps,
-                point.rwlock_batched_rps,
+                point.cache_scalar_rps,
+                point.cache_batched_rps,
                 point.speedup,
             );
             read_path.push(point);
@@ -510,13 +516,13 @@ fn main() {
 
     let output = BenchOutput {
         benchmark: "kvstore_read_path_and_fill_amplification".to_owned(),
+        host: Host::detect(),
         seed: args.seed,
         key_space: args.keyspace,
         value_bytes: args.value_bytes,
         shards: SHARDS,
         zipf_s: ZIPF_S,
         read_reps: READ_REPS,
-        recency_sample_every: dcperf_kvstore::DEFAULT_RECENCY_SAMPLE,
         read_path,
         fill_threads,
         fill_amplification,

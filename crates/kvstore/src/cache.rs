@@ -1,20 +1,17 @@
 //! The sharded, read-through cache.
 //!
-//! Two properties distinguish this tier from a textbook locked map:
+//! Two properties take this tier beyond a textbook locked LRU map:
 //!
-//! * **Read-scalable hits** — each shard sits behind a
-//!   [`parking_lot::RwLock`], so concurrent hits (including hits on the
-//!   *same* hot key) take the read lock and proceed in parallel. Hits
-//!   are zero-copy: values live in the cache as shared `Arc<[u8]>`
-//!   slices, and a hit hands back a reference-counted handle instead of
-//!   copying the bytes out under the lock. LRU
-//!   recency is not updated inline: hits enqueue a stamped touch token
-//!   into a small per-shard buffer, drained under the write lock when the
-//!   buffer fills or the next write arrives. Touches are *sampled*: by
-//!   default only every 8th hit per shard enqueues one (exactness is a
-//!   config knob), and under contention the buffer push is a `try_lock`
-//!   — a busy buffer drops the touch rather than ever blocking the hit
-//!   path. Expired-entry reclamation tokens are never sampled away.
+//! * **Exact LRU, zero-copy hits** — each shard sits behind one
+//!   [`parking_lot::Mutex`]. A hit moves its entry to the recency front
+//!   inline under that lock and hands back a reference-counted handle to
+//!   the shared `Arc<[u8]>` value instead of copying the bytes out, so
+//!   the critical section is a map probe, a list splice and a refcount
+//!   bump. Eviction order is exact LRU; with one caller thread it is a
+//!   pure function of the operation sequence. An expired entry is removed
+//!   and counted by the read that sees it. Pipelined bursts map onto
+//!   shard-grouped [`Cache::get_many`] / [`Cache::set_many`] passes that
+//!   take each shard's lock once per burst.
 //! * **Single-flight fills** — concurrent misses on one key are
 //!   deduplicated through a per-shard in-flight table: one caller (the
 //!   leader) runs the loader, everyone else parks on a condvar and
@@ -23,27 +20,20 @@
 //!   re-running the loader — an injected backing-store stall cannot turn
 //!   one miss into N concurrent loads.
 
-use crate::shard::{Peek, Shard, Touch, ENTRY_OVERHEAD};
+use crate::shard::{Shard, ENTRY_OVERHEAD};
 use crate::stats::CacheStats;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Deferred touches buffered per shard before a drain is forced.
-/// Recency lag never affects eviction decisions — every write drains the
-/// buffer before mutating — so a larger cap only trades memory for fewer
-/// write-lock rounds (and gives the drain's duplicate-slot dedup more to
-/// collapse under hot-key skew).
-const TOUCH_BUFFER_CAP: usize = 64;
-
 thread_local! {
-    /// Per-thread scratch for [`Cache::get_many`]: shard tags and the
-    /// sampled-touch staging area, reused across calls so the batched
-    /// read path's only steady-state allocation is its results vector.
-    static GET_MANY_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<Touch>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    /// Per-thread shard tags for [`Cache::get_many`], reused across calls
+    /// so the batched read path's only steady-state allocation is its
+    /// results vector.
+    static GET_MANY_SCRATCH: std::cell::RefCell<Vec<u32>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// The smallest per-shard byte budget worth sharding down to: enough for
@@ -69,18 +59,7 @@ pub struct CacheConfig {
     /// Memcached-style thundering herd, which `cargo bench-kvstore`
     /// measures as fill amplification.
     pub single_flight: bool,
-    /// Recency sampling rate: a hit enqueues an LRU touch only every Nth
-    /// time (per shard). `1` makes batched recency exact; the default of
-    /// `8` trades a bounded approximation in eviction order for most of
-    /// the touch-machinery cost on the hit path — the same trade
-    /// production caches make (Memcached suppresses repeat bumps for 60
-    /// seconds). Expired entries are exempt: their reclamation tokens are
-    /// always enqueued, so TTL accounting never degrades.
-    pub recency_sample_every: u32,
 }
-
-/// Default [`CacheConfig::recency_sample_every`]: touch every 8th hit.
-pub const DEFAULT_RECENCY_SAMPLE: u32 = 8;
 
 impl CacheConfig {
     /// A configuration with the given capacity and a shard count suited to
@@ -94,7 +73,6 @@ impl CacheConfig {
             shards: (parallelism * 4).next_power_of_two(),
             default_ttl_ms: None,
             single_flight: true,
-            recency_sample_every: DEFAULT_RECENCY_SAMPLE,
         }
     }
 
@@ -114,19 +92,6 @@ impl CacheConfig {
     pub fn without_single_flight(mut self) -> Self {
         self.single_flight = false;
         self
-    }
-
-    /// Sets the recency sampling rate (builder style); `0` is clamped
-    /// to `1` (exact).
-    pub fn with_recency_sample_every(mut self, every: u32) -> Self {
-        self.recency_sample_every = every.max(1);
-        self
-    }
-
-    /// Makes LRU recency exact — every hit enqueues a touch (builder
-    /// style). Equivalent to `with_recency_sample_every(1)`.
-    pub fn with_exact_recency(self) -> Self {
-        self.with_recency_sample_every(1)
     }
 }
 
@@ -157,15 +122,11 @@ enum FillRole {
     Waiter(Arc<InFlight>),
 }
 
-/// One shard plus its read-path side tables.
+/// One shard plus its in-flight fill table.
 struct CacheShard {
-    data: RwLock<Shard>,
-    /// Deferred recency touches; drained under the write lock.
-    touches: Mutex<Vec<Touch>>,
+    data: Mutex<Shard>,
     /// In-flight fills keyed by the missing key.
     fills: Mutex<HashMap<Box<[u8]>, Arc<InFlight>>>,
-    /// Scalar-hit sequence number driving recency sampling.
-    hit_seq: AtomicU32,
 }
 
 /// Publishes a `Failed` outcome on drop unless the leader completed its
@@ -209,9 +170,6 @@ pub struct Cache {
     stats: CacheStats,
     default_ttl_ms: Option<u64>,
     single_flight: bool,
-    /// Touch every Nth hit (`1` = exact recency); see
-    /// [`CacheConfig::recency_sample_every`].
-    recency_sample: u32,
     epoch: Instant,
     /// Test-only skew added to the millisecond clock; lets TTL tests run
     /// deterministically without sleeping.
@@ -255,17 +213,14 @@ impl Cache {
         Self {
             shards: (0..shard_count)
                 .map(|_| CacheShard {
-                    data: RwLock::new(Shard::new(per_shard)),
-                    touches: Mutex::new(Vec::with_capacity(TOUCH_BUFFER_CAP)),
+                    data: Mutex::new(Shard::new(per_shard)),
                     fills: Mutex::new(HashMap::new()),
-                    hit_seq: AtomicU32::new(0),
                 })
                 .collect(),
             mask: (shard_count - 1) as u64,
             stats,
             default_ttl_ms: config.default_ttl_ms,
             single_flight: config.single_flight,
-            recency_sample: config.recency_sample_every.max(1),
             epoch: Instant::now(),
             clock_skew_ms: AtomicU64::new(0),
         }
@@ -295,71 +250,19 @@ impl Cache {
         ((h ^ (h >> 32)) & self.mask) as usize
     }
 
-    /// Enqueues a run of deferred recency touches in one buffer lock
-    /// round. The push is a `try_lock`: if another thread holds the
-    /// buffer the run is dropped (sampled recency) so the hit path never
-    /// blocks. A full buffer is drained under the shard write lock by
-    /// whichever reader filled it.
-    fn push_touches(&self, shard: usize, tokens: &[Touch], now: u64) {
-        if tokens.is_empty() {
-            return;
-        }
-        let slot = &self.shards[shard];
-        let drained = match slot.touches.try_lock() {
-            Some(mut buf) => {
-                buf.extend_from_slice(tokens);
-                if buf.len() >= TOUCH_BUFFER_CAP {
-                    Some(std::mem::replace(
-                        &mut *buf,
-                        Vec::with_capacity(TOUCH_BUFFER_CAP),
-                    ))
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        if let Some(batch) = drained {
-            let expired = slot.data.write().apply_touches(&batch, now);
-            self.stats.record_expirations(expired);
-        }
+    /// Lookup on one shard under its lock: an exact LRU step. An expired
+    /// entry is removed and counted by this read.
+    fn get_at(&self, shard: usize, key: &[u8], now: u64) -> Option<Arc<[u8]>> {
+        let mut guard = self.shards[shard].data.lock();
+        let expired_before = guard.expirations();
+        let value = guard.get(key, now);
+        let expired = guard.expirations() - expired_before;
+        drop(guard);
+        self.stats.record_expirations(expired);
+        value
     }
 
-    /// Sampled-recency gate for scalar hits: true for every
-    /// `recency_sample`-th hit on `shard`. Expired-entry tokens bypass
-    /// this gate — reclamation is never sampled away.
-    fn should_touch(&self, shard: usize) -> bool {
-        self.recency_sample == 1 || {
-            // ordering: relaxed sampling counter; only the rate matters
-            let seq = self.shards[shard].hit_seq.fetch_add(1, Ordering::Relaxed);
-            seq.is_multiple_of(self.recency_sample)
-        }
-    }
-
-    /// Read-path lookup on one shard: peek under the read lock, then
-    /// enqueue the touch after releasing it. Returns the value on a live
-    /// hit; expired entries report `None` (their removal is deferred to
-    /// the next drain).
-    fn peek_shard(&self, shard: usize, key: &[u8], now: u64) -> Option<Arc<[u8]>> {
-        let peeked = self.shards[shard].data.read().peek(key, now);
-        match peeked {
-            Peek::Hit { value, token } => {
-                if self.should_touch(shard) {
-                    self.push_touches(shard, &[token], now);
-                }
-                Some(value)
-            }
-            Peek::Expired { token } => {
-                self.push_touches(shard, &[token], now);
-                None
-            }
-            Peek::Miss => None,
-        }
-    }
-
-    /// Inserts under the shard write lock, draining pending touches first
-    /// so recency order is preserved relative to the hits that preceded
-    /// this write.
+    /// Inserts under the shard lock.
     fn insert_at(
         &self,
         shard: usize,
@@ -368,17 +271,10 @@ impl Cache {
         ttl_ms: Option<u64>,
         now: u64,
     ) {
-        let slot = &self.shards[shard];
-        let mut guard = slot.data.write();
-        let batch = std::mem::take(&mut *slot.touches.lock());
-        let expired = if batch.is_empty() {
-            0
-        } else {
-            guard.apply_touches(&batch, now)
-        };
-        let evicted = guard.insert(key, value, ttl_ms, now);
-        drop(guard);
-        self.stats.record_expirations(expired);
+        let evicted = self.shards[shard]
+            .data
+            .lock()
+            .insert(key, value, ttl_ms, now);
         self.stats.record_insertion(evicted);
     }
 
@@ -388,7 +284,7 @@ impl Cache {
     pub fn get(&self, key: &[u8]) -> Option<Arc<[u8]>> {
         let now = self.now_ms();
         let shard = self.shard_index(key);
-        let result = self.peek_shard(shard, key, now);
+        let result = self.get_at(shard, key, now);
         match &result {
             Some(_) => self.stats.record_hit(),
             None => self.stats.record_miss(),
@@ -401,7 +297,7 @@ impl Cache {
     pub fn contains(&self, key: &[u8]) -> bool {
         let now = self.now_ms();
         let shard = self.shard_index(key);
-        self.shards[shard].data.read().contains(key, now)
+        self.shards[shard].data.lock().contains(key, now)
     }
 
     /// The read-through lookup: on a miss, `loader` fetches the value
@@ -419,7 +315,7 @@ impl Cache {
     {
         let now = self.now_ms();
         let shard = self.shard_index(key);
-        if let Some(hit) = self.peek_shard(shard, key, now) {
+        if let Some(hit) = self.get_at(shard, key, now) {
             self.stats.record_hit();
             return Some(hit);
         }
@@ -459,7 +355,7 @@ impl Cache {
                 // Double-check after winning leadership: the previous
                 // fill may have landed between our miss and registering,
                 // in which case serving it avoids a redundant load.
-                if let Some(existing) = self.peek_shard(shard, key, self.now_ms()) {
+                if let Some(existing) = self.get_at(shard, key, self.now_ms()) {
                     fill_guard.publish(FillOutcome::Filled(Arc::clone(&existing)));
                     return Some(existing);
                 }
@@ -559,32 +455,24 @@ impl Cache {
     /// path produces (tens of keys over a handful of shards).
     pub fn get_many(&self, keys: &[&[u8]]) -> Vec<Option<Arc<[u8]>>> {
         // Steady-state batched reads allocate only their results vector:
-        // the shard tags and the sampled-token staging area live in a
-        // thread-local scratch. The fallback arm only runs if a caller
-        // re-enters `get_many` on the same thread, which the cache itself
-        // never does (no user code runs inside this call).
+        // the shard tags live in a thread-local scratch. The fallback arm
+        // only runs if a caller re-enters `get_many` on the same thread,
+        // which the cache itself never does (no user code runs inside
+        // this call).
         GET_MANY_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => {
-                let (shard_of, tokens) = &mut *scratch;
-                self.get_many_with(keys, shard_of, tokens)
-            }
-            Err(_) => self.get_many_with(keys, &mut Vec::new(), &mut Vec::new()),
+            Ok(mut shard_of) => self.get_many_with(keys, &mut shard_of),
+            Err(_) => self.get_many_with(keys, &mut Vec::new()),
         })
     }
 
-    /// [`Cache::get_many`] with caller-provided scratch buffers.
-    fn get_many_with(
-        &self,
-        keys: &[&[u8]],
-        shard_of: &mut Vec<u32>,
-        tokens: &mut Vec<Touch>,
-    ) -> Vec<Option<Arc<[u8]>>> {
+    /// [`Cache::get_many`] with a caller-provided shard-tag buffer.
+    fn get_many_with(&self, keys: &[&[u8]], shard_of: &mut Vec<u32>) -> Vec<Option<Arc<[u8]>>> {
         let now = self.now_ms();
         let n = keys.len();
         let mut results: Vec<Option<Arc<[u8]>>> = Vec::with_capacity(n);
         results.resize_with(n, || None);
         let mut hits = 0u64;
-        let sample = u64::from(self.recency_sample);
+        let mut expired = 0u64;
         // Per-key shard tags; `u32::MAX` marks a key already served.
         shard_of.clear();
         shard_of.extend(keys.iter().map(|k| self.shard_index(k) as u32));
@@ -595,35 +483,21 @@ impl Cache {
                 cursor += 1;
                 continue;
             }
-            tokens.clear();
-            {
-                let guard = self.shards[shard as usize].data.read();
-                for i in cursor..n {
-                    if shard_of[i] != shard {
-                        continue;
-                    }
-                    shard_of[i] = u32::MAX;
-                    match guard.peek(keys[i], now) {
-                        Peek::Hit { value, token } => {
-                            results[i] = Some(value);
-                            hits += 1;
-                            // Sampled recency on a call-local counter:
-                            // every Nth hit in the batch enqueues its
-                            // touch; the rest skip the buffer entirely.
-                            if hits % sample == 1 || sample == 1 {
-                                tokens.push(token);
-                            }
-                        }
-                        Peek::Expired { token } => tokens.push(token),
-                        Peek::Miss => {}
-                    }
+            let mut guard = self.shards[shard as usize].data.lock();
+            let expired_before = guard.expirations();
+            for i in cursor..n {
+                if shard_of[i] != shard {
+                    continue;
                 }
+                shard_of[i] = u32::MAX;
+                results[i] = guard.get(keys[i], now);
+                hits += u64::from(results[i].is_some());
             }
-            // One buffer lock round covers the whole shard run.
-            self.push_touches(shard as usize, tokens, now);
+            expired += guard.expirations() - expired_before;
         }
         self.stats.record_hits(hits);
         self.stats.record_misses(n as u64 - hits);
+        self.stats.record_expirations(expired);
         results
     }
 
@@ -640,10 +514,10 @@ impl Cache {
             if slot.is_none() {
                 let key = keys[pos];
                 let shard = self.shard_index(key);
-                // Re-peek first: a duplicate key earlier in this batch
+                // Re-check first: a duplicate key earlier in this batch
                 // (or a concurrent fill) may have landed it already.
                 *slot = self
-                    .peek_shard(shard, key, self.now_ms())
+                    .get_at(shard, key, self.now_ms())
                     .or_else(|| self.load_path(shard, key, &loader));
             }
         }
@@ -663,7 +537,7 @@ impl Cache {
     }
 
     /// Batched insert with the default TTL: items are grouped by shard
-    /// and each shard takes its write lock exactly once. Within a shard,
+    /// and each shard takes its lock exactly once. Within a shard,
     /// insertion order follows input order (a later duplicate wins).
     pub fn set_many(&self, items: Vec<(Vec<u8>, Vec<u8>)>) {
         let now = self.now_ms();
@@ -679,15 +553,7 @@ impl Cache {
             while end < tagged.len() && tagged[end].0 == shard {
                 end += 1;
             }
-            let slot = &self.shards[shard];
-            let mut guard = slot.data.write();
-            let batch = std::mem::take(&mut *slot.touches.lock());
-            let expired = if batch.is_empty() {
-                0
-            } else {
-                guard.apply_touches(&batch, now)
-            };
-            self.stats.record_expirations(expired);
+            let mut guard = self.shards[shard].data.lock();
             for (_, key, value) in tagged[start..end].iter_mut() {
                 let evicted = guard.insert(key, std::mem::take(value), self.default_ttl_ms, now);
                 self.stats.record_insertion(evicted);
@@ -700,13 +566,14 @@ impl Cache {
     /// Removes `key`, returning whether it was present.
     pub fn delete(&self, key: &[u8]) -> bool {
         let shard = self.shard_index(key);
-        self.shards[shard].data.write().remove(key)
+        self.shards[shard].data.lock().remove(key)
     }
 
-    /// Total live entries across shards (entries past their TTL but not
-    /// yet drained are still counted; they are reported absent by reads).
+    /// Total resident entries across shards. An entry past its TTL is
+    /// counted until a read of it, a write to its key or an eviction
+    /// removes it.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.data.read().len()).sum()
+        self.shards.iter().map(|s| s.data.lock().len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -716,7 +583,7 @@ impl Cache {
 
     /// Total charged bytes across shards.
     pub fn used_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.data.read().used_bytes()).sum()
+        self.shards.iter().map(|s| s.data.lock().used_bytes()).sum()
     }
 
     /// Shared counters.
@@ -835,7 +702,8 @@ mod tests {
         assert_eq!(live.as_deref(), Some(&[7u8][..]), "9s into a 10s TTL");
         c.advance_clock_ms(2_000);
         assert!(c.get(b"slow").is_none(), "11s into a 10s TTL");
-        // Physical removal is deferred until a drain; force one.
+        // The read that saw the expired entry removed it; the write
+        // below changes nothing about that count.
         c.set(b"other", vec![0]);
         assert_eq!(c.stats().expirations(), 1);
     }
@@ -866,11 +734,30 @@ mod tests {
         for i in 0..10u8 {
             assert!(c.get(&[i]).is_none(), "entry {i} must be expired");
         }
-        // Expired entries are physically removed at the next drain; force
-        // one with a write and check the counter caught every removal.
+        // Each read above removed its expired entry; after one more write
+        // the counter holds every removal and only the new entry remains.
         c.set(b"fresh", vec![1]);
         assert_eq!(c.stats().expirations(), 10);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn expired_reads_count_without_a_later_write() {
+        let c = Cache::new(
+            CacheConfig::with_capacity_bytes(1 << 16)
+                .with_shards(2)
+                .with_default_ttl_ms(50),
+        );
+        for i in 0..4u8 {
+            c.set(&[i], vec![i]);
+        }
+        c.advance_clock_ms(100);
+        assert!(c.get(&[0]).is_none());
+        assert_eq!(c.stats().expirations(), 1, "scalar read counts it");
+        let keys: Vec<&[u8]> = vec![&[1], &[2], &[3], &[1]];
+        assert!(c.get_many(&keys).iter().all(Option::is_none));
+        assert_eq!(c.stats().expirations(), 4, "batched read counts each once");
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -928,7 +815,7 @@ mod tests {
         assert_eq!(got[2].as_deref(), Some(&[3u8][..]));
         assert_eq!(got[3].as_deref(), Some(&[b'd'][..]));
         assert_eq!(got[4].as_deref(), Some(&[b'b'][..]));
-        // The duplicate "b" is served by the first fill's re-peek.
+        // The duplicate "b" is served by the re-check after the first fill.
         assert_eq!(loads.load(Ordering::Relaxed), 2);
     }
 

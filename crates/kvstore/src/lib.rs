@@ -8,14 +8,14 @@
 //! [`Cache::get_or_load`], which consults the cache and *itself* fetches
 //! from the backing loader on a miss — callers never manage the fill path.
 //!
-//! * [`Cache`] — sharded LRU behind per-shard `RwLock`s: hits take the
-//!   read lock and return shared `Arc<[u8]>` handles (zero-copy) while
-//!   deferring LRU recency into a batched touch buffer, so
-//!   concurrent reads of a hot key scale with cores (the paper's §4.6
-//!   complaint about CloudSuite's data-caching tier); concurrent misses
-//!   on one key are collapsed onto a single loader run (single-flight),
-//!   and pipelined bursts map onto shard-grouped [`Cache::get_many`] /
-//!   [`Cache::set_many`] passes.
+//! * [`Cache`] — exact LRU behind one mutex per shard: a hit moves its
+//!   entry to the recency front inline and returns a shared `Arc<[u8]>`
+//!   handle (zero-copy). Keys on different shards proceed in parallel
+//!   (the scalability the paper's §4.6 finds lacking in CloudSuite's
+//!   data-caching tier); concurrent misses on one key are
+//!   collapsed onto a single loader run (single-flight), and pipelined
+//!   bursts map onto shard-grouped [`Cache::get_many`] /
+//!   [`Cache::set_many`] passes that take each shard's lock once.
 //! * [`BackingStore`] — a deterministic "database" with a configurable
 //!   lookup-latency model, standing in for the MySQL/Cassandra tiers the
 //!   paper's benchmarks attach to.
@@ -43,5 +43,5 @@ pub mod shard;
 pub mod stats;
 
 pub use backing::{BackingStore, BackingStoreConfig};
-pub use cache::{Cache, CacheConfig, DEFAULT_RECENCY_SAMPLE, MIN_SHARD_CAPACITY};
+pub use cache::{Cache, CacheConfig, MIN_SHARD_CAPACITY};
 pub use stats::CacheStats;

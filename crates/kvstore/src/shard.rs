@@ -1,18 +1,10 @@
 //! A single LRU shard: hash map + intrusive recency list over a slab.
 //!
 //! Kept lock-free internally; [`Cache`](crate::Cache) wraps each shard in
-//! a reader-writer lock so independent keys — and concurrent hits on the
-//! *same* key — proceed in parallel, which is what lets the cache scale
-//! on many-core machines (the scalability property CloudSuite's
-//! data-caching benchmark lacks, per §4.6 of the paper).
-//!
-//! Two read APIs exist: [`Shard::get`] is the classic exclusive-access
-//! lookup that refreshes recency inline (the exact-LRU oracle used by
-//! tests and the `bench_kvstore` baseline), and [`Shard::peek`] is the
-//! shared-access lookup used by the cache's read path: it returns the
-//! value plus a stamped [`Touch`] token, and the recency refresh is
-//! applied later in a batch via [`Shard::apply_touches`] under the write
-//! lock.
+//! a mutex. Every read is an exact LRU step: [`Shard::get`] moves the
+//! entry to the recency front inline and hands back the shared
+//! `Arc<[u8]>` (a refcount bump, no copy), and an expired entry is
+//! removed and counted by the read that sees it.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -92,41 +84,6 @@ struct Entry {
     expires_at_ms: Option<u64>,
     prev: u32,
     next: u32,
-    /// Slot generation: bumped whenever the slot's occupant is removed,
-    /// so deferred [`Touch`] tokens from a previous occupant are inert.
-    stamp: u32,
-    /// Whether the slot currently holds a live entry.
-    live: bool,
-}
-
-/// A deferred-recency token issued by [`Shard::peek`]: identifies the
-/// touched slot and the generation it was observed at. Applying a stale
-/// token (the slot was removed or reused since) is a harmless no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Touch {
-    idx: u32,
-    stamp: u32,
-}
-
-/// Outcome of a shared-access [`Shard::peek`].
-#[derive(Debug)]
-pub enum Peek {
-    /// The key is resident and live; the caller should enqueue the touch.
-    Hit {
-        /// Shared handle to the cached bytes (no copy is made).
-        value: Arc<[u8]>,
-        /// Deferred-recency token for this lookup.
-        token: Touch,
-    },
-    /// The key is resident but past its TTL: report absent. The entry is
-    /// physically removed (and counted as an expiration) when the token
-    /// is drained through [`Shard::apply_touches`].
-    Expired {
-        /// Token whose drain removes the expired entry.
-        token: Touch,
-    },
-    /// The key is not resident.
-    Miss,
 }
 
 /// An LRU map with byte-based capacity accounting and optional TTLs.
@@ -144,9 +101,6 @@ pub struct Shard<S: BuildHasher = KeyBuildHasher> {
     capacity_bytes: usize,
     evictions: u64,
     expirations: u64,
-    /// Reused dedup buffer for [`Shard::apply_touches`], so steady-state
-    /// drains allocate nothing.
-    scratch: Vec<Touch>,
 }
 
 impl Shard {
@@ -173,7 +127,6 @@ impl<S: BuildHasher> Shard<S> {
             capacity_bytes,
             evictions: 0,
             expirations: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -223,30 +176,26 @@ impl<S: BuildHasher> Shard<S> {
         // Drop this slot's handle; the bytes free once the last reader's
         // clone does (empty `Arc<[u8]>` is allocation-free).
         entry.value = Arc::default();
-        // Invalidate outstanding touch tokens for this occupant.
-        entry.stamp = entry.stamp.wrapping_add(1);
-        entry.live = false;
         self.map.remove(&key);
         self.free.push(idx);
     }
 
-    /// Looks up `key`, refreshing recency. Expired entries are removed and
-    /// reported as absent. Returns an owned copy of the value — the
-    /// pre-rewrite contract this path exists to preserve (it is the
-    /// exact-LRU oracle and the `bench_kvstore` baseline); the cache's
-    /// own read path goes through the zero-copy [`Shard::peek`].
-    pub fn get(&mut self, key: &[u8], now_ms: u64) -> Option<Vec<u8>> {
+    /// Looks up `key`, moving it to the recency front. Returns a shared
+    /// handle to the cached bytes (zero-copy). Expired entries are
+    /// removed, counted in [`Shard::expirations`], and reported absent.
+    pub fn get(&mut self, key: &[u8], now_ms: u64) -> Option<Arc<[u8]>> {
         let idx = *self.map.get(key)?;
-        if let Some(exp) = self.slab[idx as usize].expires_at_ms {
-            if exp <= now_ms {
-                self.remove_idx(idx);
-                self.expirations += 1;
-                return None;
-            }
+        if self.slab[idx as usize]
+            .expires_at_ms
+            .is_some_and(|exp| exp <= now_ms)
+        {
+            self.remove_idx(idx);
+            self.expirations += 1;
+            return None;
         }
         self.detach(idx);
         self.attach_front(idx);
-        Some(self.slab[idx as usize].value.to_vec())
+        Some(Arc::clone(&self.slab[idx as usize].value))
     }
 
     /// Checks presence without refreshing recency or cloning.
@@ -256,72 +205,6 @@ impl<S: BuildHasher> Shard<S> {
                 .expires_at_ms
                 .is_none_or(|exp| exp > now_ms)
         })
-    }
-
-    /// Shared-access lookup: returns the value (and a deferred-recency
-    /// [`Touch`] token) without mutating the shard, so concurrent hits
-    /// proceed under a read lock. Expired entries report [`Peek::Expired`]
-    /// and are removed when their token drains.
-    pub fn peek(&self, key: &[u8], now_ms: u64) -> Peek {
-        let Some(&idx) = self.map.get(key) else {
-            return Peek::Miss;
-        };
-        let entry = &self.slab[idx as usize];
-        let token = Touch {
-            idx,
-            stamp: entry.stamp,
-        };
-        if entry.expires_at_ms.is_some_and(|exp| exp <= now_ms) {
-            return Peek::Expired { token };
-        }
-        Peek::Hit {
-            value: Arc::clone(&entry.value),
-            token,
-        }
-    }
-
-    /// Drains a batch of deferred-recency tokens, in issue order: live
-    /// touched entries move to the recency front, entries observed (or
-    /// since become) expired are removed and counted, and stale tokens
-    /// (slot removed or reused since issue) are skipped. Returns the
-    /// number of expirations performed.
-    pub fn apply_touches(&mut self, touches: &[Touch], now_ms: u64) -> u64 {
-        // Only each slot's *last* touch matters: any earlier move-to-front
-        // is superseded by the later one, so duplicates are dropped before
-        // paying the list splice. (Dedup by slot index alone is exact —
-        // a slot's stamp cannot change between touches in one batch,
-        // because removal or reuse happens under the write lock, which
-        // drains the buffer first.) Hot-key skew makes this a large cut:
-        // a Zipf 0.99 batch is mostly repeats of a few slots.
-        let mut last = std::mem::take(&mut self.scratch);
-        last.clear();
-        for touch in touches.iter().rev() {
-            if last.iter().any(|t| t.idx == touch.idx) {
-                continue;
-            }
-            last.push(*touch);
-        }
-        let mut expired = 0;
-        // `last` holds final occurrences in reverse encounter order;
-        // applying it back-to-front restores the batch's issue order.
-        for touch in last.iter().rev() {
-            let Some(entry) = self.slab.get(touch.idx as usize) else {
-                continue;
-            };
-            if !entry.live || entry.stamp != touch.stamp {
-                continue;
-            }
-            if entry.expires_at_ms.is_some_and(|exp| exp <= now_ms) {
-                self.remove_idx(touch.idx);
-                self.expirations += 1;
-                expired += 1;
-            } else {
-                self.detach(touch.idx);
-                self.attach_front(touch.idx);
-            }
-        }
-        self.scratch = last;
-        expired
     }
 
     /// Inserts or replaces `key`, evicting LRU entries to stay within
@@ -342,20 +225,15 @@ impl<S: BuildHasher> Shard<S> {
         }
         let charge = Self::charge(key, &value);
         let boxed_key: Box<[u8]> = key.into();
-        let mut entry = Entry {
+        let entry = Entry {
             key: boxed_key.clone(),
             value,
             expires_at_ms: ttl_ms.map(|t| now_ms.saturating_add(t)),
             prev: NIL,
             next: NIL,
-            stamp: 0,
-            live: true,
         };
         let idx = match self.free.pop() {
             Some(i) => {
-                // Keep the slot's (already bumped) generation so touch
-                // tokens from the previous occupant stay inert.
-                entry.stamp = self.slab[i as usize].stamp;
                 self.slab[i as usize] = entry;
                 i
             }
@@ -426,7 +304,7 @@ mod tests {
     fn insert_then_get() {
         let mut s = shard();
         s.insert(b"a", vec![1, 2], None, 0);
-        assert_eq!(s.get(b"a", 0), Some(vec![1, 2]));
+        assert_eq!(s.get(b"a", 0).as_deref(), Some(&[1u8, 2][..]));
         assert_eq!(s.len(), 1);
         assert!(s.get(b"b", 0).is_none());
     }
@@ -437,7 +315,7 @@ mod tests {
         s.insert(b"a", vec![0; 100], None, 0);
         let used_before = s.used_bytes();
         s.insert(b"a", vec![0; 10], None, 0);
-        assert_eq!(s.get(b"a", 0), Some(vec![0; 10]));
+        assert_eq!(s.get(b"a", 0).as_deref(), Some(&[0u8; 10][..]));
         assert!(s.used_bytes() < used_before);
         assert_eq!(s.len(), 1);
     }
@@ -450,7 +328,7 @@ mod tests {
         s.insert(b"k0", vec![0; 100], None, 0);
         s.insert(b"k1", vec![0; 100], None, 0);
         s.insert(b"k2", vec![0; 100], None, 0);
-        // Touch k0 so k1 is the LRU.
+        // Read k0 so k1 is the LRU.
         assert!(s.get(b"k0", 0).is_some());
         s.insert(b"k3", vec![0; 100], None, 0);
         assert!(s.get(b"k1", 0).is_none(), "k1 should have been evicted");
@@ -534,56 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_defers_recency_until_drain() {
-        let charge = Shard::<KeyBuildHasher>::charge(b"k0", &[0u8; 100]);
-        let mut s = Shard::new(charge * 2);
-        s.insert(b"k0", vec![0; 100], None, 0);
-        s.insert(b"k1", vec![0; 100], None, 0);
-        // Peek k0 but do not drain: recency unchanged, k0 is still LRU.
-        let Peek::Hit { value, token } = s.peek(b"k0", 0) else {
-            panic!("k0 must be resident");
-        };
-        assert_eq!(&value[..], [0u8; 100]);
-        // Drain the touch: k0 moves to front, k1 becomes the victim.
-        assert_eq!(s.apply_touches(&[token], 0), 0);
-        s.insert(b"k2", vec![0; 100], None, 0);
-        assert!(s.contains(b"k0", 0));
-        assert!(!s.contains(b"k1", 0), "k1 was LRU after the drain");
-    }
-
-    #[test]
-    fn stale_touch_tokens_are_inert() {
-        let mut s = shard();
-        s.insert(b"a", vec![1], None, 0);
-        let Peek::Hit { token, .. } = s.peek(b"a", 0) else {
-            panic!("a must be resident");
-        };
-        // Remove and reinsert into the same slot: the old token must not
-        // refresh (or corrupt) the new occupant.
-        assert!(s.remove(b"a"));
-        s.insert(b"b", vec![2], None, 0);
-        assert_eq!(s.apply_touches(&[token], 0), 0);
-        assert_eq!(s.get(b"b", 0), Some(vec![2]));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn expired_peek_is_removed_on_drain_once() {
-        let mut s = shard();
-        s.insert(b"a", vec![1], Some(100), 0);
-        let Peek::Expired { token } = s.peek(b"a", 100) else {
-            panic!("a must be expired at t=100");
-        };
-        let Peek::Expired { token: token2 } = s.peek(b"a", 150) else {
-            panic!("a must still be (logically) expired at t=150");
-        };
-        // Two queued tokens for the same expired entry: one removal.
-        assert_eq!(s.apply_touches(&[token, token2], 150), 1);
-        assert_eq!(s.expirations(), 1);
-        assert_eq!(s.len(), 0);
-    }
-
-    #[test]
     fn recency_order_is_full_chain() {
         // Insert many, touch in a known order, then force evictions and
         // check survivors match the touch order.
@@ -592,7 +420,7 @@ mod tests {
         for i in 0..5u8 {
             s.insert(&[i], vec![0; 10], None, 0);
         }
-        // Touch order: 3, 1, 4, 0, 2 → LRU is 3 after touching all.
+        // Read order: 3, 1, 4, 0, 2 → LRU is 3 after reading all.
         for i in [3u8, 1, 4, 0, 2] {
             assert!(s.get(&[i], 0).is_some());
         }

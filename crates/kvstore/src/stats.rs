@@ -114,8 +114,8 @@ impl CacheStats {
         self.evictions.get()
     }
 
-    /// Entries removed because their TTL elapsed (counted when the
-    /// expired entry is physically dropped at a touch-buffer drain).
+    /// Entries removed because their TTL elapsed (counted by the read
+    /// that finds the expired entry and removes it).
     pub fn expirations(&self) -> u64 {
         self.expirations.get()
     }

@@ -1,6 +1,6 @@
 //! Property tests for the cache: a model-based test against a reference
 //! map, capacity invariants under arbitrary operation sequences, and an
-//! exact-LRU oracle check for the batched-recency read path.
+//! exact-LRU oracle check for the scalar and batched read paths.
 
 use dcperf_kvstore::shard::Shard;
 use dcperf_kvstore::{Cache, CacheConfig};
@@ -11,6 +11,7 @@ use std::collections::HashMap;
 enum Op {
     Set(u8, Vec<u8>),
     Get(u8),
+    GetMany(Vec<u8>),
     Delete(u8),
 }
 
@@ -19,6 +20,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..64))
             .prop_map(|(k, v)| Op::Set(k, v)),
         any::<u8>().prop_map(Op::Get),
+        proptest::collection::vec(any::<u8>(), 1..8).prop_map(Op::GetMany),
         any::<u8>().prop_map(Op::Delete),
     ]
 }
@@ -40,6 +42,13 @@ proptest! {
                 Op::Get(k) => {
                     let got = cache.get(&[k]).map(|v| v.to_vec());
                     prop_assert_eq!(got, reference.get(&k).cloned(), "key {}", k);
+                }
+                Op::GetMany(ks) => {
+                    let keys: Vec<[u8; 1]> = ks.iter().map(|&k| [k]).collect();
+                    let refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
+                    let got: Vec<_> = cache.get_many(&refs).into_iter().map(|v| v.map(|v| v.to_vec())).collect();
+                    let expected: Vec<_> = ks.iter().map(|k| reference.get(k).cloned()).collect();
+                    prop_assert_eq!(got, expected, "keys {:?}", ks);
                 }
                 Op::Delete(k) => {
                     let was_present = reference.remove(&k).is_some();
@@ -83,42 +92,50 @@ proptest! {
         }
     }
 
-    /// The batched-recency read path (read lock + deferred touch buffer)
-    /// must produce the same eviction order as the old inline-recency
-    /// shard. Single-threaded with sampling disabled, every touch lands
-    /// (no `try_lock` contention drops), so a one-shard [`Cache`] driven
-    /// against an exact-LRU [`Shard`] oracle must agree on membership
-    /// *and* hit results at every step — including under capacity
+    /// The default cache must evict in exact LRU order. A one-shard
+    /// [`Cache`] driven against a [`Shard`] oracle must agree on hit
+    /// results and membership at every step — including under capacity
     /// pressure, where any recency divergence changes which key is
-    /// evicted. This pins down the deferral machinery itself; the
-    /// default sampled mode is a deliberate, documented approximation
-    /// layered on top.
+    /// evicted — whether keys are read one at a time or as a
+    /// `get_many` burst (which must touch its keys in input order).
     #[test]
-    fn batched_recency_matches_exact_lru_oracle(
+    fn cache_matches_exact_lru_oracle(
         ops in proptest::collection::vec(
             prop_oneof![
-                (any::<u8>(), 16usize..128).prop_map(|(k, len)| (true, k, len)),
-                any::<u8>().prop_map(|k| (false, k, 0)),
+                (0u8..48, 16usize..128).prop_map(|(k, len)| Op::Set(k, vec![k; len])),
+                (0u8..48).prop_map(Op::Get),
+                proptest::collection::vec(0u8..48, 1..8).prop_map(Op::GetMany),
+                (0u8..48).prop_map(Op::Delete),
             ],
             1..400,
         ),
     ) {
-        // Small enough that realistic sequences evict constantly.
+        // About 25 entries over 48 keys: reads mostly hit, and sets evict
+        // constantly, so any recency divergence changes the victim.
         let capacity = 4 << 10;
-        let cache = Cache::new(
-            CacheConfig::with_capacity_bytes(capacity)
-                .with_shards(1)
-                .with_exact_recency(),
-        );
+        let cache = Cache::new(CacheConfig::with_capacity_bytes(capacity).with_shards(1));
         let mut oracle = Shard::new(capacity);
-        for (is_set, k, len) in ops {
-            if is_set {
-                cache.set(&[k], vec![k; len]);
-                oracle.insert(&[k], vec![k; len], None, 0);
-            } else {
-                let got = cache.get(&[k]).map(|v| v.to_vec());
-                let expected = oracle.get(&[k], 0);
-                prop_assert_eq!(got, expected, "get({}) diverged from exact LRU", k);
+        for op in ops {
+            match op {
+                Op::Set(k, v) => {
+                    cache.set(&[k], v.clone());
+                    oracle.insert(&[k], v, None, 0);
+                }
+                Op::Get(k) => {
+                    let got = cache.get(&[k]);
+                    let expected = oracle.get(&[k], 0);
+                    prop_assert_eq!(got, expected, "get({}) diverged from exact LRU", k);
+                }
+                Op::GetMany(ks) => {
+                    let keys: Vec<[u8; 1]> = ks.iter().map(|&k| [k]).collect();
+                    let refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
+                    let got = cache.get_many(&refs);
+                    let expected: Vec<_> = refs.iter().map(|k| oracle.get(k, 0)).collect();
+                    prop_assert_eq!(got, expected, "get_many({:?}) diverged from exact LRU", ks);
+                }
+                Op::Delete(k) => {
+                    prop_assert_eq!(cache.delete(&[k]), oracle.remove(&[k]), "delete({})", k);
+                }
             }
         }
         for k in 0..=255u8 {

@@ -3,7 +3,11 @@
 //! Models the hot path of Thrift/row-format serializers: typed fields,
 //! varint integers, length-prefixed strings, batched rows. SparkBench uses
 //! the same codec for shuffle spills, so the tax is paid where production
-//! pays it.
+//! pays it. Integers, doubles and length prefixes go through the RPC
+//! layer's compact wire codec ([`dcperf_rpc::wire`]), so the workspace has
+//! one varint/zigzag implementation.
+
+use dcperf_rpc::wire::{self, Reader, WireError};
 
 /// A typed field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,71 +57,40 @@ const TAG_F64: u8 = 2;
 const TAG_STR: u8 = 3;
 const TAG_BYTES: u8 = 4;
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, SerializeError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *buf.get(*pos).ok_or(SerializeError::Truncated)?;
-        *pos += 1;
-        if shift >= 63 && b > 1 {
-            return Err(SerializeError::BadVarint);
-        }
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(SerializeError::BadVarint);
+impl From<WireError> for SerializeError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::UnexpectedEof | WireError::InvalidLength(_) => SerializeError::Truncated,
+            WireError::VarintOverflow => SerializeError::BadVarint,
+            WireError::UnknownTag(t) => SerializeError::BadTag(t),
+            WireError::InvalidUtf8 => SerializeError::BadUtf8,
         }
     }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Serializes a batch of records into `out`, returning bytes written.
 pub fn encode_batch(records: &[Record], out: &mut Vec<u8>) -> usize {
     let before = out.len();
-    put_varint(out, records.len() as u64);
+    wire::write_uvarint(out, records.len() as u64);
     for record in records {
-        put_varint(out, record.len() as u64);
+        wire::write_uvarint(out, record.len() as u64);
         for field in record {
             match field {
                 FieldValue::I64(v) => {
                     out.push(TAG_I64);
-                    put_varint(out, zigzag(*v));
+                    wire::write_ivarint(out, *v);
                 }
                 FieldValue::F64(v) => {
                     out.push(TAG_F64);
-                    out.extend_from_slice(&v.to_le_bytes());
+                    wire::write_f64(out, *v);
                 }
                 FieldValue::Str(s) => {
                     out.push(TAG_STR);
-                    put_varint(out, s.len() as u64);
-                    out.extend_from_slice(s.as_bytes());
+                    wire::write_str(out, s);
                 }
                 FieldValue::Bytes(b) => {
                     out.push(TAG_BYTES);
-                    put_varint(out, b.len() as u64);
-                    out.extend_from_slice(b);
+                    wire::write_bytes(out, b);
                 }
             }
         }
@@ -132,55 +105,31 @@ pub fn encode_batch(records: &[Record], out: &mut Vec<u8>) -> usize {
 ///
 /// Returns a [`SerializeError`] on malformed input.
 pub fn decode_batch(buf: &[u8]) -> Result<(Vec<Record>, usize), SerializeError> {
-    let mut pos = 0usize;
-    let n_records = get_varint(buf, &mut pos)? as usize;
+    let mut r = Reader::new(buf);
+    let n_records = r.read_uvarint()? as usize;
     if n_records > buf.len() {
         return Err(SerializeError::Truncated);
     }
     let mut records = Vec::with_capacity(n_records.min(4096));
     for _ in 0..n_records {
-        let n_fields = get_varint(buf, &mut pos)? as usize;
+        let n_fields = r.read_uvarint()? as usize;
         if n_fields > buf.len() {
             return Err(SerializeError::Truncated);
         }
         let mut record = Vec::with_capacity(n_fields.min(256));
         for _ in 0..n_fields {
-            let tag = *buf.get(pos).ok_or(SerializeError::Truncated)?;
-            pos += 1;
-            let field = match tag {
-                TAG_I64 => FieldValue::I64(unzigzag(get_varint(buf, &mut pos)?)),
-                TAG_F64 => {
-                    let bytes = buf.get(pos..pos + 8).ok_or(SerializeError::Truncated)?;
-                    pos += 8;
-                    FieldValue::F64(f64::from_le_bytes(bytes.try_into().expect("8")))
-                }
-                TAG_STR => {
-                    let len = get_varint(buf, &mut pos)? as usize;
-                    let bytes = buf
-                        .get(pos..pos.checked_add(len).ok_or(SerializeError::Truncated)?)
-                        .ok_or(SerializeError::Truncated)?;
-                    pos += len;
-                    FieldValue::Str(
-                        std::str::from_utf8(bytes)
-                            .map_err(|_| SerializeError::BadUtf8)?
-                            .to_owned(),
-                    )
-                }
-                TAG_BYTES => {
-                    let len = get_varint(buf, &mut pos)? as usize;
-                    let bytes = buf
-                        .get(pos..pos.checked_add(len).ok_or(SerializeError::Truncated)?)
-                        .ok_or(SerializeError::Truncated)?;
-                    pos += len;
-                    FieldValue::Bytes(bytes.to_vec())
-                }
+            let field = match r.read_u8()? {
+                TAG_I64 => FieldValue::I64(r.read_ivarint()?),
+                TAG_F64 => FieldValue::F64(r.read_f64()?),
+                TAG_STR => FieldValue::Str(r.read_str()?.to_owned()),
+                TAG_BYTES => FieldValue::Bytes(r.read_bytes()?.to_vec()),
                 other => return Err(SerializeError::BadTag(other)),
             };
             record.push(field);
         }
         records.push(record);
     }
-    Ok((records, pos))
+    Ok((records, buf.len() - r.remaining()))
 }
 
 #[cfg(test)]
@@ -245,8 +194,8 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         let mut buf = Vec::new();
-        put_varint(&mut buf, 1); // 1 record
-        put_varint(&mut buf, 1); // 1 field
+        wire::write_uvarint(&mut buf, 1); // 1 record
+        wire::write_uvarint(&mut buf, 1); // 1 field
         buf.push(0xEE); // bogus tag
         assert_eq!(decode_batch(&buf), Err(SerializeError::BadTag(0xEE)));
     }
@@ -254,10 +203,10 @@ mod tests {
     #[test]
     fn invalid_utf8_rejected() {
         let mut buf = Vec::new();
-        put_varint(&mut buf, 1);
-        put_varint(&mut buf, 1);
+        wire::write_uvarint(&mut buf, 1);
+        wire::write_uvarint(&mut buf, 1);
         buf.push(TAG_STR);
-        put_varint(&mut buf, 2);
+        wire::write_uvarint(&mut buf, 2);
         buf.extend_from_slice(&[0xFF, 0xFE]);
         assert_eq!(decode_batch(&buf), Err(SerializeError::BadUtf8));
     }

@@ -6,7 +6,6 @@
 //! dcperf list
 //! dcperf run                      # full suite, standard scale
 //! dcperf run taobench --scale smoke --threads 8 --out ./reports
-//! dcperf figures fig2 fig14      # regenerate paper tables/figures
 //! ```
 
 #![forbid(unsafe_code)]
@@ -16,7 +15,7 @@ use dcperf::workloads::register_all;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  dcperf list\n  dcperf run [benchmark] [--scale smoke|standard|production]\n             [--threads N] [--seed N] [--out DIR]\n  dcperf figures <id>... | all"
+        "usage:\n  dcperf list\n  dcperf run [benchmark] [--scale smoke|standard|production]\n             [--threads N] [--seed N] [--out DIR]"
     );
     std::process::exit(2);
 }
@@ -106,18 +105,6 @@ fn main() {
                     }
                 },
             }
-        }
-        "figures" => {
-            eprintln!("figures live in the dcperf-bench crate; run:");
-            eprintln!(
-                "  cargo run -p dcperf-bench --bin figures -- {}",
-                if args.len() > 1 {
-                    args[1..].join(" ")
-                } else {
-                    "all".into()
-                }
-            );
-            std::process::exit(2);
         }
         _ => usage(),
     }
