@@ -37,11 +37,10 @@ use dcperf_kvstore::shard::Shard;
 use dcperf_kvstore::{Cache, CacheConfig};
 use dcperf_tax::hash::fnv1a;
 use dcperf_util::{Rng, Xoshiro256pp, Zipf};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::hash_map::RandomState;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Shard count used by both cache builds in the read-path sweep.
@@ -221,7 +220,12 @@ impl MutexShardedCache {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let now = self.now_ms();
         // The pre-rewrite `Shard::get` returned an owned copy of the hit.
-        let result = self.shard_for(key).lock().get(key, now).map(|v| v.to_vec());
+        let result = self
+            .shard_for(key)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(key, now)
+            .map(|v| v.to_vec());
         match &result {
             // ordering: relaxed stat counter, aggregated after the run
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -233,7 +237,10 @@ impl MutexShardedCache {
 
     fn set(&self, key: &[u8], value: Vec<u8>) {
         let now = self.now_ms();
-        self.shard_for(key).lock().insert(key, value, None, now);
+        self.shard_for(key)
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(key, value, None, now);
     }
 }
 

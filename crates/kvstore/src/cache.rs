@@ -3,7 +3,7 @@
 //! Two properties take this tier beyond a textbook locked LRU map:
 //!
 //! * **Exact LRU, zero-copy hits** — each shard sits behind one
-//!   [`parking_lot::Mutex`]. A hit moves its entry to the recency front
+//!   [`std::sync::Mutex`]. A hit moves its entry to the recency front
 //!   inline under that lock and hands back a reference-counted handle to
 //!   the shared `Arc<[u8]>` value instead of copying the bytes out, so
 //!   the critical section is a map probe, a list splice and a refcount
@@ -22,10 +22,9 @@
 
 use crate::shard::{Shard, ENTRY_OVERHEAD};
 use crate::stats::CacheStats;
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 thread_local! {
@@ -122,6 +121,12 @@ enum FillRole {
     Waiter(Arc<InFlight>),
 }
 
+/// Locks `m`, recovering the guard from a poisoned lock. Loaders and other
+/// caller code never run under these locks, so poison carries no news.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One shard plus its in-flight fill table.
 struct CacheShard {
     data: Mutex<Shard>,
@@ -143,11 +148,11 @@ struct FillGuard<'a> {
 impl FillGuard<'_> {
     fn publish(&mut self, outcome: FillOutcome) {
         {
-            let mut state = self.flight.state.lock();
+            let mut state = lock(&self.flight.state);
             *state = FillState::Done(outcome);
         }
         self.flight.done.notify_all();
-        self.cache.shards[self.shard].fills.lock().remove(self.key);
+        lock(&self.cache.shards[self.shard].fills).remove(self.key);
         self.published = true;
     }
 }
@@ -253,7 +258,7 @@ impl Cache {
     /// Lookup on one shard under its lock: an exact LRU step. An expired
     /// entry is removed and counted by this read.
     fn get_at(&self, shard: usize, key: &[u8], now: u64) -> Option<Arc<[u8]>> {
-        let mut guard = self.shards[shard].data.lock();
+        let mut guard = lock(&self.shards[shard].data);
         let expired_before = guard.expirations();
         let value = guard.get(key, now);
         let expired = guard.expirations() - expired_before;
@@ -271,10 +276,7 @@ impl Cache {
         ttl_ms: Option<u64>,
         now: u64,
     ) {
-        let evicted = self.shards[shard]
-            .data
-            .lock()
-            .insert(key, value, ttl_ms, now);
+        let evicted = lock(&self.shards[shard].data).insert(key, value, ttl_ms, now);
         self.stats.record_insertion(evicted);
     }
 
@@ -297,7 +299,7 @@ impl Cache {
     pub fn contains(&self, key: &[u8]) -> bool {
         let now = self.now_ms();
         let shard = self.shard_index(key);
-        self.shards[shard].data.lock().contains(key, now)
+        lock(&self.shards[shard].data).contains(key, now)
     }
 
     /// The read-through lookup: on a miss, `loader` fetches the value
@@ -420,7 +422,7 @@ impl Cache {
     /// Joins an in-flight fill for `key`, or registers this caller as the
     /// leader.
     fn join_or_lead(&self, shard: usize, key: &[u8]) -> FillRole {
-        let mut fills = self.shards[shard].fills.lock();
+        let mut fills = lock(&self.shards[shard].fills);
         match fills.get(key) {
             Some(flight) => FillRole::Waiter(Arc::clone(flight)),
             None => {
@@ -436,12 +438,15 @@ impl Cache {
 
     /// Parks until the leader publishes an outcome.
     fn await_fill(flight: &InFlight) -> FillOutcome {
-        let mut state = flight.state.lock();
+        let mut state = lock(&flight.state);
         loop {
             if let FillState::Done(outcome) = &*state {
                 return outcome.clone();
             }
-            flight.done.wait(&mut state);
+            state = flight
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -483,7 +488,7 @@ impl Cache {
                 cursor += 1;
                 continue;
             }
-            let mut guard = self.shards[shard as usize].data.lock();
+            let mut guard = lock(&self.shards[shard as usize].data);
             let expired_before = guard.expirations();
             for i in cursor..n {
                 if shard_of[i] != shard {
@@ -553,7 +558,7 @@ impl Cache {
             while end < tagged.len() && tagged[end].0 == shard {
                 end += 1;
             }
-            let mut guard = self.shards[shard].data.lock();
+            let mut guard = lock(&self.shards[shard].data);
             for (_, key, value) in tagged[start..end].iter_mut() {
                 let evicted = guard.insert(key, std::mem::take(value), self.default_ttl_ms, now);
                 self.stats.record_insertion(evicted);
@@ -566,14 +571,14 @@ impl Cache {
     /// Removes `key`, returning whether it was present.
     pub fn delete(&self, key: &[u8]) -> bool {
         let shard = self.shard_index(key);
-        self.shards[shard].data.lock().remove(key)
+        lock(&self.shards[shard].data).remove(key)
     }
 
     /// Total resident entries across shards. An entry past its TTL is
     /// counted until a read of it, a write to its key or an eviction
     /// removes it.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.data.lock().len()).sum()
+        self.shards.iter().map(|s| lock(&s.data).len()).sum()
     }
 
     /// Whether the cache holds no entries.
@@ -583,7 +588,7 @@ impl Cache {
 
     /// Total charged bytes across shards.
     pub fn used_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.data.lock().used_bytes()).sum()
+        self.shards.iter().map(|s| lock(&s.data).used_bytes()).sum()
     }
 
     /// Shared counters.

@@ -1,4 +1,4 @@
-//! RPC clients: in-process and TCP, with parallel fan-out.
+//! RPC clients: in-process and TCP, with pipelined `call_many` bursts.
 
 use crate::frame::{append_frame, read_frame, write_frame, Request, Response, RpcError, Status};
 use crate::server::ServerCore;
@@ -9,18 +9,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Maps a joined thread's panic payload to a typed, non-retryable error
-/// carrying the panic message, so fan-out callers can distinguish a
-/// crashed worker from a disconnect.
-fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RpcError {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "opaque panic payload".to_owned());
-    RpcError::WorkerPanic(msg)
-}
 
 /// Converts a received response into the caller-facing result.
 fn response_to_result(resp: Response) -> Result<Response, RpcError> {
@@ -236,29 +224,6 @@ impl InProcClient {
             .collect()
     }
 
-    /// Issues `calls` in parallel (one thread per call, scoped), modeling
-    /// the RPC fan-out of production request trees.
-    pub fn fanout(&self, calls: Vec<(String, Vec<u8>)>) -> FanoutResult {
-        let mut results: Vec<Option<Result<Response, RpcError>>> =
-            (0..calls.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(calls.len());
-            for (method, body) in calls {
-                let client = self.clone();
-                joins.push(scope.spawn(move || client.call(&method, body)));
-            }
-            for (slot, join) in results.iter_mut().zip(joins) {
-                // A panicking worker is a distinct, non-retryable failure:
-                // surface the panic payload instead of folding it into
-                // `Disconnected` (which retry policy would happily retry).
-                *slot = Some(join.join().unwrap_or_else(|p| Err(panic_to_error(p))));
-            }
-        });
-        FanoutResult {
-            responses: results.into_iter().flatten().collect(),
-        }
-    }
-
     /// Shared transport counters.
     pub fn stats(&self) -> &RpcStats {
         &self.core.stats
@@ -269,34 +234,6 @@ impl InProcClient {
     /// covers transport, pool, and resilience activity.
     pub fn telemetry(&self) -> &dcperf_telemetry::Telemetry {
         &self.core.telemetry
-    }
-}
-
-/// The gathered outcome of a parallel fan-out.
-#[derive(Debug)]
-pub struct FanoutResult {
-    /// Per-call outcomes, in issue order.
-    pub responses: Vec<Result<Response, RpcError>>,
-}
-
-impl FanoutResult {
-    /// Number of successful calls.
-    pub fn ok_count(&self) -> usize {
-        self.responses.iter().filter(|r| r.is_ok()).count()
-    }
-
-    /// Whether every call succeeded.
-    pub fn all_ok(&self) -> bool {
-        self.ok_count() == self.responses.len()
-    }
-
-    /// Total bytes across successful response bodies.
-    pub fn total_response_bytes(&self) -> usize {
-        self.responses
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(|r| r.body.len())
-            .sum()
     }
 }
 
@@ -630,51 +567,6 @@ mod tests {
     use super::*;
     use crate::pool::PoolConfig;
     use crate::server::InProcServer;
-
-    #[test]
-    fn fanout_gathers_in_order() {
-        let server = InProcServer::start(
-            |req: &Request| Response::ok(req.body.clone()),
-            PoolConfig::single_lane(4),
-        );
-        let client = server.client();
-        let calls: Vec<(String, Vec<u8>)> =
-            (0..10u8).map(|i| ("echo".to_owned(), vec![i])).collect();
-        let result = client.fanout(calls);
-        assert!(result.all_ok());
-        assert_eq!(result.ok_count(), 10);
-        assert_eq!(result.total_response_bytes(), 10);
-        for (i, r) in result.responses.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap().body, vec![i as u8]);
-        }
-        server.shutdown();
-    }
-
-    #[test]
-    fn fanout_surfaces_worker_panics_as_typed_errors() {
-        // The join-side mapping fan-out uses for a crashed worker thread:
-        // panic payloads (both &str and String) become WorkerPanic with
-        // the message preserved, and are never classified retryable.
-        let from_str = std::thread::spawn(|| panic!("worker exploded"))
-            .join()
-            .map_err(panic_to_error)
-            .unwrap_err();
-        match &from_str {
-            RpcError::WorkerPanic(msg) => assert!(msg.contains("worker exploded")),
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-        assert!(!from_str.is_retryable());
-
-        let boom = "formatted {}".to_owned();
-        let from_string = std::thread::spawn(move || std::panic::panic_any(boom))
-            .join()
-            .map_err(panic_to_error)
-            .unwrap_err();
-        match from_string {
-            RpcError::WorkerPanic(msg) => assert_eq!(msg, "formatted {}"),
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-    }
 
     #[test]
     fn application_error_maps_to_rpc_error() {

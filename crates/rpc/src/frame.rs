@@ -306,9 +306,6 @@ pub enum RpcError {
     Timeout,
     /// A client-side circuit breaker rejected the call without sending.
     CircuitOpen,
-    /// A fan-out worker thread panicked (the panic payload is carried so
-    /// the failure is not collapsed into a disconnect).
-    WorkerPanic(String),
     /// The server is shutting down or the channel is closed.
     Disconnected,
     /// A pipelined connection received a response whose correlation id
@@ -325,8 +322,8 @@ impl RpcError {
     ///
     /// Transient transport and load conditions (overload, timeout, I/O,
     /// disconnect, expired deadline) are retryable; deterministic
-    /// failures (application errors, malformed frames, worker panics,
-    /// desynchronized correlation ids) and breaker rejections (retrying
+    /// failures (application errors, malformed frames, desynchronized
+    /// correlation ids) and breaker rejections (retrying
     /// defeats the breaker) are not.
     pub fn is_retryable(&self) -> bool {
         match self {
@@ -338,7 +335,6 @@ impl RpcError {
             RpcError::Wire(_)
             | RpcError::Application(_)
             | RpcError::CircuitOpen
-            | RpcError::WorkerPanic(_)
             | RpcError::CorrelationMismatch { .. } => false,
         }
     }
@@ -356,7 +352,6 @@ impl RpcError {
             RpcError::DeadlineExceeded => RpcError::DeadlineExceeded,
             RpcError::Timeout => RpcError::Timeout,
             RpcError::CircuitOpen => RpcError::CircuitOpen,
-            RpcError::WorkerPanic(m) => RpcError::WorkerPanic(m.clone()),
             RpcError::Disconnected => RpcError::Disconnected,
             RpcError::CorrelationMismatch { got } => RpcError::CorrelationMismatch { got: *got },
         }
@@ -373,7 +368,6 @@ impl std::fmt::Display for RpcError {
             RpcError::DeadlineExceeded => write!(f, "rpc deadline exceeded: expired work shed"),
             RpcError::Timeout => write!(f, "rpc call timed out"),
             RpcError::CircuitOpen => write!(f, "rpc call rejected: circuit breaker open"),
-            RpcError::WorkerPanic(m) => write!(f, "rpc fan-out worker panicked: {m}"),
             RpcError::Disconnected => write!(f, "rpc peer disconnected"),
             RpcError::CorrelationMismatch { got } => {
                 write!(f, "rpc response correlation id {got} matches no request")
@@ -472,7 +466,6 @@ mod tests {
         assert!(RpcError::Io(std::io::Error::other("x")).is_retryable());
         assert!(!RpcError::Application("nope".into()).is_retryable());
         assert!(!RpcError::CircuitOpen.is_retryable());
-        assert!(!RpcError::WorkerPanic("boom".into()).is_retryable());
         assert!(!RpcError::Wire(WireError::UnexpectedEof).is_retryable());
         assert!(!RpcError::CorrelationMismatch { got: 7 }.is_retryable());
     }
@@ -554,7 +547,6 @@ mod tests {
             RpcError::DeadlineExceeded,
             RpcError::Timeout,
             RpcError::CircuitOpen,
-            RpcError::WorkerPanic("p".into()),
             RpcError::Disconnected,
             RpcError::CorrelationMismatch { got: 8 },
         ];

@@ -19,7 +19,7 @@
 //! * [`pool`] — fixed worker thread pools with *fast/slow lane* routing,
 //!   mirroring TAO's separate thread pools for cache hits and misses.
 //! * [`server`] / [`client`] — in-process and TCP transports with
-//!   synchronous calls and parallel fan-out.
+//!   synchronous calls and pipelined `call_many` bursts.
 //! * [`resilient`] — a client wrapper adding deadlines, retries with
 //!   deterministic backoff, retry budgets, and circuit breaking from
 //!   [`dcperf_resilience`].
@@ -55,7 +55,7 @@ pub mod stats;
 pub mod value;
 pub mod wire;
 
-pub use client::{FanoutResult, InProcClient, TcpClient, TcpClientPool};
+pub use client::{InProcClient, TcpClient, TcpClientPool};
 pub use frame::{Request, Response, RpcError, Status};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use pool::{Lane, PoolConfig, ThreadPool};

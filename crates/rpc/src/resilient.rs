@@ -385,8 +385,7 @@ fn counts_as_breaker_failure(err: &RpcError) -> bool {
         | RpcError::Overloaded
         | RpcError::DeadlineExceeded
         | RpcError::Timeout
-        | RpcError::Disconnected
-        | RpcError::WorkerPanic(_) => true,
+        | RpcError::Disconnected => true,
         RpcError::Application(_)
         | RpcError::Wire(_)
         | RpcError::CircuitOpen

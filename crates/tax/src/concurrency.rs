@@ -7,9 +7,8 @@
 //! at high core counts, §5.3 of the paper) is directly measurable.
 
 use crossbeam::channel::bounded;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Increments a single mutex-protected counter from `threads` workers,
 /// `per_thread` times each. Returns the final count.
@@ -23,14 +22,14 @@ pub fn contended_mutex_counter(threads: usize, per_thread: u64) -> u64 {
         let counter = Arc::clone(&counter);
         handles.push(std::thread::spawn(move || {
             for _ in 0..per_thread {
-                *counter.lock() += 1;
+                *counter.lock().unwrap_or_else(PoisonError::into_inner) += 1;
             }
         }));
     }
     for h in handles {
         h.join().expect("counter worker panicked");
     }
-    let v = *counter.lock();
+    let v = *counter.lock().unwrap_or_else(PoisonError::into_inner);
     v
 }
 

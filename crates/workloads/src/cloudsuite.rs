@@ -18,8 +18,8 @@
 
 use dcperf_kvstore::{Cache, CacheConfig};
 use dcperf_util::{Rng, SplitMix64, Xoshiro256pp, Zipf};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One measured point of the data-caching scaling curve.
@@ -63,7 +63,7 @@ pub fn data_caching_scaling(
                         let deadline = started + per_point;
                         while Instant::now() < deadline {
                             let key = zipf.sample(&mut rng).to_le_bytes();
-                            let guard = cache.lock();
+                            let guard = cache.lock().unwrap_or_else(PoisonError::into_inner);
                             if rng.gen_bool(0.1) {
                                 guard.set(&key, vec![0u8; 64]);
                             } else {

@@ -27,8 +27,8 @@ use dcperf_kvstore::{Cache, CacheConfig};
 use dcperf_loadgen::{ClosedLoop, EndpointMix, Service, ServiceError};
 use dcperf_tax::{compress, hash, serialize};
 use dcperf_util::{SplitMix64, Zipf};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Tunable parameters.
@@ -158,6 +158,13 @@ impl DjangoApp {
         Some(compress::lz_compress(&buf))
     }
 
+    /// Locks one worker's state, recovering it from a poisoned lock.
+    fn worker(&self, worker: usize) -> MutexGuard<'_, WorkerState> {
+        self.workers[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn user_for(&self, seq: u64) -> (usize, u64) {
         let mut rng = SplitMix64::new(self.seed ^ seq.wrapping_mul(0xBF58_476D_1CE4_E5B9));
         let global = SplitMix64::mix(self.zipf.sample(&mut rng))
@@ -172,7 +179,7 @@ impl DjangoApp {
     fn feed(&self, worker: usize, user: u64) -> Result<usize, ServiceError> {
         let cache_key = Self::feed_key(worker, user);
         let rendered = self.cache.get_or_load(&cache_key, |_| {
-            let state = self.workers[worker].lock();
+            let state = self.worker(worker);
             Self::render_feed_page(&state.store.scan(user, 0, 25))
         });
         rendered
@@ -201,7 +208,7 @@ impl DjangoApp {
         }
         let mut fills: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for (worker, indices) in misses_by_worker {
-            let state = self.workers[worker].lock();
+            let state = self.worker(worker);
             let requests: Vec<(u64, u64, usize)> =
                 indices.iter().map(|&i| (items[i].1, 0, 25)).collect();
             let scans = state.store.scan_many(&requests);
@@ -226,7 +233,7 @@ impl DjangoApp {
 
     /// `timeline`: uncached range scan deeper into the partition.
     fn timeline(&self, worker: usize, user: u64, offset: u64) -> Result<usize, ServiceError> {
-        let state = self.workers[worker].lock();
+        let state = self.worker(worker);
         let rows = state.store.scan(user, offset % 32, 50);
         if rows.is_empty() {
             // Paging past the end of a timeline is a normal empty page.
@@ -246,7 +253,7 @@ impl DjangoApp {
     /// cached feed page.
     fn seen(&self, worker: usize, user: u64, seq: u64) -> Result<usize, ServiceError> {
         {
-            let mut state = self.workers[worker].lock();
+            let mut state = self.worker(worker);
             for i in 0..4u64 {
                 let marker = seq.wrapping_mul(31).wrapping_add(i);
                 state.store.insert(
@@ -263,7 +270,7 @@ impl DjangoApp {
 
     /// `inbox`: read plus aggregate (unread counts).
     fn inbox(&self, worker: usize, user: u64) -> Result<usize, ServiceError> {
-        let state = self.workers[worker].lock();
+        let state = self.worker(worker);
         let rows = state.store.scan(user, 0, 40);
         let unread = rows
             .iter()
@@ -372,7 +379,9 @@ impl Benchmark for DjangoBench {
         {
             report.metric(&format!("requests_{name}"), *count);
         }
-        let writes: u64 = app.workers.iter().map(|w| w.lock().seen_writes).sum();
+        let writes: u64 = (0..app.workers.len())
+            .map(|w| app.worker(w).seen_writes)
+            .sum();
         report.metric("seen_writes", writes);
         Ok(report.finish(ctx))
     }

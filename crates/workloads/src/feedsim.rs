@@ -10,9 +10,11 @@
 //!
 //! Request anatomy here, matching that structure:
 //!
-//! 1. **Backend I/O**: candidate story ids fan out over
-//!    [`dcperf_rpc`] to leaf shards, which return serialized story
-//!    payloads (the Thrift tax).
+//! 1. **Backend I/O**: candidate story ids are grouped by leaf shard and
+//!    sent as one pipelined [`InProcClient::call_many`] burst, one
+//!    request per non-empty shard, to a single leaf server that owns
+//!    every shard. It returns serialized story payloads (the Thrift
+//!    tax).
 //! 2. **Feature extraction**: payloads are decoded and hashed into dense
 //!    feature vectors.
 //! 3. **Ranking**: dot products against a model weight vector, sigmoid
@@ -151,8 +153,26 @@ fn model_weights(seed: u64) -> [f32; FEATURES] {
     w
 }
 
+/// The leaf tier's "fetch" handler. One server owns every shard; each
+/// story is built from the seed of the shard [`shard_of`] assigns it.
+fn fetch_stories(seed: u64, req: &Request) -> Response {
+    let mut out = Vec::with_capacity(req.body.len() * 64);
+    for id_bytes in req.body.chunks_exact(8) {
+        let id = u64::from_le_bytes(id_bytes.try_into().expect("8"));
+        let story = build_story(id, seed ^ (shard_of(id) as u64) << 48);
+        out.extend_from_slice(&(story.len() as u32).to_le_bytes());
+        out.extend_from_slice(&story);
+    }
+    Response::ok(out)
+}
+
+/// The leaf shard that owns `story`.
+fn shard_of(story: u64) -> usize {
+    (SplitMix64::mix(story) % LEAF_SHARDS as u64) as usize
+}
+
 struct Aggregator {
-    leaves: Vec<InProcClient>,
+    leaf: InProcClient,
     stories_per_leaf: u64,
     zipf: Zipf,
     weights: [f32; FEATURES],
@@ -163,48 +183,40 @@ struct Aggregator {
 }
 
 impl Aggregator {
+    /// Candidate selection and backend I/O: draws Zipf-popular story ids,
+    /// groups them by leaf shard, and fetches every non-empty shard's ids
+    /// in one pipelined burst. Payloads come back in shard order.
+    fn fetch(&self, rng: &mut SplitMix64) -> Result<Vec<Vec<u8>>, ServiceError> {
+        let mut per_leaf: Vec<Vec<u8>> = vec![Vec::new(); LEAF_SHARDS];
+        for _ in 0..self.candidates {
+            let story = self.zipf.sample(rng) % self.stories_per_leaf;
+            per_leaf[shard_of(story)].extend_from_slice(&story.to_le_bytes());
+        }
+        per_leaf.retain(|ids| !ids.is_empty());
+
+        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(self.candidates);
+        for result in self.leaf.call_many("fetch", per_leaf) {
+            let resp = result.map_err(|e| ServiceError::new(e.to_string()))?;
+            // Leaf responses are length-prefixed story payloads.
+            let mut rest = resp.body.as_slice();
+            while rest.len() >= 4 {
+                let len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
+                rest = &rest[4..];
+                if len > rest.len() {
+                    return Err(ServiceError::new("truncated leaf response"));
+                }
+                payloads.push(rest[..len].to_vec());
+                rest = &rest[len..];
+            }
+        }
+        Ok(payloads)
+    }
+
     fn serve(&self, seq: u64) -> Result<usize, ServiceError> {
         let mut rng = SplitMix64::new(self.seed ^ seq.wrapping_mul(0xD1B5_4A32_D192_ED03));
 
-        // 1. Candidate selection: Zipf-popular stories, sharded by id.
-        let mut per_leaf: Vec<Vec<u8>> = vec![Vec::new(); self.leaves.len()];
-        for _ in 0..self.candidates {
-            let story = self.zipf.sample(&mut rng) % self.stories_per_leaf;
-            let leaf = (SplitMix64::mix(story) % self.leaves.len() as u64) as usize;
-            per_leaf[leaf].extend_from_slice(&story.to_le_bytes());
-        }
-
-        // 2. Backend I/O: parallel fan-out to the leaf shards.
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(self.candidates);
-        std::thread::scope(|scope| -> Result<(), ServiceError> {
-            let mut joins = Vec::new();
-            for (leaf, ids) in per_leaf.iter().enumerate() {
-                if ids.is_empty() {
-                    continue;
-                }
-                let client = self.leaves[leaf].clone();
-                let body = ids.clone();
-                joins.push(scope.spawn(move || client.call("fetch", body)));
-            }
-            for join in joins {
-                let resp = join
-                    .join()
-                    .map_err(|_| ServiceError::new("leaf thread panicked"))?
-                    .map_err(|e| ServiceError::new(e.to_string()))?;
-                // Leaf responses are length-prefixed story payloads.
-                let mut rest = resp.body.as_slice();
-                while rest.len() >= 4 {
-                    let len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-                    rest = &rest[4..];
-                    if len > rest.len() {
-                        return Err(ServiceError::new("truncated leaf response"));
-                    }
-                    payloads.push(rest[..len].to_vec());
-                    rest = &rest[len..];
-                }
-            }
-            Ok(())
-        })?;
+        // 1–2. Candidate selection and backend I/O.
+        let payloads = self.fetch(&mut rng)?;
 
         // 3. Feature extraction + ranking.
         let mut scored: Vec<(f32, &Vec<u8>)> = Vec::with_capacity(payloads.len());
@@ -272,30 +284,15 @@ impl Benchmark for FeedSim {
         let seed = ctx.seed();
         let stories_per_leaf = self.config.base_stories_per_leaf * scale.min(16);
 
-        // Leaf shards: each owns its stories and serves "fetch".
-        let mut leaf_servers = Vec::with_capacity(LEAF_SHARDS);
-        let mut leaves = Vec::with_capacity(LEAF_SHARDS);
-        for shard in 0..LEAF_SHARDS {
-            let shard_seed = seed ^ (shard as u64) << 48;
-            let server = InProcServer::start(
-                move |req: &Request| {
-                    let mut out = Vec::with_capacity(req.body.len() * 64);
-                    for id_bytes in req.body.chunks_exact(8) {
-                        let id = u64::from_le_bytes(id_bytes.try_into().expect("8"));
-                        let story = build_story(id, shard_seed);
-                        out.extend_from_slice(&(story.len() as u32).to_le_bytes());
-                        out.extend_from_slice(&story);
-                    }
-                    Response::ok(out)
-                },
-                PoolConfig::single_lane((threads / LEAF_SHARDS).max(1)),
-            );
-            leaves.push(server.client());
-            leaf_servers.push(server);
-        }
+        // One leaf server owns every shard's stories and serves "fetch",
+        // with the worker count of LEAF_SHARDS per-shard pools.
+        let leaf_server = InProcServer::start(
+            move |req: &Request| fetch_stories(seed, req),
+            PoolConfig::single_lane(LEAF_SHARDS * (threads / LEAF_SHARDS).max(1)),
+        );
 
         let aggregator = Arc::new(Aggregator {
-            leaves,
+            leaf: leaf_server.client(),
             stories_per_leaf,
             zipf: Zipf::new(stories_per_leaf, 0.9).map_err(|e| Error::Config(e.to_string()))?,
             weights: model_weights(seed),
@@ -338,9 +335,7 @@ impl Benchmark for FeedSim {
         let (peak, best) = match (search.peak_rps, search.best_report) {
             (Some(p), Some(b)) => (p, b),
             _ => {
-                for server in leaf_servers {
-                    server.shutdown();
-                }
+                leaf_server.shutdown();
                 return Err(Error::SloUnattainable {
                     name: self.name().to_owned(),
                     slo: format!("p95 <= {slo}ms at >= {} rps", self.config.start_rps),
@@ -352,9 +347,7 @@ impl Benchmark for FeedSim {
         report.metric("slo_met", "true");
         report.latency_ms("request", &best.latency_ns);
         report.metric("response_mb", best.response_bytes as f64 / 1e6);
-        for server in leaf_servers {
-            server.shutdown();
-        }
+        leaf_server.shutdown();
         Ok(report.finish(ctx))
     }
 }
@@ -400,6 +393,49 @@ mod tests {
         assert!(rps > 10.0, "rps={rps}");
         let p95 = report.metric_f64("request_p95_ms").unwrap();
         assert!(p95 <= 500.0, "p95={p95}");
+    }
+
+    #[test]
+    fn fetch_returns_every_candidate_story_in_shard_order() {
+        // Oracle: for each seeded request, the RPC-fetched payloads equal
+        // the candidates' stories built directly (no RPC), grouped by
+        // shard in shard order, each from its shard's seed; and the leaf
+        // sees exactly one request per non-empty shard.
+        let seed = 11;
+        let config = smoke();
+        let stories = config.base_stories_per_leaf;
+        let server = InProcServer::start(
+            move |req: &Request| fetch_stories(seed, req),
+            PoolConfig::single_lane(2),
+        );
+        let agg = Aggregator {
+            leaf: server.client(),
+            stories_per_leaf: stories,
+            zipf: Zipf::new(stories, 0.9).unwrap(),
+            weights: model_weights(seed),
+            candidates: config.candidates,
+            top_k: config.top_k,
+            seed,
+            crypt_key: [0x42; 32],
+        };
+        for seq in 0..64u64 {
+            let mut rng = SplitMix64::new(seed ^ seq);
+            let mut oracle_rng = rng.clone();
+            let mut by_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); LEAF_SHARDS];
+            for _ in 0..config.candidates {
+                let id = agg.zipf.sample(&mut oracle_rng) % stories;
+                let shard = SplitMix64::mix(id) % LEAF_SHARDS as u64;
+                by_shard[shard as usize].push(build_story(id, seed ^ shard << 48));
+            }
+            let non_empty = by_shard.iter().filter(|s| !s.is_empty()).count() as u64;
+            let requests_before = server.stats().requests();
+
+            let fetched = agg.fetch(&mut rng).expect("fetch succeeds");
+
+            assert_eq!(fetched, by_shard.concat(), "request {seq}");
+            assert_eq!(server.stats().requests() - requests_before, non_empty);
+        }
+        server.shutdown();
     }
 
     #[test]

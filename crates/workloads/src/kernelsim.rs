@@ -10,8 +10,8 @@
 //! batched locally and flushed at a rate limit — the exact structure of
 //! the upstream patch.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Which accounting policy to simulate.
@@ -72,19 +72,19 @@ pub fn run_contention(
                     done += 1;
                     match policy {
                         CounterPolicy::EveryUpdate => {
-                            *load_avg.lock() += 1;
+                            *load_avg.lock().unwrap_or_else(PoisonError::into_inner) += 1;
                         }
                         CounterPolicy::Ratelimited { flush_every } => {
                             local += 1;
                             if local >= flush_every {
-                                *load_avg.lock() += local;
+                                *load_avg.lock().unwrap_or_else(PoisonError::into_inner) += local;
                                 local = 0;
                             }
                         }
                     }
                 }
                 if local > 0 {
-                    *load_avg.lock() += local;
+                    *load_avg.lock().unwrap_or_else(PoisonError::into_inner) += local;
                 }
                 quanta.fetch_add(done, Ordering::Relaxed);
             });
@@ -92,7 +92,7 @@ pub fn run_contention(
     });
     let secs = started.elapsed().as_secs_f64();
     let total = quanta.load(Ordering::Relaxed);
-    let counter_value = *load_avg.lock();
+    let counter_value = *load_avg.lock().unwrap_or_else(PoisonError::into_inner);
     ContentionResult {
         threads,
         quanta: total,

@@ -21,7 +21,7 @@ use dcperf_kvstore::{Cache, CacheConfig};
 use dcperf_loadgen::{ClosedLoop, EndpointMix, Service, ServiceError};
 use dcperf_tax::{compress, crypto};
 use dcperf_util::{SplitMix64, Zipf};
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 use std::time::Duration;
 
 /// Tunable parameters.
@@ -86,7 +86,7 @@ impl WikiApp {
     /// wire, exactly the Nginx+HHVM hot path.
     fn view(&self, page_id: u64) -> Result<usize, ServiceError> {
         let (revision, cache_key) = {
-            let pages = self.pages.read();
+            let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
             let page = pages
                 .get(page_id)
                 .ok_or_else(|| ServiceError::new("404 page not found"))?;
@@ -97,7 +97,7 @@ impl WikiApp {
         };
         let _ = revision;
         let html_gz = self.cache.get_or_load(&cache_key, |_| {
-            let pages = self.pages.read();
+            let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
             let page = pages.get(page_id)?;
             let html = wiki::render(&page.source, &self.templates);
             Some(compress::lz_compress(html.as_bytes()))
@@ -113,7 +113,7 @@ impl WikiApp {
     /// and written back through one [`Cache::set_many`]. Rendering is
     /// deterministic per (page, revision), so racing fills are benign.
     fn view_many(&self, page_ids: &[u64]) -> Vec<Result<usize, ServiceError>> {
-        let pages = self.pages.read();
+        let pages = self.pages.read().unwrap_or_else(PoisonError::into_inner);
         let records = pages.get_many(page_ids);
         let keys: Vec<Option<Vec<u8>>> = records
             .iter()
@@ -161,7 +161,7 @@ impl WikiApp {
     /// cache entry becomes unreachable, like a purged page).
     fn edit(&self, page_id: u64, seq: u64) -> Result<usize, ServiceError> {
         let appended = format!("\n\nEdit {seq} adds a '''new''' paragraph with [[link {seq}]].");
-        let mut pages = self.pages.write();
+        let mut pages = self.pages.write().unwrap_or_else(PoisonError::into_inner);
         pages
             .edit(page_id, &appended)
             .map(|rev| rev as usize)

@@ -28,6 +28,7 @@ use dcperf_util::{Rng, SplitMix64, Xoshiro256pp, Zipf};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Aggregation state keyed by `(segment, region)`: running revenue sum
@@ -163,18 +164,21 @@ where
     for (i, item) in items.into_iter().enumerate() {
         queue.push((i, item));
     }
-    let results = parking_lot::Mutex::new(Vec::<(usize, R)>::new());
+    let results = Mutex::new(Vec::<(usize, R)>::new());
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
             scope.spawn(|| {
                 while let Some((i, item)) = queue.pop() {
                     let r = f(item);
-                    results.lock().push((i, r));
+                    results
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((i, r));
                 }
             });
         }
     });
-    let mut out = results.into_inner();
+    let mut out = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     out.sort_by_key(|(i, _)| *i);
     out.into_iter().map(|(_, r)| r).collect()
 }
