@@ -1,13 +1,14 @@
-//! RPC clients: in-process and TCP, with pipelined `call_many` bursts.
+//! RPC clients: in-process and TCP. Each client has one request path,
+//! the pipelined `call_many` burst; a single call is a burst of one.
 
-use crate::frame::{append_frame, read_frame, write_frame, Request, Response, RpcError, Status};
+use crate::frame::{append_frame, read_frame, Request, Response, RpcError, Status};
 use crate::server::ServerCore;
 use crate::stats::RpcStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Converts a received response into the caller-facing result.
@@ -20,6 +21,12 @@ fn response_to_result(resp: Response) -> Result<Response, RpcError> {
         Status::Overloaded => Err(RpcError::Overloaded),
         Status::DeadlineExceeded => Err(RpcError::DeadlineExceeded),
     }
+}
+
+/// The one outcome of a burst of one. Burst paths return exactly one
+/// outcome per body, so the fallback is never taken.
+pub(crate) fn single(mut outcomes: Vec<Result<Response, RpcError>>) -> Result<Response, RpcError> {
+    outcomes.pop().unwrap_or(Err(RpcError::Disconnected))
 }
 
 /// A handle for calling an [`InProcServer`](crate::server::InProcServer).
@@ -52,50 +59,16 @@ impl InProcClient {
         req
     }
 
-    fn call_inner(&self, req: Request, blocking: bool) -> Result<Response, RpcError> {
-        // Serialize/deserialize even in-process: the RPC tax must be paid.
-        let encoded = req.encode();
-        self.core.stats.record_request(encoded.len());
-        let req = Request::decode(&encoded)?;
-
-        let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(1);
-        self.core.dispatch(req, blocking, move |resp| {
-            let _ = tx.send(resp.encode());
-        });
-        match rx.recv() {
-            Ok(encoded) => {
-                let resp = Response::decode(&encoded)?;
-                self.core.stats.record_response(encoded.len(), resp.status);
-                response_to_result(resp)
-            }
-            // The dispatch was shed (queue full) or the pool is gone; the
-            // reply sender was dropped without sending.
-            Err(_) => {
-                self.core.stats.record_response(0, Status::Overloaded);
-                Err(RpcError::Overloaded)
-            }
-        }
-    }
-
-    /// Synchronous call; waits for queue space under load (closed loop).
+    /// Synchronous call: a burst of one through
+    /// [`InProcClient::call_many`]. Waits for queue space under load
+    /// (closed loop).
     ///
     /// # Errors
     ///
     /// Returns [`RpcError::Application`] for handler-reported errors,
     /// [`RpcError::Overloaded`] if the server shut down mid-call.
     pub fn call(&self, method: &str, body: Vec<u8>) -> Result<Response, RpcError> {
-        self.call_inner(self.build_request(method, body), true)
-    }
-
-    /// Synchronous call that is shed immediately when the server queue is
-    /// full (open loop): overload becomes an [`RpcError::Overloaded`]
-    /// instead of queueing delay.
-    ///
-    /// # Errors
-    ///
-    /// As [`InProcClient::call`], plus shed-on-full behavior.
-    pub fn try_call(&self, method: &str, body: Vec<u8>) -> Result<Response, RpcError> {
-        self.call_inner(self.build_request(method, body), false)
+        single(self.call_many_inner(method, vec![body], None))
     }
 
     /// As [`InProcClient::call`], with a deadline budget carried in the
@@ -112,32 +85,14 @@ impl InProcClient {
         body: Vec<u8>,
         budget: Duration,
     ) -> Result<Response, RpcError> {
-        let req = self.build_request(method, body).with_deadline(budget);
-        self.call_inner(req, true)
-    }
-
-    /// As [`InProcClient::try_call`] (shed-on-full), with a deadline
-    /// budget carried in the request frame.
-    ///
-    /// # Errors
-    ///
-    /// As [`InProcClient::try_call`], plus
-    /// [`RpcError::DeadlineExceeded`].
-    pub fn try_call_with_deadline(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        budget: Duration,
-    ) -> Result<Response, RpcError> {
-        let req = self.build_request(method, body).with_deadline(budget);
-        self.call_inner(req, false)
+        single(self.call_many_inner(method, vec![body], Some(budget)))
     }
 
     /// Issues a pipelined batch of same-method calls: all requests enter
     /// the dispatch queue before any reply is awaited, so the batch keeps
     /// the pool busy without one thread per call. Results come back in
-    /// issue order regardless of completion order (matched by correlation
-    /// id).
+    /// issue order regardless of completion order: each reply carries its
+    /// request's index in the burst.
     pub fn call_many(&self, method: &str, bodies: Vec<Vec<u8>>) -> Vec<Result<Response, RpcError>> {
         self.call_many_inner(method, bodies, None)
     }
@@ -162,10 +117,11 @@ impl InProcClient {
     ) -> Vec<Result<Response, RpcError>> {
         let n = bodies.len();
         let mut results: Vec<Option<Result<Response, RpcError>>> = (0..n).map(|_| None).collect();
-        let mut slot_of: HashMap<u64, usize> = HashMap::with_capacity(n);
-        let (tx, rx) = crossbeam::channel::bounded::<(u64, Vec<u8>)>(n.max(1));
+        let (tx, rx) = crossbeam::channel::bounded::<(usize, Vec<u8>)>(n.max(1));
         let mut dispatched = 0usize;
-        for (idx, body) in bodies.into_iter().enumerate() {
+        // One sender per request: the last request takes the original.
+        let senders = std::iter::repeat_n(tx, n);
+        for ((idx, body), tx) in bodies.into_iter().enumerate().zip(senders) {
             let mut req = self.build_request(method, body);
             req.corr = req.seq;
             if let Some(b) = budget {
@@ -182,22 +138,19 @@ impl InProcClient {
                     continue;
                 }
             };
-            slot_of.insert(req.corr, idx);
-            let tx = tx.clone();
             // The guard rides in the reply closure, so depth accounting
-            // survives sheds (a dropped closure still drops the guard).
+            // survives shutdown (a dropped closure still drops the guard).
             let guard = self.core.pipeline.track();
-            self.core.dispatch(req, true, move |resp| {
+            self.core.dispatch(req, move |resp| {
                 let _guard = guard;
-                let _ = tx.send((resp.corr, resp.encode()));
+                let _ = tx.send((idx, resp.encode()));
             });
             dispatched += 1;
         }
-        drop(tx);
         for _ in 0..dispatched {
             // A recv error means every remaining reply closure was dropped
-            // unsent (shed or shutdown); the unfilled slots below cover it.
-            let Ok((corr, encoded)) = rx.recv() else {
+            // unsent (shutdown); the unfilled slots below cover it.
+            let Ok((idx, encoded)) = rx.recv() else {
                 break;
             };
             let outcome = match Response::decode(&encoded) {
@@ -207,16 +160,13 @@ impl InProcClient {
                 }
                 Err(e) => Err(RpcError::Wire(e)),
             };
-            if let Some(idx) = slot_of.remove(&corr) {
-                results[idx] = Some(outcome);
-            }
+            results[idx] = Some(outcome);
         }
         results
             .into_iter()
             .map(|slot| {
                 slot.unwrap_or_else(|| {
-                    // Shed without a reply: same overload semantics as a
-                    // dropped single-call reply channel.
+                    // The pool shut down and dropped the reply unsent.
                     self.core.stats.record_response(0, Status::Overloaded);
                     Err(RpcError::Overloaded)
                 })
@@ -246,10 +196,11 @@ fn map_io(e: std::io::Error) -> RpcError {
     }
 }
 
-/// A synchronous TCP RPC client. [`TcpClient::call`] keeps one
-/// outstanding call per connection (classic Thrift sync behavior);
-/// [`TcpClient::call_many`] pipelines a batch through an in-flight window
-/// so one connection does the work of N single-call clients.
+/// A synchronous TCP RPC client. [`TcpClient::call_many`] pipelines a
+/// batch through an in-flight window so one connection does the work of
+/// N single-call clients; [`TcpClient::call`] is a burst of one, so it
+/// keeps one outstanding call per connection (classic Thrift sync
+/// behavior).
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
@@ -298,19 +249,20 @@ impl TcpClient {
         self
     }
 
-    /// Synchronous call over the connection.
+    /// Synchronous call over the connection: a burst of one through
+    /// [`TcpClient::call_many`].
     ///
     /// # Errors
     ///
     /// Returns I/O, wire, application, or overload errors.
     pub fn call(&mut self, method: &str, body: Vec<u8>) -> Result<Response, RpcError> {
-        self.call_request(Request::new(method, body))
+        single(self.call_many(method, vec![body]))
     }
 
-    /// Synchronous call carrying a deadline budget in the request frame.
-    /// The client also arms a matching socket read timeout, so a server
-    /// that never replies surfaces as [`RpcError::Timeout`] rather than a
-    /// hang.
+    /// Synchronous call carrying a deadline budget in the request frame:
+    /// a burst of one through [`TcpClient::call_many_with_deadline`], so a
+    /// server that never replies surfaces as [`RpcError::Timeout`] rather
+    /// than a hang.
     ///
     /// # Errors
     ///
@@ -322,36 +274,7 @@ impl TcpClient {
         body: Vec<u8>,
         budget: Duration,
     ) -> Result<Response, RpcError> {
-        // Give the reply a grace window past the server-side budget so an
-        // in-flight shed response is read rather than raced.
-        let read_timeout = budget + budget / 2 + Duration::from_millis(50);
-        let _ = self.reader.get_ref().set_read_timeout(Some(read_timeout));
-        let result = self.call_request(Request::new(method, body).with_deadline(budget));
-        let _ = self.reader.get_ref().set_read_timeout(None);
-        result
-    }
-
-    fn call_request(&mut self, mut req: Request) -> Result<Response, RpcError> {
-        req.seq = self.seq;
-        // corr == seq keeps correlation intact against legacy servers,
-        // whose responses decode with `corr` falling back to the echoed
-        // sequence number.
-        req.corr = self.seq;
-        self.seq += 1;
-        let payload = req.encode();
-        self.stats.record_request(payload.len());
-        write_frame(&mut self.writer, &payload).map_err(map_io)?;
-        let frame = match read_frame(&mut self.reader) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Err(RpcError::Disconnected),
-            Err(e) => return Err(map_io(e)),
-        };
-        let resp = Response::decode(&frame)?;
-        self.stats.record_response(frame.len(), resp.status);
-        if resp.corr != req.corr {
-            return Err(RpcError::CorrelationMismatch { got: resp.corr });
-        }
-        response_to_result(resp)
+        single(self.call_many_with_deadline(method, vec![body], budget))
     }
 
     /// Issues a pipelined batch of same-method calls over this single
@@ -377,8 +300,8 @@ impl TcpClient {
         bodies: Vec<Vec<u8>>,
         budget: Duration,
     ) -> Vec<Result<Response, RpcError>> {
-        // Grace window past the server-side budget, as in
-        // `call_with_deadline`.
+        // Give the replies a grace window past the server-side budget so
+        // an in-flight shed response is read rather than raced.
         let read_timeout = budget + budget / 2 + Duration::from_millis(50);
         let _ = self.reader.get_ref().set_read_timeout(Some(read_timeout));
         let results = self.call_many_inner(method, bodies, Some(budget));
@@ -413,6 +336,9 @@ impl TcpClient {
                             req = req.with_deadline(b);
                         }
                         req.seq = self.seq;
+                        // corr == seq keeps correlation intact against
+                        // legacy servers, whose responses decode with
+                        // `corr` falling back to the echoed sequence number.
                         req.corr = self.seq;
                         self.seq += 1;
                         let payload = req.encode();
@@ -470,98 +396,6 @@ impl TcpClient {
     }
 }
 
-/// A fixed-size pool of pipelined TCP connections.
-///
-/// Single calls fan out round-robin across the pool; batched
-/// [`TcpClientPool::call_many`] sends the whole burst down *one*
-/// pipelined connection — the point of multiplexing is that one
-/// connection replaces N pool slots.
-pub struct TcpClientPool {
-    conns: Vec<Mutex<TcpClient>>,
-    cursor: AtomicUsize,
-}
-
-impl std::fmt::Debug for TcpClientPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpClientPool")
-            .field("size", &self.conns.len())
-            .finish()
-    }
-}
-
-impl TcpClientPool {
-    /// Opens `size` connections (clamped to ≥ 1) to `addr`, each with the
-    /// pipelined window `window`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first connection error.
-    pub fn connect(addr: SocketAddr, size: usize, window: usize) -> std::io::Result<Self> {
-        let mut conns = Vec::with_capacity(size.max(1));
-        for _ in 0..size.max(1) {
-            conns.push(Mutex::new(TcpClient::connect(addr)?.with_window(window)));
-        }
-        Ok(Self {
-            conns,
-            cursor: AtomicUsize::new(0),
-        })
-    }
-
-    /// Number of pooled connections.
-    pub fn size(&self) -> usize {
-        self.conns.len()
-    }
-
-    fn next(&self) -> &Mutex<TcpClient> {
-        // ordering: round-robin cursor only needs per-call uniqueness, not
-        // ordering with other memory
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) % self.conns.len();
-        &self.conns[i]
-    }
-
-    fn lock(conn: &Mutex<TcpClient>) -> std::sync::MutexGuard<'_, TcpClient> {
-        conn.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Single call on the next connection, round-robin.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpClient::call`].
-    pub fn call(&self, method: &str, body: Vec<u8>) -> Result<Response, RpcError> {
-        Self::lock(self.next()).call(method, body)
-    }
-
-    /// Single deadline-carrying call on the next connection, round-robin.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpClient::call_with_deadline`].
-    pub fn call_with_deadline(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        budget: Duration,
-    ) -> Result<Response, RpcError> {
-        Self::lock(self.next()).call_with_deadline(method, body, budget)
-    }
-
-    /// Pipelines the whole batch down one connection (round-robin pick).
-    pub fn call_many(&self, method: &str, bodies: Vec<Vec<u8>>) -> Vec<Result<Response, RpcError>> {
-        Self::lock(self.next()).call_many(method, bodies)
-    }
-
-    /// As [`TcpClientPool::call_many`] with a per-request deadline budget.
-    pub fn call_many_with_deadline(
-        &self,
-        method: &str,
-        bodies: Vec<Vec<u8>>,
-        budget: Duration,
-    ) -> Vec<Result<Response, RpcError>> {
-        Self::lock(self.next()).call_many_with_deadline(method, bodies, budget)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,44 +430,6 @@ mod tests {
         assert_eq!(client.stats().responses(), 5);
         assert!(client.stats().bytes_sent() > 5 * 32);
         assert_eq!(client.stats().error_rate(), 0.0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn try_call_sheds_on_saturated_queue() {
-        // One worker parked on a gate; depth-1 queue.
-        let (gate_tx, gate_rx) = crossbeam::channel::bounded::<()>(0);
-        let gate_rx = std::sync::Mutex::new(gate_rx);
-        let server = InProcServer::start(
-            move |req: &Request| {
-                if req.method == "block" {
-                    let _ = gate_rx.lock().unwrap().recv();
-                }
-                Response::ok(vec![])
-            },
-            PoolConfig::single_lane(1).with_queue_depth(1),
-        );
-        let client = server.client();
-        // Occupy the worker.
-        let blocker = {
-            let client = client.clone();
-            std::thread::spawn(move || client.call("block", vec![]))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        // Fill the queue.
-        let filler = {
-            let client = client.clone();
-            std::thread::spawn(move || client.call("x", vec![]))
-        };
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        // This one must shed.
-        match client.try_call("x", vec![]) {
-            Err(RpcError::Overloaded) => {}
-            other => panic!("expected overload, got {other:?}"),
-        }
-        gate_tx.send(()).unwrap();
-        blocker.join().unwrap().unwrap();
-        filler.join().unwrap().unwrap();
         server.shutdown();
     }
 }

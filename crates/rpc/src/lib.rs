@@ -18,8 +18,9 @@
 //!   and coalesce response bursts into single writes.
 //! * [`pool`] — fixed worker thread pools with *fast/slow lane* routing,
 //!   mirroring TAO's separate thread pools for cache hits and misses.
-//! * [`server`] / [`client`] — in-process and TCP transports with
-//!   synchronous calls and pipelined `call_many` bursts.
+//! * [`server`] / [`client`] — in-process and TCP transports. Each
+//!   client's one request path is the pipelined `call_many` burst; a
+//!   synchronous `call` is a burst of one.
 //! * [`resilient`] — a client wrapper adding deadlines, retries with
 //!   deterministic backoff, retry budgets, and circuit breaking from
 //!   [`dcperf_resilience`].
@@ -55,7 +56,7 @@ pub mod stats;
 pub mod value;
 pub mod wire;
 
-pub use client::{InProcClient, TcpClient, TcpClientPool};
+pub use client::{InProcClient, TcpClient};
 pub use frame::{Request, Response, RpcError, Status};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use pool::{Lane, PoolConfig, ThreadPool};

@@ -22,15 +22,6 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A pipelined window of `max_inflight` requests with the default
-    /// batch size.
-    pub fn depth(max_inflight: usize) -> Self {
-        Self {
-            max_inflight: max_inflight.max(1),
-            max_batch: Self::default().max_batch,
-        }
-    }
-
     /// One request per turn: responses strictly in request order, exactly
     /// the v1 wire behavior.
     pub fn disabled() -> Self {
@@ -44,11 +35,6 @@ impl PipelineConfig {
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
-    }
-
-    /// Whether this configuration actually reads ahead.
-    pub fn is_pipelined(&self) -> bool {
-        self.max_inflight > 1
     }
 }
 
@@ -153,7 +139,6 @@ mod tests {
     #[test]
     fn config_defaults_are_pipelined() {
         let cfg = PipelineConfig::default();
-        assert!(cfg.is_pipelined());
         assert!(cfg.max_inflight > 1);
         assert!(cfg.max_batch > 1);
     }
@@ -161,15 +146,12 @@ mod tests {
     #[test]
     fn disabled_config_serializes_the_connection() {
         let cfg = PipelineConfig::disabled();
-        assert!(!cfg.is_pipelined());
         assert_eq!(cfg.max_inflight, 1);
     }
 
     #[test]
-    fn depth_clamps_to_at_least_one() {
-        assert_eq!(PipelineConfig::depth(0).max_inflight, 1);
-        assert_eq!(PipelineConfig::depth(8).max_inflight, 8);
-        assert_eq!(PipelineConfig::depth(8).with_max_batch(0).max_batch, 1);
+    fn max_batch_clamps_to_at_least_one() {
+        assert_eq!(PipelineConfig::default().with_max_batch(0).max_batch, 1);
     }
 
     #[test]

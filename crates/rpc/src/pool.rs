@@ -4,10 +4,12 @@
 //! paper), and DCPerf's TaoBench reproduces that: cache hits are served by
 //! *fast* threads while misses are dispatched to *slow* threads that
 //! simulate database lookups. [`ThreadPool`] implements that structure for
-//! any [`Lane`]-classified job stream, with bounded queues so overload is
-//! observable (shed requests) rather than unbounded memory growth.
+//! any [`Lane`]-classified job stream. Each lane's queue is bounded: a
+//! full queue makes [`ThreadPool::spawn`] wait for space, so overload
+//! pushes back on callers as queueing delay instead of growing memory
+//! without bound. Jobs are never shed.
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use dcperf_telemetry::{metrics, Counter, Telemetry};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -106,7 +108,6 @@ fn end_batch() {
 pub struct PoolStats {
     fast_jobs: Arc<Counter>,
     slow_jobs: Arc<Counter>,
-    shed_jobs: Arc<Counter>,
 }
 
 impl PoolStats {
@@ -121,7 +122,6 @@ impl PoolStats {
         Self {
             fast_jobs: counter(metrics::suffix::FAST_JOBS),
             slow_jobs: counter(metrics::suffix::SLOW_JOBS),
-            shed_jobs: counter(metrics::suffix::SHED_JOBS),
         }
     }
 
@@ -133,11 +133,6 @@ impl PoolStats {
     /// Jobs accepted into the slow lane.
     pub fn slow_jobs(&self) -> u64 {
         self.slow_jobs.get()
-    }
-
-    /// Jobs rejected because the target queue was full.
-    pub fn shed_jobs(&self) -> u64 {
-        self.shed_jobs.get()
     }
 }
 
@@ -187,8 +182,6 @@ impl std::fmt::Debug for ThreadPool {
 /// Error returned by [`ThreadPool::spawn`] when a job cannot be queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpawnError {
-    /// The lane's queue was full (overload; the job was shed).
-    QueueFull,
     /// The pool has been shut down.
     Shutdown,
 }
@@ -196,7 +189,6 @@ pub enum SpawnError {
 impl std::fmt::Display for SpawnError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SpawnError::QueueFull => write!(f, "thread pool queue full"),
             SpawnError::Shutdown => write!(f, "thread pool shut down"),
         }
     }
@@ -274,44 +266,16 @@ impl ThreadPool {
             .expect("failed to spawn pool worker")
     }
 
-    /// Queues a job on the given lane without blocking.
+    /// Queues a job on the given lane, blocking until there is queue
+    /// space (closed-loop callers).
     ///
     /// Jobs for [`Lane::Slow`] fall back to the fast lane when the pool has
     /// no slow workers.
     ///
     /// # Errors
     ///
-    /// Returns [`SpawnError::QueueFull`] when the lane's bounded queue is
-    /// full (the overload signal TaoBench counts as a shed request) or
-    /// [`SpawnError::Shutdown`] after [`ThreadPool::shutdown`].
-    pub fn spawn<F>(&self, lane: Lane, job: F) -> Result<(), SpawnError>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let (tx, counter) = match (lane, &self.slow_tx) {
-            (Lane::Slow, Some(tx)) => (tx, &self.stats.slow_jobs),
-            _ => (&self.fast_tx, &self.stats.fast_jobs),
-        };
-        match tx.try_send(Box::new(job)) {
-            Ok(()) => {
-                counter.inc();
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => {
-                self.stats.shed_jobs.inc();
-                Err(SpawnError::QueueFull)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SpawnError::Shutdown),
-        }
-    }
-
-    /// Queues a job, blocking until there is queue space (closed-loop
-    /// callers).
-    ///
-    /// # Errors
-    ///
     /// Returns [`SpawnError::Shutdown`] after [`ThreadPool::shutdown`].
-    pub fn spawn_blocking<F>(&self, lane: Lane, job: F) -> Result<(), SpawnError>
+    pub fn spawn<F>(&self, lane: Lane, job: F) -> Result<(), SpawnError>
     where
         F: FnOnce() + Send + 'static,
     {
@@ -368,7 +332,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..1000 {
             let done = Arc::clone(&done);
-            pool.spawn_blocking(Lane::Fast, move || {
+            pool.spawn(Lane::Fast, move || {
                 done.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -383,7 +347,7 @@ mod tests {
         let slow_ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
             let slow_ran = Arc::clone(&slow_ran);
-            pool.spawn_blocking(Lane::Slow, move || {
+            pool.spawn(Lane::Slow, move || {
                 slow_ran.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -397,7 +361,7 @@ mod tests {
         let pool = ThreadPool::new(PoolConfig::single_lane(2));
         let ran = Arc::new(AtomicUsize::new(0));
         let r2 = Arc::clone(&ran);
-        pool.spawn_blocking(Lane::Slow, move || {
+        pool.spawn(Lane::Slow, move || {
             r2.fetch_add(1, Ordering::Relaxed);
         })
         .unwrap();
@@ -406,33 +370,13 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_sheds_jobs() {
-        // One worker blocked on a gate, queue depth 1: the third job must
-        // be shed.
-        let pool = ThreadPool::new(PoolConfig::single_lane(1).with_queue_depth(1));
-        let (gate_tx, gate_rx) = bounded::<()>(0);
-        pool.spawn(Lane::Fast, move || {
-            let _ = gate_rx.recv();
-        })
-        .unwrap();
-        // Give the worker a moment to pick up the blocking job.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        pool.spawn(Lane::Fast, || {}).unwrap(); // fills the queue
-        let shed = pool.spawn(Lane::Fast, || {});
-        assert_eq!(shed, Err(SpawnError::QueueFull));
-        assert_eq!(pool.stats().shed_jobs(), 1);
-        gate_tx.send(()).unwrap();
-        pool.shutdown();
-    }
-
-    #[test]
     fn stats_count_lane_usage() {
         let pool = ThreadPool::new(PoolConfig::fast_slow(1, 1));
         for _ in 0..5 {
-            pool.spawn_blocking(Lane::Fast, || {}).unwrap();
+            pool.spawn(Lane::Fast, || {}).unwrap();
         }
         for _ in 0..3 {
-            pool.spawn_blocking(Lane::Slow, || {}).unwrap();
+            pool.spawn(Lane::Slow, || {}).unwrap();
         }
         // Counters update before shutdown completes.
         assert_eq!(pool.stats().fast_jobs(), 5);
@@ -482,13 +426,13 @@ mod tests {
         // Hold the worker on a gate so the next three jobs queue up and
         // are drained as one batch.
         let (gate_tx, gate_rx) = bounded::<()>(1);
-        pool.spawn_blocking(Lane::Fast, move || {
+        pool.spawn(Lane::Fast, move || {
             let _ = gate_rx.recv();
         })
         .unwrap();
         for _ in 0..3 {
             let probe = Arc::clone(&probe);
-            pool.spawn_blocking(Lane::Fast, move || {
+            pool.spawn(Lane::Fast, move || {
                 // ordering: read back on this thread at the batch end
                 probe.jobs.fetch_add(1, Ordering::Relaxed);
                 assert!(defer_to_batch_end(&probe), "jobs run on a pool worker");
@@ -511,7 +455,7 @@ mod tests {
             let pool = ThreadPool::new(PoolConfig::single_lane(2));
             for _ in 0..100 {
                 let done = Arc::clone(&done);
-                pool.spawn_blocking(Lane::Fast, move || {
+                pool.spawn(Lane::Fast, move || {
                     done.fetch_add(1, Ordering::Relaxed);
                 })
                 .unwrap();

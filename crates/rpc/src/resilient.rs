@@ -3,7 +3,8 @@
 //! deadlines.
 //!
 //! The wrapper composes the [`dcperf_resilience`] primitives around any
-//! transport that can issue a single attempt ([`ResilientTransport`]).
+//! transport that can issue one attempt per body ([`ResilientTransport`]).
+//! A single call is a burst of one.
 //! All randomness (backoff jitter) derives from a caller-provided seed
 //! and a per-call counter, so two runs with the same seed produce the
 //! same retry schedule — chaos benchmarks stay reproducible.
@@ -16,55 +17,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One attempt against the underlying transport.
+/// One attempt per body against the underlying transport.
 ///
 /// `deadline` is the remaining per-attempt budget; implementations carry
 /// it in the request frame when the transport supports it.
 pub trait ResilientTransport {
-    /// Issues a single attempt (no retries at this layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns the transport's typed [`RpcError`].
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError>;
-
     /// Issues one pipelined attempt per body (no retries at this layer).
-    ///
-    /// The default loops [`ResilientTransport::call_once`], so existing
-    /// transports keep working; pipelining transports override it to put
-    /// the whole burst in flight at once. Implementations must return
-    /// exactly one outcome per body, in issue order.
+    /// Implementations must return exactly one outcome per body, in issue
+    /// order.
     fn call_many_once(
         &self,
         method: &str,
         bodies: Vec<Vec<u8>>,
         deadline: Option<Duration>,
-    ) -> Vec<Result<Response, RpcError>> {
-        bodies
-            .into_iter()
-            .map(|body| self.call_once(method, body, deadline))
-            .collect()
-    }
+    ) -> Vec<Result<Response, RpcError>>;
 }
 
 impl ResilientTransport for crate::client::InProcClient {
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError> {
-        match deadline {
-            Some(budget) => self.call_with_deadline(method, body, budget),
-            None => self.call(method, body),
-        }
-    }
-
     fn call_many_once(
         &self,
         method: &str,
@@ -81,19 +50,6 @@ impl ResilientTransport for crate::client::InProcClient {
 /// A [`TcpClient`](crate::client::TcpClient) is single-connection and
 /// `&mut`; wrap it in a mutex to present the shared-attempt interface.
 impl ResilientTransport for std::sync::Mutex<crate::client::TcpClient> {
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError> {
-        let mut client = self.lock().unwrap_or_else(|e| e.into_inner());
-        match deadline {
-            Some(budget) => client.call_with_deadline(method, body, budget),
-            None => client.call(method, body),
-        }
-    }
-
     fn call_many_once(
         &self,
         method: &str,
@@ -108,32 +64,6 @@ impl ResilientTransport for std::sync::Mutex<crate::client::TcpClient> {
     }
 }
 
-impl ResilientTransport for crate::client::TcpClientPool {
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError> {
-        match deadline {
-            Some(budget) => self.call_with_deadline(method, body, budget),
-            None => self.call(method, body),
-        }
-    }
-
-    fn call_many_once(
-        &self,
-        method: &str,
-        bodies: Vec<Vec<u8>>,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<Response, RpcError>> {
-        match deadline {
-            Some(budget) => self.call_many_with_deadline(method, bodies, budget),
-            None => self.call_many(method, bodies),
-        }
-    }
-}
-
 /// Retries, budget, breaker, and deadlines around a transport.
 ///
 /// Failure handling per attempt:
@@ -141,8 +71,8 @@ impl ResilientTransport for crate::client::TcpClientPool {
 /// * breaker open → [`RpcError::CircuitOpen`] without touching the wire;
 /// * retryable errors (overload, timeout, I/O, expired deadline,
 ///   disconnect) consume a retry-budget token and back off;
-/// * non-retryable errors (application errors, worker panics, malformed
-///   frames) return immediately;
+/// * non-retryable errors (application errors, malformed frames,
+///   correlation mismatches) return immediately;
 /// * transport-level failures count against the breaker; application
 ///   errors count as breaker successes (the service *answered*).
 pub struct ResilientClient<C> {
@@ -220,68 +150,27 @@ impl<C: ResilientTransport> ResilientClient<C> {
         self
     }
 
-    /// Calls `method`, retrying per the policy.
+    /// Calls `method`, retrying per the policy: a burst of one through
+    /// [`ResilientClient::call_many`].
     ///
     /// # Errors
     ///
     /// The final attempt's error, or [`RpcError::CircuitOpen`] if the
     /// breaker rejected the call.
     pub fn call(&self, method: &str, body: Vec<u8>) -> Result<Response, RpcError> {
-        // ordering: call index only seeds jitter; uniqueness is all that matters
-        let call_index = self.calls.fetch_add(1, Ordering::Relaxed);
-        let attempt_seed = self.seed ^ SplitMix64::mix(call_index.wrapping_add(1));
-        let mut delays = self.policy.schedule(attempt_seed);
-        // Each logical call deposits into the shared retry budget; only
-        // retries spend, so sustained failure caps the retry ratio.
-        self.budget.deposit();
-        loop {
-            if !self.breaker.allow() {
-                return Err(RpcError::CircuitOpen);
-            }
-            match self
-                .inner
-                .call_once(method, body.clone(), self.attempt_deadline)
-            {
-                Ok(resp) => {
-                    self.breaker.record_success();
-                    return Ok(resp);
-                }
-                Err(err) => {
-                    if counts_as_breaker_failure(&err) {
-                        self.breaker.record_failure();
-                    } else {
-                        self.breaker.record_success();
-                    }
-                    if !err.is_retryable() {
-                        return Err(err);
-                    }
-                    let Some(delay) = delays.next() else {
-                        return Err(err);
-                    };
-                    if !self.budget.try_spend() {
-                        self.budget_exhausted.inc();
-                        return Err(err);
-                    }
-                    self.retries.inc();
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-            }
-        }
+        crate::client::single(self.call_many(method, vec![body]))
     }
 
     /// Pipelined batch call: all bodies go down as one burst per attempt
     /// round, retrying only the elements that failed retryably.
     ///
-    /// Resilience semantics per element match [`ResilientClient::call`]:
-    /// each correlated outcome is recorded against the breaker exactly
+    /// Per element: each outcome is recorded against the breaker exactly
     /// once per attempt (a burst of N failures is N breaker outcomes, not
     /// N × attempts, and never double-counted within a round), each
     /// element deposits into the retry budget as its own logical call,
     /// and each retried element spends its own budget token. The backoff
-    /// schedule is drawn once per batch, so a retry round sleeps once,
-    /// not once per element.
+    /// schedule is drawn once per batch from `(seed, call index)`, so a
+    /// retry round sleeps once, not once per element.
     pub fn call_many(&self, method: &str, bodies: Vec<Vec<u8>>) -> Vec<Result<Response, RpcError>> {
         let n = bodies.len();
         // ordering: call index only seeds jitter; uniqueness is all that matters
@@ -418,18 +307,23 @@ mod tests {
     }
 
     impl ResilientTransport for Scripted {
-        fn call_once(
+        fn call_many_once(
             &self,
             _method: &str,
-            _body: Vec<u8>,
+            bodies: Vec<Vec<u8>>,
             _deadline: Option<Duration>,
-        ) -> Result<Response, RpcError> {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            self.outcomes
-                .lock()
-                .unwrap()
-                .pop()
-                .unwrap_or(Err(RpcError::Disconnected))
+        ) -> Vec<Result<Response, RpcError>> {
+            bodies
+                .iter()
+                .map(|_| {
+                    self.attempts.fetch_add(1, Ordering::Relaxed);
+                    self.outcomes
+                        .lock()
+                        .unwrap()
+                        .pop()
+                        .unwrap_or(Err(RpcError::Disconnected))
+                })
+                .collect()
         }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::frame::{append_frame, read_frame, Request, Response};
 use crate::pipeline::{InflightGuard, PipelineConfig, PipelineStats};
-use crate::pool::{self, BatchEnd, Lane, PoolConfig, SpawnError, ThreadPool};
+use crate::pool::{self, BatchEnd, Lane, PoolConfig, ThreadPool};
 use crate::stats::RpcStats;
 use crossbeam::channel;
 use dcperf_resilience::Deadline;
@@ -81,15 +81,9 @@ impl ServerCore {
         }
     }
 
-    /// Dispatches a request through the pool; `reply` receives the
-    /// response. `blocking` selects closed-loop (wait for queue space) vs
-    /// open-loop (shed on full queue) semantics.
-    pub(crate) fn dispatch(
-        &self,
-        req: Request,
-        blocking: bool,
-        reply: impl FnOnce(Response) + Send + 'static,
-    ) {
+    /// Dispatches a request through the pool, waiting for queue space;
+    /// `reply` receives the response.
+    pub(crate) fn dispatch(&self, req: Request, reply: impl FnOnce(Response) + Send + 'static) {
         // Pin the wire budget (relative microseconds) to an absolute
         // instant the moment the request enters the server.
         let deadline = (req.deadline_us > 0).then(|| Deadline::from_budget_us(req.deadline_us));
@@ -147,20 +141,9 @@ impl ServerCore {
             resp.corr = corr;
             reply(resp);
         };
-        let outcome = if blocking {
-            self.pool.spawn_blocking(lane, job)
-        } else {
-            self.pool.spawn(lane, job)
-        };
-        match outcome {
-            Ok(()) => {}
-            Err(SpawnError::QueueFull) | Err(SpawnError::Shutdown) => {
-                // The job was never queued, so `reply` was consumed by the
-                // closure that the pool rejected and dropped; overload is
-                // signalled through the stats instead and the caller
-                // observes a dropped reply channel.
-            }
-        }
+        // A shut-down pool drops the job, and `reply` with it; the caller
+        // observes the dropped reply as overload.
+        let _ = self.pool.spawn(lane, job);
     }
 }
 
@@ -369,7 +352,13 @@ impl TcpServer {
     where
         H: Fn(&Request) -> Response + Send + Sync + 'static,
     {
-        Self::bind_with_classifier(addr, handler, |_| Lane::Fast, config)
+        Self::bind_full(
+            addr,
+            handler,
+            |_| Lane::Fast,
+            config,
+            PipelineConfig::default(),
+        )
     }
 
     /// Binds with an explicit pipelining configuration (every request
@@ -389,24 +378,6 @@ impl TcpServer {
         H: Fn(&Request) -> Response + Send + Sync + 'static,
     {
         Self::bind_full(addr, handler, |_| Lane::Fast, config, pipeline)
-    }
-
-    /// Binds with a fast/slow classifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the listener cannot be bound.
-    pub fn bind_with_classifier<H, C>(
-        addr: &str,
-        handler: H,
-        classifier: C,
-        config: PoolConfig,
-    ) -> std::io::Result<Self>
-    where
-        H: Fn(&Request) -> Response + Send + Sync + 'static,
-        C: Fn(&Request) -> Lane + Send + Sync + 'static,
-    {
-        Self::bind_full(addr, handler, classifier, config, PipelineConfig::default())
     }
 
     /// Binds with a classifier and an explicit pipelining configuration.
@@ -538,7 +509,7 @@ impl TcpServer {
                 conn: Arc::clone(&conn),
                 _inflight: core.pipeline.track(),
             };
-            core.dispatch(req, true, move |resp| {
+            core.dispatch(req, move |resp| {
                 let conn = Arc::clone(&slot.conn);
                 conn.reply(resp, slot);
             });
@@ -854,7 +825,7 @@ mod tests {
         let (conn, peer) = test_connection(16, 3);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let c = Arc::clone(&conn);
-        pool.spawn_blocking(Lane::Fast, move || {
+        pool.spawn(Lane::Fast, move || {
             for corr in 1..=3 {
                 c.reply(ok_with_corr(corr), slot(&c));
             }
@@ -872,7 +843,7 @@ mod tests {
         let (conn, peer) = test_connection(2, 3);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let c = Arc::clone(&conn);
-        pool.spawn_blocking(Lane::Fast, move || {
+        pool.spawn(Lane::Fast, move || {
             c.reply(ok_with_corr(1), slot(&c));
             c.reply(ok_with_corr(2), slot(&c));
             assert_eq!(c.pipeline.flushes(), 1, "max_batch frames go out at once");

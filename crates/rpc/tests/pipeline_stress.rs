@@ -1,15 +1,16 @@
 //! Concurrency stress for the multiplexed RPC path: many client threads,
 //! each keeping a pipelined window of requests in flight over its own
-//! connection (and over a shared pool), with an echo oracle proving every
-//! response was matched to *its* request's correlation id — a swap
-//! anywhere in the window would scramble the payloads.
+//! connection or in-process client, with an echo oracle proving every
+//! response was matched to *its* request — a swap anywhere in the window
+//! would scramble the payloads.
 //!
 //! Runs identically with and without `--features fault-injection` (no
 //! plan is installed, so the injection hook must be inert).
 
-use dcperf_rpc::{PipelineConfig, PoolConfig, Request, Response, TcpClient, TcpClientPool};
+use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpClient};
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 const THREADS: usize = 4;
 const BATCHES: usize = 24;
@@ -69,35 +70,6 @@ fn pipelined_tcp_clients_match_responses_to_requests() {
 }
 
 #[test]
-fn shared_pool_pipelines_batches_down_single_connections() {
-    let (server, addr) = start_echo_server();
-    let pool = Arc::new(TcpClientPool::connect(addr, 2, WINDOW).expect("pool connects"));
-    std::thread::scope(|scope| {
-        for thread in 0..THREADS {
-            let pool = Arc::clone(&pool);
-            scope.spawn(move || {
-                for batch in 0..BATCHES {
-                    let bodies: Vec<Vec<u8>> = (0..WINDOW)
-                        .map(|slot| payload(thread, batch, slot))
-                        .collect();
-                    let outcomes = pool.call_many("echo", bodies);
-                    for (slot, outcome) in outcomes.into_iter().enumerate() {
-                        let resp = outcome.expect("pooled batch call succeeds");
-                        assert_eq!(resp.body, payload(thread, batch, slot));
-                    }
-                    // Interleave some single calls through the same pool.
-                    let single = pool
-                        .call("echo", payload(thread, batch, usize::MAX))
-                        .expect("pooled single call succeeds");
-                    assert_eq!(single.body, payload(thread, batch, usize::MAX));
-                }
-            });
-        }
-    });
-    server.shutdown();
-}
-
-#[test]
 fn inproc_call_many_matches_out_of_order_completions() {
     let server = dcperf_rpc::InProcServer::start(
         |req: &Request| Response::ok(req.body.clone()),
@@ -121,5 +93,64 @@ fn inproc_call_many_matches_out_of_order_completions() {
             });
         }
     });
+    server.shutdown();
+}
+
+#[test]
+fn inproc_burst_returns_in_issue_order_when_the_first_request_finishes_last() {
+    // The first body goes to the slow lane, whose handler waits until the
+    // fast lane has answered every other body, so the first slot's reply
+    // arrives last.
+    const BURST: usize = 8;
+    let bodies: Vec<Vec<u8>> = (0..BURST).map(|slot| payload(0, 0, slot)).collect();
+    let slow_body = bodies[0].clone();
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let gate_rx = Mutex::new(gate_rx);
+    let completed: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
+    let log = Arc::clone(&completed);
+    let server = dcperf_rpc::InProcServer::start_with_classifier(
+        move |req: &Request| {
+            if req.body == slow_body {
+                // A missing gate would turn into a failed order check, not
+                // a hang.
+                let _ = gate_rx
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(10));
+                log.lock().unwrap().push(req.body.clone());
+            } else {
+                let mut log = log.lock().unwrap();
+                log.push(req.body.clone());
+                if log.len() == BURST - 1 {
+                    let _ = gate_tx.send(());
+                }
+            }
+            Response::ok(req.body.clone())
+        },
+        {
+            let slow_body = bodies[0].clone();
+            move |req: &Request| {
+                if req.body == slow_body {
+                    Lane::Slow
+                } else {
+                    Lane::Fast
+                }
+            }
+        },
+        PoolConfig::fast_slow(1, 1),
+    );
+    let outcomes = server.client().call_many("echo", bodies.clone());
+    let order = completed.lock().unwrap().clone();
+    assert_eq!(order.len(), BURST);
+    assert_eq!(
+        order.last(),
+        Some(&bodies[0]),
+        "every fast reply must complete before the slow one: {order:?}"
+    );
+    assert_eq!(outcomes.len(), BURST);
+    for (slot, outcome) in outcomes.into_iter().enumerate() {
+        let resp = outcome.expect("in-proc burst call succeeds");
+        assert_eq!(resp.body, bodies[slot], "slot {slot} got another reply");
+    }
     server.shutdown();
 }

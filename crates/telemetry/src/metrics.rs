@@ -41,7 +41,8 @@ pub const DYN_LOADGEN_ENDPOINT: &str = "loadgen.endpoint";
 /// Transport counters (`requests`, `responses`, `errors`, `shed`,
 /// `deadline_exceeded`, `deadline_shed`, `bytes_sent`, `bytes_received`).
 pub const PREFIX_RPC: &str = "rpc";
-/// Thread-pool lane counters (`fast_jobs`, `slow_jobs`, `shed_jobs`).
+/// Thread-pool lane counters (`fast_jobs`, `slow_jobs`). Pool queues
+/// push back on callers rather than shed, so there is no shed counter.
 pub const PREFIX_RPC_POOL: &str = "rpc.pool";
 /// The resilient client's circuit breaker, sharing the server registry.
 pub const PREFIX_RPC_BREAKER: &str = "rpc.breaker";
@@ -97,8 +98,6 @@ pub mod suffix {
     pub const FAST_JOBS: &str = "fast_jobs";
     /// Jobs accepted into the slow lane.
     pub const SLOW_JOBS: &str = "slow_jobs";
-    /// Jobs rejected because a lane queue was full.
-    pub const SHED_JOBS: &str = "shed_jobs";
     /// Requests currently in flight on pipelined connections (gauge).
     pub const INFLIGHT: &str = "inflight";
     /// Highest in-flight depth observed (running-maximum gauge).

@@ -168,22 +168,36 @@ pub struct PoolArchResult {
     pub requests: u64,
 }
 
+/// Workers in the single shared pool; the split pool has as many in
+/// total.
+const POOL_WORKERS: usize = 4;
+
 /// Measures fast/slow split pools versus one shared pool, under a mixed
 /// hit/miss stream where misses carry a simulated DB latency.
+///
+/// Both pools have `POOL_WORKERS` threads, and twice as many
+/// closed-loop drivers call them. With more requests outstanding than
+/// shared workers, misses fill the single pool and each hit queues
+/// behind about `(drivers − workers) × db_latency / workers` of them: the
+/// head-of-line blocking the split pool exists to prevent, since its
+/// fast workers never hold a miss.
 pub fn compare_pool_architectures(
     miss_fraction: f64,
     db_latency: Duration,
     duration: Duration,
-    threads: usize,
     seed: u64,
 ) -> Vec<PoolArchResult> {
     use dcperf_telemetry::ConcurrentHistogram;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    let drivers = 2 * POOL_WORKERS;
     let mut out = Vec::new();
     let configs = [
-        ("fast/slow pools", PoolConfig::fast_slow(2, 2)),
-        ("single pool", PoolConfig::single_lane(4)),
+        (
+            "fast/slow pools",
+            PoolConfig::fast_slow(POOL_WORKERS / 2, POOL_WORKERS / 2),
+        ),
+        ("single pool", PoolConfig::single_lane(POOL_WORKERS)),
     ];
     for (label, pool) in configs {
         let server = InProcServer::start_with_classifier(
@@ -213,7 +227,7 @@ pub fn compare_pool_architectures(
         let total = AtomicU64::new(0);
         let started = Instant::now();
         std::thread::scope(|scope| {
-            for t in 0..threads {
+            for t in 0..drivers {
                 let client = client.clone();
                 let hit_hist = &hit_hist;
                 let miss_hist = &miss_hist;
@@ -284,7 +298,6 @@ mod tests {
             0.3,
             Duration::from_millis(2),
             Duration::from_millis(400),
-            4,
             7,
         );
         let split = results

@@ -33,13 +33,8 @@ fn main() {
     );
 
     println!("=== Ablation 2: fast/slow pools vs a single shared pool ===\n");
-    let results = compare_pool_architectures(
-        0.3,
-        Duration::from_millis(2),
-        Duration::from_millis(800),
-        4,
-        7,
-    );
+    let results =
+        compare_pool_architectures(0.3, Duration::from_millis(2), Duration::from_millis(800), 7);
     println!(
         "{:<16} {:>14} {:>14} {:>10}",
         "architecture", "hit p95 (us)", "miss p95 (us)", "requests"
