@@ -60,8 +60,8 @@ impl InProcClient {
     }
 
     /// Synchronous call: a burst of one through
-    /// [`InProcClient::call_many`]. Waits for queue space under load
-    /// (closed loop).
+    /// [`InProcClient::call_many`]. A fast-lane call runs on this thread;
+    /// a slow-lane call waits for queue space under load (closed loop).
     ///
     /// # Errors
     ///
@@ -73,7 +73,7 @@ impl InProcClient {
 
     /// As [`InProcClient::call`], with a deadline budget carried in the
     /// request frame. The server sheds the request once the budget is
-    /// spent — before queueing, at dequeue, and at handler entry.
+    /// spent — at dispatch, and at handler entry.
     ///
     /// # Errors
     ///
@@ -88,11 +88,12 @@ impl InProcClient {
         single(self.call_many_inner(method, vec![body], Some(budget)))
     }
 
-    /// Issues a pipelined batch of same-method calls: all requests enter
-    /// the dispatch queue before any reply is awaited, so the batch keeps
-    /// the pool busy without one thread per call. Results come back in
-    /// issue order regardless of completion order: each reply carries its
-    /// request's index in the burst.
+    /// Issues a pipelined batch of same-method calls: every request is
+    /// dispatched before any reply is awaited, so the slow-lane part of
+    /// the batch keeps the pool busy without one thread per call, while
+    /// fast-lane requests run on this thread as they are dispatched.
+    /// Results come back in issue order regardless of completion order:
+    /// each reply carries its request's index in the burst.
     pub fn call_many(&self, method: &str, bodies: Vec<Vec<u8>>) -> Vec<Result<Response, RpcError>> {
         self.call_many_inner(method, bodies, None)
     }

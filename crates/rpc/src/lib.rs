@@ -16,8 +16,9 @@
 //!   `rpc.pipeline.*` / `rpc.batch.*` depth and batching telemetry:
 //!   connections read ahead, complete out of order by correlation id,
 //!   and coalesce response bursts into single writes.
-//! * [`pool`] — fixed worker thread pools with *fast/slow lane* routing,
-//!   mirroring TAO's separate thread pools for cache hits and misses.
+//! * [`pool`] — *fast/slow lane* routing, mirroring TAO's split between
+//!   cache hits and misses: fast-lane jobs run inline on the thread that
+//!   delivered the request, slow-lane jobs on a bounded worker pool.
 //! * [`server`] / [`client`] — in-process and TCP transports. Each
 //!   client's one request path is the pipelined `call_many` burst; a
 //!   synchronous `call` is a burst of one.

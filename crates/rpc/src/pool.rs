@@ -1,59 +1,68 @@
-//! Fixed worker thread pools with fast/slow lane routing.
+//! The slow-lane worker pool.
 //!
 //! TAO "utilizes separate thread pools for fast and slow paths" (§6 of the
-//! paper), and DCPerf's TaoBench reproduces that: cache hits are served by
-//! *fast* threads while misses are dispatched to *slow* threads that
-//! simulate database lookups. [`ThreadPool`] implements that structure for
-//! any [`Lane`]-classified job stream. Each lane's queue is bounded: a
-//! full queue makes [`ThreadPool::spawn`] wait for space, so overload
-//! pushes back on callers as queueing delay instead of growing memory
-//! without bound. Jobs are never shed.
+//! paper), and DCPerf's TaoBench reproduces that split. As in memcached,
+//! the fast path needs no pool of its own: a [`Lane::Fast`] job (a cache
+//! hit) runs on the thread that delivered the request — the caller of an
+//! in-process client, or a TCP connection's reader — and only
+//! [`Lane::Slow`] jobs (misses that go to the database) are handed to a
+//! [`ThreadPool`]. The pool is one bounded queue drained by one set of
+//! workers. A full queue makes [`ThreadPool::spawn`] wait for space, so
+//! overload pushes back on callers as queueing delay instead of growing
+//! memory without bound. Jobs are never shed.
+//!
+//! A thread that serves requests in runs — a pool worker draining its
+//! queue, or a connection reader handling the frames it has buffered —
+//! is a *batch context*: work its jobs defer with `defer_to_batch_end`
+//! (writing out the responses they completed) runs once per run, and
+//! before the thread blocks.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
 use dcperf_telemetry::{metrics, Counter, Telemetry};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// Which pool a job is routed to.
+/// Where a request's job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lane {
-    /// Latency-critical path (e.g. cache hit).
+    /// Latency-critical path (e.g. cache hit): runs inline on the thread
+    /// that delivered the request.
     Fast,
-    /// Expensive path (e.g. cache miss hitting the database).
+    /// Expensive path (e.g. cache miss hitting the database): queued to
+    /// the server's [`ThreadPool`].
     Slow,
 }
 
-/// Thread-pool sizing and queue depths.
+/// Thread-pool sizing and queue depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Number of fast-lane worker threads (0 disables the lane).
-    pub fast_threads: usize,
-    /// Number of slow-lane worker threads (0 routes everything fast).
-    pub slow_threads: usize,
-    /// Bounded queue depth per lane.
+    /// Worker threads, which run the server's [`Lane::Slow`] jobs.
+    pub workers: usize,
+    /// Bounded depth of the pool's queue.
     pub queue_depth: usize,
 }
 
 impl PoolConfig {
-    /// A single-lane pool with `threads` fast workers and a deep queue.
+    /// A pool of `threads` workers behind one deep queue.
     pub fn single_lane(threads: usize) -> Self {
         Self {
-            fast_threads: threads.max(1),
-            slow_threads: 0,
+            workers: threads.max(1),
             queue_depth: 4096,
         }
     }
 
-    /// A fast/slow split pool, TAO-style.
+    /// The pool of a fast/slow split, TAO-style: fast-lane jobs run
+    /// inline, so only the `slow_threads` workers are started, or
+    /// `fast_threads` when `slow_threads` is 0.
     pub fn fast_slow(fast_threads: usize, slow_threads: usize) -> Self {
-        Self {
-            fast_threads: fast_threads.max(1),
-            slow_threads,
-            queue_depth: 4096,
-        }
+        Self::single_lane(if slow_threads > 0 {
+            slow_threads
+        } else {
+            fast_threads
+        })
     }
 
-    /// Overrides the per-lane queue depth (builder style).
+    /// Overrides the queue depth (builder style).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
         self
@@ -62,23 +71,31 @@ impl PoolConfig {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Work a job hands to the end of its worker's dequeue batch, such as
+/// Work a job hands to the end of its thread's current batch, such as
 /// writing out the responses the batch completed in one syscall.
 pub(crate) trait BatchEnd {
-    /// Runs once the worker's current batch of jobs is done.
-    fn batch_end(&self);
+    /// Runs once the thread's current batch of jobs is done.
+    fn batch_end(self: Arc<Self>);
 }
 
 thread_local! {
-    /// `Some` on a pool worker: the tasks to run when its current dequeue
-    /// batch ends. `None` on every other thread.
+    /// `Some` on a batch context (a pool worker or a connection reader):
+    /// the tasks to run when its current batch ends. `None` on every
+    /// other thread.
     static BATCH_END: RefCell<Option<Vec<Arc<dyn BatchEnd>>>> = const { RefCell::new(None) };
 }
 
-/// Schedules `task` to run once at the end of the calling worker's
-/// current dequeue batch; scheduling the same task again in one batch is
-/// a no-op. Returns `false`, scheduling nothing, when the caller is not a
-/// pool worker: no batch end will come, so the caller must act at once.
+/// Makes the calling thread a batch context: from now on,
+/// [`defer_to_batch_end`] schedules work on it instead of refusing, and
+/// the thread must call [`end_batch`] before it blocks.
+pub(crate) fn enter_batch_context() {
+    BATCH_END.with(|slot| *slot.borrow_mut() = Some(Vec::new()));
+}
+
+/// Schedules `task` to run once at the end of the calling thread's
+/// current batch; scheduling the same task again in one batch is a
+/// no-op. Returns `false`, scheduling nothing, when the caller is not a
+/// batch context: no batch end will come, so the caller must act at once.
 pub(crate) fn defer_to_batch_end<T: BatchEnd + 'static>(task: &Arc<T>) -> bool {
     BATCH_END.with(|slot| {
         let mut slot = slot.borrow_mut();
@@ -94,16 +111,35 @@ pub(crate) fn defer_to_batch_end<T: BatchEnd + 'static>(task: &Arc<T>) -> bool {
 }
 
 /// Runs and clears the tasks the finished batch scheduled. The list is
-/// taken out first, so a task may schedule work for the next batch.
-fn end_batch() {
+/// taken out first, so a task may schedule work for the next batch. A
+/// no-op off a batch context.
+pub(crate) fn end_batch() {
     let tasks = BATCH_END.with(|slot| slot.borrow_mut().as_mut().map(std::mem::take));
     for task in tasks.into_iter().flatten() {
         task.batch_end();
     }
 }
 
-/// Counters exposed by a running pool, recorded through the unified
-/// telemetry layer (namespace `rpc.pool.*` by default).
+/// Sends `msg`, waiting for space in the bounded channel. When it has to
+/// wait, it first ends the calling thread's batch, so the work that batch
+/// deferred is not held back by the wait.
+///
+/// # Errors
+///
+/// Returns the message when the channel is disconnected.
+pub(crate) fn send_or_end_batch<T>(tx: &Sender<T>, msg: T) -> Result<(), SendError<T>> {
+    match tx.try_send(msg) {
+        Ok(()) => Ok(()),
+        Err(TrySendError::Full(msg)) => {
+            end_batch();
+            tx.send(msg)
+        }
+        Err(TrySendError::Disconnected(msg)) => Err(SendError(msg)),
+    }
+}
+
+/// Lane counters, recorded through the unified telemetry layer
+/// (namespace `rpc.pool.*` by default).
 #[derive(Debug)]
 pub struct PoolStats {
     fast_jobs: Arc<Counter>,
@@ -125,14 +161,19 @@ impl PoolStats {
         }
     }
 
-    /// Jobs accepted into the fast lane.
+    /// Fast-lane jobs run inline on the delivering thread.
     pub fn fast_jobs(&self) -> u64 {
         self.fast_jobs.get()
     }
 
-    /// Jobs accepted into the slow lane.
+    /// Jobs queued to the pool's workers.
     pub fn slow_jobs(&self) -> u64 {
         self.slow_jobs.get()
+    }
+
+    /// Counts one fast-lane job run inline.
+    pub(crate) fn record_fast_job(&self) {
+        self.fast_jobs.inc();
     }
 }
 
@@ -142,30 +183,29 @@ impl Default for PoolStats {
     }
 }
 
-/// A fixed-size worker pool with fast/slow lanes and bounded queues.
+/// A fixed-size worker pool with one bounded queue.
 ///
 /// # Examples
 ///
 /// ```
-/// use dcperf_rpc::{Lane, PoolConfig, ThreadPool};
+/// use dcperf_rpc::{PoolConfig, ThreadPool};
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// use std::sync::Arc;
 ///
-/// let pool = ThreadPool::new(PoolConfig::fast_slow(2, 1));
-/// let hits = Arc::new(AtomicU64::new(0));
+/// let pool = ThreadPool::new(PoolConfig::single_lane(2));
+/// let misses = Arc::new(AtomicU64::new(0));
 /// for _ in 0..100 {
-///     let hits = Arc::clone(&hits);
-///     pool.spawn(Lane::Fast, move || {
-///         hits.fetch_add(1, Ordering::Relaxed);
+///     let misses = Arc::clone(&misses);
+///     pool.spawn(move || {
+///         misses.fetch_add(1, Ordering::Relaxed);
 ///     })
 ///     .unwrap();
 /// }
 /// pool.shutdown();
-/// assert_eq!(hits.load(Ordering::Relaxed), 100);
+/// assert_eq!(misses.load(Ordering::Relaxed), 100);
 /// ```
 pub struct ThreadPool {
-    fast_tx: Sender<Job>,
-    slow_tx: Option<Sender<Job>>,
+    tx: Option<Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     stats: Arc<PoolStats>,
 }
@@ -174,7 +214,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("workers", &self.workers.len())
-            .field("has_slow_lane", &self.slow_tx.is_some())
             .finish()
     }
 }
@@ -212,29 +251,14 @@ impl ThreadPool {
     }
 
     fn with_stats(config: PoolConfig, stats: PoolStats) -> Self {
-        let stats = Arc::new(stats);
-        let mut workers = Vec::new();
-
-        let (fast_tx, fast_rx) = bounded::<Job>(config.queue_depth);
-        for i in 0..config.fast_threads.max(1) {
-            workers.push(Self::worker(format!("rpc-fast-{i}"), fast_rx.clone()));
-        }
-
-        let slow_tx = if config.slow_threads > 0 {
-            let (tx, rx) = bounded::<Job>(config.queue_depth);
-            for i in 0..config.slow_threads {
-                workers.push(Self::worker(format!("rpc-slow-{i}"), rx.clone()));
-            }
-            Some(tx)
-        } else {
-            None
-        };
-
+        let (tx, rx) = bounded::<Job>(config.queue_depth);
+        let workers = (0..config.workers.max(1))
+            .map(|i| Self::worker(format!("rpc-slow-{i}"), rx.clone()))
+            .collect();
         Self {
-            fast_tx,
-            slow_tx,
+            tx: Some(tx),
             workers,
-            stats,
+            stats: Arc::new(stats),
         }
     }
 
@@ -250,7 +274,7 @@ impl ThreadPool {
                 // Work the jobs deferred (see `defer_to_batch_end`) runs
                 // before the worker parks again.
                 const DEQUEUE_BATCH: usize = 16;
-                BATCH_END.with(|slot| *slot.borrow_mut() = Some(Vec::new()));
+                enter_batch_context();
                 while let Ok(job) = rx.recv() {
                     job();
                     for _ in 1..DEQUEUE_BATCH {
@@ -266,25 +290,20 @@ impl ThreadPool {
             .expect("failed to spawn pool worker")
     }
 
-    /// Queues a job on the given lane, blocking until there is queue
-    /// space (closed-loop callers).
-    ///
-    /// Jobs for [`Lane::Slow`] fall back to the fast lane when the pool has
-    /// no slow workers.
+    /// Queues a job, blocking until there is queue space (closed-loop
+    /// callers). A caller that is a batch context ends its batch before
+    /// it waits (see the module docs).
     ///
     /// # Errors
     ///
     /// Returns [`SpawnError::Shutdown`] after [`ThreadPool::shutdown`].
-    pub fn spawn<F>(&self, lane: Lane, job: F) -> Result<(), SpawnError>
+    pub fn spawn<F>(&self, job: F) -> Result<(), SpawnError>
     where
         F: FnOnce() + Send + 'static,
     {
-        let (tx, counter) = match (lane, &self.slow_tx) {
-            (Lane::Slow, Some(tx)) => (tx, &self.stats.slow_jobs),
-            _ => (&self.fast_tx, &self.stats.fast_jobs),
-        };
-        tx.send(Box::new(job)).map_err(|_| SpawnError::Shutdown)?;
-        counter.inc();
+        let tx = self.tx.as_ref().ok_or(SpawnError::Shutdown)?;
+        send_or_end_batch(tx, Box::new(job) as Job).map_err(|_| SpawnError::Shutdown)?;
+        self.stats.slow_jobs.inc();
         Ok(())
     }
 
@@ -298,17 +317,14 @@ impl ThreadPool {
         self.workers.len()
     }
 
-    /// Closes the queues and joins every worker, completing queued jobs.
+    /// Closes the queue and joins every worker, completing queued jobs.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        // Dropping the senders closes the channels; workers drain and exit.
-        let (dummy_tx, _) = bounded::<Job>(1);
-        let fast = std::mem::replace(&mut self.fast_tx, dummy_tx);
-        drop(fast);
-        drop(self.slow_tx.take());
+        // Dropping the sender closes the channel; workers drain and exit.
+        drop(self.tx.take());
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -325,6 +341,7 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn all_jobs_run_before_shutdown_returns() {
@@ -332,7 +349,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..1000 {
             let done = Arc::clone(&done);
-            pool.spawn(Lane::Fast, move || {
+            pool.spawn(move || {
                 done.fetch_add(1, Ordering::Relaxed);
             })
             .unwrap();
@@ -342,52 +359,33 @@ mod tests {
     }
 
     #[test]
-    fn slow_lane_routes_to_slow_workers() {
-        let pool = ThreadPool::new(PoolConfig::fast_slow(1, 1));
-        let slow_ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let slow_ran = Arc::clone(&slow_ran);
-            pool.spawn(Lane::Slow, move || {
-                slow_ran.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        pool.shutdown();
-        assert_eq!(slow_ran.load(Ordering::Relaxed), 10);
+    fn workers_are_the_slow_lane_or_else_the_fast_threads() {
+        // A split pool keeps only its slow workers: fast-lane jobs run
+        // inline on the delivering thread.
+        let split = ThreadPool::new(PoolConfig::fast_slow(3, 2));
+        assert_eq!(split.worker_count(), 2);
+        split.shutdown();
+        // Without a slow lane, the fast threads run the queued jobs.
+        let no_slow = ThreadPool::new(PoolConfig::fast_slow(3, 0));
+        assert_eq!(no_slow.worker_count(), 3);
+        no_slow.shutdown();
+        let single = ThreadPool::new(PoolConfig::single_lane(3));
+        assert_eq!(single.worker_count(), 3);
+        single.shutdown();
     }
 
     #[test]
-    fn slow_jobs_fall_back_to_fast_lane_without_slow_workers() {
-        let pool = ThreadPool::new(PoolConfig::single_lane(2));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r2 = Arc::clone(&ran);
-        pool.spawn(Lane::Slow, move || {
-            r2.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        pool.shutdown();
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn stats_count_lane_usage() {
+    fn stats_count_queued_jobs_as_slow_and_inline_runs_as_fast() {
         let pool = ThreadPool::new(PoolConfig::fast_slow(1, 1));
-        for _ in 0..5 {
-            pool.spawn(Lane::Fast, || {}).unwrap();
-        }
         for _ in 0..3 {
-            pool.spawn(Lane::Slow, || {}).unwrap();
+            pool.spawn(|| {}).unwrap();
+        }
+        for _ in 0..5 {
+            pool.stats().record_fast_job();
         }
         // Counters update before shutdown completes.
-        assert_eq!(pool.stats().fast_jobs(), 5);
         assert_eq!(pool.stats().slow_jobs(), 3);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn worker_count_reflects_config() {
-        let pool = ThreadPool::new(PoolConfig::fast_slow(3, 2));
-        assert_eq!(pool.worker_count(), 5);
+        assert_eq!(pool.stats().fast_jobs(), 5);
         pool.shutdown();
     }
 
@@ -397,8 +395,17 @@ mod tests {
         seen_at_batch_end: std::sync::Mutex<Vec<usize>>,
     }
 
+    impl BatchProbe {
+        fn new() -> Arc<Self> {
+            Arc::new(Self {
+                jobs: AtomicUsize::new(0),
+                seen_at_batch_end: std::sync::Mutex::new(Vec::new()),
+            })
+        }
+    }
+
     impl BatchEnd for BatchProbe {
-        fn batch_end(&self) {
+        fn batch_end(self: Arc<Self>) {
             // ordering: the jobs ran earlier on this same thread
             let jobs = self.jobs.load(Ordering::Relaxed);
             self.seen_at_batch_end.lock().unwrap().push(jobs);
@@ -406,11 +413,8 @@ mod tests {
     }
 
     #[test]
-    fn defer_to_batch_end_is_refused_off_a_worker() {
-        let probe = Arc::new(BatchProbe {
-            jobs: AtomicUsize::new(0),
-            seen_at_batch_end: std::sync::Mutex::new(Vec::new()),
-        });
+    fn defer_to_batch_end_is_refused_off_a_batch_context() {
+        let probe = BatchProbe::new();
         assert!(!defer_to_batch_end(&probe));
         end_batch();
         assert!(probe.seen_at_batch_end.lock().unwrap().is_empty());
@@ -419,20 +423,17 @@ mod tests {
     #[test]
     fn deferred_task_runs_once_after_the_whole_batch() {
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
-        let probe = Arc::new(BatchProbe {
-            jobs: AtomicUsize::new(0),
-            seen_at_batch_end: std::sync::Mutex::new(Vec::new()),
-        });
+        let probe = BatchProbe::new();
         // Hold the worker on a gate so the next three jobs queue up and
         // are drained as one batch.
         let (gate_tx, gate_rx) = bounded::<()>(1);
-        pool.spawn(Lane::Fast, move || {
+        pool.spawn(move || {
             let _ = gate_rx.recv();
         })
         .unwrap();
         for _ in 0..3 {
             let probe = Arc::clone(&probe);
-            pool.spawn(Lane::Fast, move || {
+            pool.spawn(move || {
                 // ordering: read back on this thread at the batch end
                 probe.jobs.fetch_add(1, Ordering::Relaxed);
                 assert!(defer_to_batch_end(&probe), "jobs run on a pool worker");
@@ -449,13 +450,50 @@ mod tests {
     }
 
     #[test]
+    fn a_send_that_must_wait_ends_the_batch_first() {
+        std::thread::spawn(|| {
+            enter_batch_context();
+            let probe = BatchProbe::new();
+            assert!(defer_to_batch_end(&probe));
+            let (tx, rx) = bounded::<u32>(1);
+            tx.send(0).unwrap();
+            // The channel is full: the send below waits until the drainer
+            // takes a message, and the drainer waits for the batch end. A
+            // send that waited without ending the batch would leave the
+            // drainer to time out.
+            let seen = Arc::clone(&probe);
+            let drainer = std::thread::spawn(move || {
+                let give_up = std::time::Instant::now() + Duration::from_secs(5);
+                while seen.seen_at_batch_end.lock().unwrap().is_empty()
+                    && std::time::Instant::now() < give_up
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                let ended_first = !seen.seen_at_batch_end.lock().unwrap().is_empty();
+                assert_eq!(rx.recv().unwrap(), 0);
+                (ended_first, rx)
+            });
+            send_or_end_batch(&tx, 1).unwrap();
+            let (ended_first, rx) = drainer.join().unwrap();
+            assert!(ended_first, "the batch must end before the send waits");
+            assert_eq!(rx.recv().unwrap(), 1);
+            // A send with room neither waits nor ends the batch.
+            assert!(defer_to_batch_end(&probe));
+            send_or_end_batch(&tx, 2).unwrap();
+            assert_eq!(probe.seen_at_batch_end.lock().unwrap().len(), 1);
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
     fn drop_joins_workers() {
         let done = Arc::new(AtomicUsize::new(0));
         {
             let pool = ThreadPool::new(PoolConfig::single_lane(2));
             for _ in 0..100 {
                 let done = Arc::clone(&done);
-                pool.spawn(Lane::Fast, move || {
+                pool.spawn(move || {
                     done.fetch_add(1, Ordering::Relaxed);
                 })
                 .unwrap();

@@ -2,10 +2,16 @@
 //!
 //! The in-process server is the workhorse of the single-machine DCPerf-RS
 //! benchmarks (the paper's benchmarks run all components on one server in
-//! most cases); requests still traverse real serialization, bounded queues,
-//! and a worker thread pool, so the RPC datacenter tax is paid. The TCP
-//! server provides the distributed deployment shape for the benchmarks
-//! whose clients run on other machines.
+//! most cases); requests still traverse real serialization, so the RPC
+//! datacenter tax is paid. The TCP server provides the distributed
+//! deployment shape for the benchmarks whose clients run on other
+//! machines.
+//!
+//! Both servers route each request by its [`Lane`], as memcached and
+//! TAO do: a fast-lane request (a cache hit) is served on the thread that
+//! delivered it — the in-process caller, or the TCP connection's reader
+//! — and only slow-lane work (a miss that goes to the database) is
+//! queued to the server's [`ThreadPool`] and may complete out of order.
 
 use crate::frame::{append_frame, read_frame, Request, Response};
 use crate::pipeline::{InflightGuard, PipelineConfig, PipelineStats};
@@ -13,7 +19,8 @@ use crate::pool::{self, BatchEnd, Lane, PoolConfig, ThreadPool};
 use crate::stats::RpcStats;
 use crossbeam::channel;
 use dcperf_resilience::Deadline;
-use std::io::{BufReader, Write};
+use std::cell::Cell;
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -23,7 +30,7 @@ use std::time::{Duration, Instant};
 /// The server-side request handler.
 pub type Handler = dyn Fn(&Request) -> Response + Send + Sync + 'static;
 
-/// Routes a request to a [`Lane`] before it is queued.
+/// Routes a request to a [`Lane`]: served inline, or queued to the pool.
 pub type Classifier = dyn Fn(&Request) -> Lane + Send + Sync + 'static;
 
 pub(crate) struct ServerCore {
@@ -81,74 +88,104 @@ impl ServerCore {
         }
     }
 
-    /// Dispatches a request through the pool, waiting for queue space;
-    /// `reply` receives the response.
+    /// Dispatches a request. A [`Lane::Fast`] job runs here, on the thread
+    /// that delivered the request; a [`Lane::Slow`] job is queued to the
+    /// pool, waiting for queue space. `reply` receives the response.
     pub(crate) fn dispatch(&self, req: Request, reply: impl FnOnce(Response) + Send + 'static) {
         // Pin the wire budget (relative microseconds) to an absolute
         // instant the moment the request enters the server.
         let deadline = (req.deadline_us > 0).then(|| Deadline::from_budget_us(req.deadline_us));
-        let seq = req.seq;
-        let corr = req.corr;
-        // Shed already-expired work before it consumes queue space.
+        // Shed already-expired work before it costs anything more.
         if deadline.is_some_and(|d| d.expired()) {
             self.stats.record_deadline_shed();
-            reply(expired_response(seq, corr));
+            reply(expired_response(req.seq, req.corr));
             return;
         }
-        let lane = (self.classifier)(&req);
-        let handler = Arc::clone(&self.handler);
-        let stats = Arc::clone(&self.stats);
         #[cfg(feature = "fault-injection")]
         let plan = self.fault_plan.lock().ok().and_then(|slot| slot.clone());
-        let job = move || {
-            // Re-check at dequeue / handler entry: queueing delay may have
-            // consumed the whole budget, and a reply the client already
-            // gave up on is pure waste.
-            if deadline.is_some_and(|d| d.expired()) {
-                stats.record_deadline_shed();
-                reply(expired_response(seq, corr));
-                return;
+        match (self.classifier)(&req) {
+            Lane::Fast => {
+                self.pool.stats().record_fast_job();
+                serve(
+                    &*self.handler,
+                    &self.stats,
+                    #[cfg(feature = "fault-injection")]
+                    plan.as_deref(),
+                    deadline,
+                    req,
+                    reply,
+                );
             }
-            #[cfg(feature = "fault-injection")]
-            if let Some(plan) = &plan {
-                use dcperf_resilience::FaultOutcome;
-                match plan.apply() {
-                    FaultOutcome::Pass => {}
-                    FaultOutcome::Error => {
-                        let mut resp = Response::error("injected fault");
-                        resp.seq = seq;
-                        resp.corr = corr;
-                        reply(resp);
-                        return;
-                    }
-                    FaultOutcome::Overload => {
-                        let mut resp = Response::overloaded();
-                        resp.seq = seq;
-                        resp.corr = corr;
-                        reply(resp);
-                        return;
-                    }
-                }
-                // Injected latency may have burned the remaining budget.
-                if deadline.is_some_and(|d| d.expired()) {
-                    stats.record_deadline_shed();
-                    reply(expired_response(seq, corr));
-                    return;
-                }
+            Lane::Slow => {
+                let handler = Arc::clone(&self.handler);
+                let stats = Arc::clone(&self.stats);
+                // A shut-down pool drops the job, and `reply` with it; the
+                // caller observes the dropped reply as overload.
+                let _ = self.pool.spawn(move || {
+                    serve(
+                        &*handler,
+                        &stats,
+                        #[cfg(feature = "fault-injection")]
+                        plan.as_deref(),
+                        deadline,
+                        req,
+                        reply,
+                    );
+                });
             }
-            let mut resp = handler(&req);
-            resp.seq = seq;
-            resp.corr = corr;
-            reply(resp);
-        };
-        // A shut-down pool drops the job, and `reply` with it; the caller
-        // observes the dropped reply as overload.
-        let _ = self.pool.spawn(lane, job);
+        }
     }
 }
 
+/// Runs one request's job wherever its lane put it: the handler-entry
+/// deadline check, fault injection, then the handler itself.
+fn serve(
+    handler: &Handler,
+    stats: &RpcStats,
+    #[cfg(feature = "fault-injection")] plan: Option<&dcperf_resilience::FaultPlan>,
+    deadline: Option<Deadline>,
+    req: Request,
+    reply: impl FnOnce(Response),
+) {
+    let (seq, corr) = (req.seq, req.corr);
+    // Re-check at handler entry: classification and queueing may have
+    // consumed the whole budget, and a reply the client already gave up
+    // on is pure waste.
+    if deadline.is_some_and(|d| d.expired()) {
+        stats.record_deadline_shed();
+        reply(expired_response(seq, corr));
+        return;
+    }
+    #[cfg(feature = "fault-injection")]
+    if let Some(plan) = plan {
+        use dcperf_resilience::FaultOutcome;
+        let injected = match plan.apply() {
+            FaultOutcome::Pass => None,
+            FaultOutcome::Error => Some(Response::error("injected fault")),
+            FaultOutcome::Overload => Some(Response::overloaded()),
+        };
+        if let Some(mut resp) = injected {
+            resp.seq = seq;
+            resp.corr = corr;
+            reply(resp);
+            return;
+        }
+        // Injected latency may have burned the remaining budget.
+        if deadline.is_some_and(|d| d.expired()) {
+            stats.record_deadline_shed();
+            reply(expired_response(seq, corr));
+            return;
+        }
+    }
+    let mut resp = handler(&req);
+    resp.seq = seq;
+    resp.corr = corr;
+    reply(resp);
+}
+
 /// An in-process RPC server: clients and server share the process, but
-/// every call pays serialization, queueing, and cross-thread dispatch.
+/// every call pays serialization. Fast-lane calls run on the caller's
+/// thread; slow-lane calls also pay queueing and a cross-thread hand-off.
 ///
 /// # Examples
 ///
@@ -215,9 +252,11 @@ impl InProcServer {
 
     /// Installs (or clears, with `None`) a [`dcperf_resilience::FaultPlan`]
     /// applied to every dispatched request: injected latency is paid on
-    /// the worker thread, injected errors and overloads short-circuit the
-    /// handler. Only compiled with the `fault-injection` feature, so the
-    /// default hot path carries no injector branch.
+    /// the thread that runs the job (the delivering thread for the fast
+    /// lane, a pool worker for the slow lane), injected errors and
+    /// overloads short-circuit the handler. Only compiled with the
+    /// `fault-injection` feature, so the default hot path carries no
+    /// injector branch.
     #[cfg(feature = "fault-injection")]
     pub fn install_fault_plan(&self, plan: Option<Arc<dcperf_resilience::FaultPlan>>) {
         self.core.install_fault_plan(plan);
@@ -231,25 +270,34 @@ impl InProcServer {
 }
 
 /// How long shutdown waits for connection threads to exit. A reader sees
-/// the stop flag within its 200 ms read timeout, or once the request it is
-/// blocked on enters the pool.
+/// the stop flag within its 200 ms read timeout, or once it has served or
+/// queued the request it holds.
 const CONN_JOIN_WAIT: Duration = Duration::from_secs(2);
 
-/// How long one response write may block on a peer that stopped reading
-/// before the connection is dropped. Writes run on pool workers, so a
-/// stalled peer must not hold a worker for longer than this.
+/// How long one blocking response write may wait on a peer that stopped
+/// reading before the connection is dropped.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
+
+thread_local! {
+    /// Set on connection readers, which never block on a write (see
+    /// [`Connection::flush`]).
+    static ON_READER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Encoded response frames waiting to be written as one burst.
 #[derive(Default)]
 struct Outbox {
     buf: Vec<u8>,
     frames: usize,
+    /// A thread is writing the outbox out without holding its lock; it
+    /// also writes the frames appended meanwhile.
+    writing: bool,
 }
 
-/// The write side of one pipelined connection. Pool workers append their
-/// responses to the outbox and write it out themselves. The outbox lock
-/// also serializes writes, so frames never interleave on the wire.
+/// The write side of one pipelined connection. The reader (fast lane) and
+/// pool workers (slow lane) append their responses to the outbox and
+/// write it out; one thread writes at a time, so frames never interleave
+/// on the wire.
 struct Connection {
     stream: TcpStream,
     outbox: Mutex<Outbox>,
@@ -281,10 +329,10 @@ impl Connection {
     }
 
     /// Queues `resp` and releases its window slot. The frame is written at
-    /// the end of the current pool worker's dequeue batch, at once when
-    /// the outbox holds `max_batch` frames, and at once when the reply is
-    /// made off a pool worker (a request shed on the connection thread),
-    /// where no batch end will come.
+    /// the end of the current batch — a pool worker's dequeue batch, or
+    /// the reader's run of buffered frames — at once when the outbox holds
+    /// `max_batch` frames, and at once when the reply is made off a batch
+    /// context, where no batch end will come.
     fn reply(self: &Arc<Self>, resp: Response, slot: WindowSlot) {
         let payload = resp.encode();
         let mut out = self.lock_outbox();
@@ -296,30 +344,119 @@ impl Connection {
         // already have room for it.
         drop(slot);
         if out.frames >= self.max_batch || !pool::defer_to_batch_end(self) {
-            self.write_out(&mut out);
+            self.flush(out);
         }
     }
 
-    /// Writes every queued frame in one `write_all`. A failed write shuts
-    /// the socket down, which ends the reader too.
-    fn write_out(&self, out: &mut Outbox) {
-        if out.frames == 0 {
+    /// Writes out every queued frame, unless another thread is already
+    /// writing (it takes these frames too).
+    ///
+    /// The reader never blocks on a write: a client may write a whole
+    /// pipelined window before it reads a reply, and then it is blocked
+    /// on the requests only the reader drains, while the replies fill the
+    /// socket. So the reader writes what the socket takes without waiting
+    /// and leaves the rest to a flusher thread. A pool worker writes
+    /// everything itself.
+    fn flush(self: &Arc<Self>, mut out: MutexGuard<'_, Outbox>) {
+        if out.writing || out.frames == 0 {
             return;
         }
-        match (&self.stream).write_all(&out.buf) {
-            Ok(()) => self.pipeline.record_flush(out.frames),
-            Err(_) => {
-                let _ = self.stream.shutdown(Shutdown::Both);
+        if !ON_READER.get() {
+            out.writing = true;
+            drop(out);
+            self.write_until_drained();
+            return;
+        }
+        if self.write_without_blocking(&mut out) {
+            return;
+        }
+        out.writing = true;
+        drop(out);
+        let conn = Arc::clone(self);
+        let flusher = std::thread::Builder::new()
+            .name("rpc-flush".into())
+            .spawn(move || conn.write_until_drained());
+        if flusher.is_err() {
+            let _ = self.stream.shutdown(Shutdown::Both);
+            let mut out = self.lock_outbox();
+            out.buf.clear();
+            out.frames = 0;
+            out.writing = false;
+        }
+    }
+
+    /// Writes as much of the outbox as the socket takes at once. Returns
+    /// `false` when part of it is left, `true` once nothing is (written,
+    /// or dropped with the connection after a failed write).
+    fn write_without_blocking(&self, out: &mut Outbox) -> bool {
+        // Only the reader switches the socket's mode, and only between
+        // its own reads; no other thread writes while it holds the
+        // outbox with `writing` unset.
+        let mut failed = self.stream.set_nonblocking(true).is_err();
+        let mut written = 0;
+        while !failed && written < out.buf.len() {
+            match (&self.stream).write(&out.buf[written..]) {
+                Ok(0) => failed = true,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => failed = true,
             }
+        }
+        failed |= self.stream.set_nonblocking(false).is_err();
+        if failed {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        } else if written < out.buf.len() {
+            out.buf.drain(..written);
+            return false;
+        } else {
+            self.pipeline.record_flush(out.frames);
         }
         out.buf.clear();
         out.frames = 0;
+        true
+    }
+
+    /// Writes the outbox out, blocking, until it stays empty; the caller
+    /// has set `writing`. The lock is released for each write, so the
+    /// reader keeps appending replies and reading requests meanwhile. A
+    /// failed write shuts the socket down, which ends the reader too.
+    fn write_until_drained(&self) {
+        let mut out = self.lock_outbox();
+        let mut buf = Vec::new();
+        while out.frames > 0 {
+            std::mem::swap(&mut buf, &mut out.buf);
+            let frames = std::mem::take(&mut out.frames);
+            drop(out);
+            match (&self.stream).write_all(&buf) {
+                Ok(()) => self.pipeline.record_flush(frames),
+                Err(_) => {
+                    let _ = self.stream.shutdown(Shutdown::Both);
+                }
+            }
+            buf.clear();
+            out = self.lock_outbox();
+        }
+        // Keep the larger allocation for the next burst.
+        if buf.capacity() > out.buf.capacity() {
+            out.buf = buf;
+        }
+        out.writing = false;
+    }
+}
+
+/// Whether `buf` starts with a whole length-prefixed frame, so reading
+/// it cannot block.
+fn holds_complete_frame(buf: &[u8]) -> bool {
+    match buf.first_chunk::<4>() {
+        Some(len) => buf.len() - 4 >= u32::from_be_bytes(*len) as usize,
+        None => false,
     }
 }
 
 impl BatchEnd for Connection {
-    fn batch_end(&self) {
-        self.write_out(&mut self.lock_outbox());
+    fn batch_end(self: Arc<Self>) {
+        self.flush(self.lock_outbox());
     }
 }
 
@@ -447,15 +584,24 @@ impl TcpServer {
     ///
     /// Two moving parts per connection:
     ///
-    /// * the *reader* (this thread) decodes frames and dispatches them
-    ///   into the worker pool, blocking on a bounded permit channel once
-    ///   `max_inflight` requests are outstanding (the read-ahead window);
-    /// * the *pool workers* complete requests in whatever order their
-    ///   lanes finish them and write the responses themselves: each worker
-    ///   appends to the connection's outbox and writes the outbox out once
-    ///   per dequeue batch, or as soon as it holds `max_batch` frames (see
-    ///   [`Connection::reply`]). Out-of-order completion is matched up
-    ///   client-side by correlation id.
+    /// * the *reader* (this thread) decodes frames, serves fast-lane
+    ///   requests itself and queues slow-lane ones to the pool. It takes a
+    ///   permit from a bounded channel per request, so it blocks once
+    ///   `max_inflight` requests are outstanding (the read-ahead window).
+    ///   It is a batch context: the replies it makes wait in the outbox
+    ///   until it is about to block — on a read with no complete frame
+    ///   buffered, on a full window, or on a full pool queue — and are
+    ///   then written in one burst. It never waits for that write: what
+    ///   the socket does not take at once goes to a flusher thread (see
+    ///   [`Connection::flush`]);
+    /// * the *pool workers* complete slow requests in whatever order they
+    ///   finish and write the responses themselves: each worker appends to
+    ///   the connection's outbox and writes the outbox out once per
+    ///   dequeue batch.
+    ///
+    /// Either side writes at once when the outbox holds `max_batch` frames
+    /// (see [`Connection::reply`]). Out-of-order completion is matched up
+    /// client-side by correlation id.
     ///
     /// With `max_inflight == 1` the window admits a single request at a
     /// time, which degenerates to the v1 one-request-per-turn behavior
@@ -482,10 +628,17 @@ impl TcpServer {
         });
 
         let mut reader = BufReader::new(stream);
+        pool::enter_batch_context();
+        ON_READER.set(true);
         loop {
             // ordering: advisory stop flag; a stale read serves at most one more frame
             if stop.load(Ordering::Relaxed) {
                 break;
+            }
+            // The read below may block: write out what this run of
+            // buffered frames completed first.
+            if !holds_complete_frame(reader.buffer()) {
+                pool::end_batch();
             }
             let frame = match read_frame(&mut reader) {
                 Ok(Some(f)) => f,
@@ -502,7 +655,8 @@ impl TcpServer {
                 Ok(r) => r,
                 Err(_) => break,
             };
-            if permit_tx.send(()).is_err() {
+            // A full window waits for a slow reply to free a slot.
+            if pool::send_or_end_batch(&permit_tx, ()).is_err() {
                 break;
             }
             let slot = WindowSlot {
@@ -514,6 +668,7 @@ impl TcpServer {
                 conn.reply(resp, slot);
             });
         }
+        pool::end_batch();
         // In-flight requests keep the connection alive through their
         // reply closures; the socket closes when the last one has written.
     }
@@ -702,21 +857,33 @@ mod tests {
         server.shutdown();
     }
 
+    /// Classifies every request fast, after sleeping well past any 1 µs
+    /// budget it carries. The deadline is pinned before classification, so
+    /// such a request has always expired by handler entry.
+    fn slow_to_classify(req: &Request) -> Lane {
+        if req.deadline_us > 0 {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        Lane::Fast
+    }
+
     #[test]
     fn expired_deadline_is_shed_with_status() {
         // A handler that must never run for an already-expired request.
         let ran = Arc::new(AtomicBool::new(false));
         let ran2 = Arc::clone(&ran);
-        let server = InProcServer::start(
+        let server = InProcServer::start_with_classifier(
             move |_req: &Request| {
                 ran2.store(true, Ordering::Relaxed);
                 Response::ok(vec![])
             },
+            slow_to_classify,
             PoolConfig::single_lane(1),
         );
         let client = server.client();
-        // 1us budget: expired by the time dispatch sees it (encode +
-        // decode alone take longer).
+        // 1us budget: expired at dispatch (encode + decode alone take
+        // longer) or, at the latest, at handler entry after the slow
+        // classifier.
         let err = client
             .call_with_deadline("x", vec![], std::time::Duration::from_micros(1))
             .unwrap_err();
@@ -825,7 +992,7 @@ mod tests {
         let (conn, peer) = test_connection(16, 3);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let c = Arc::clone(&conn);
-        pool.spawn(Lane::Fast, move || {
+        pool.spawn(move || {
             for corr in 1..=3 {
                 c.reply(ok_with_corr(corr), slot(&c));
             }
@@ -843,7 +1010,7 @@ mod tests {
         let (conn, peer) = test_connection(2, 3);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let c = Arc::clone(&conn);
-        pool.spawn(Lane::Fast, move || {
+        pool.spawn(move || {
             c.reply(ok_with_corr(1), slot(&c));
             c.reply(ok_with_corr(2), slot(&c));
             assert_eq!(c.pipeline.flushes(), 1, "max_batch frames go out at once");
@@ -858,12 +1025,27 @@ mod tests {
 
     #[test]
     fn tcp_expired_deadline_is_shed_without_hanging() {
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        let ran = Arc::new(AtomicBool::new(false));
+        let ran2 = Arc::clone(&ran);
+        let server = TcpServer::bind_full(
+            "127.0.0.1:0",
+            move |req: &Request| {
+                if req.method == "x" {
+                    ran2.store(true, Ordering::Relaxed);
+                }
+                echo(req)
+            },
+            slow_to_classify,
+            PoolConfig::single_lane(1),
+            PipelineConfig::default(),
+        )
+        .unwrap();
         let mut client = TcpClient::connect(server.local_addr()).unwrap();
-        // A 1us budget is spent before the handler could run. The shed
-        // reply comes from the connection thread or from a worker; either
-        // way it must be written, and a reply that never came would read
-        // as `Timeout` once the client's read timeout fires.
+        // A 1us budget is spent before the handler could run: at dispatch,
+        // or at handler entry after the slow classifier. The shed reply is
+        // made on the connection thread and must be written, and a reply
+        // that never came would read as `Timeout` once the client's read
+        // timeout fires.
         for _ in 0..20 {
             let err = client
                 .call_with_deadline("x", vec![], Duration::from_micros(1))
@@ -873,6 +1055,7 @@ mod tests {
                 "got {err:?}"
             );
         }
+        assert!(!ran.load(Ordering::Relaxed), "expired work must not run");
         assert_eq!(server.stats().deadline_shed(), 20);
         // The connection is still usable afterwards.
         assert_eq!(client.call("echo", vec![5]).unwrap().body, vec![5]);
@@ -901,34 +1084,42 @@ mod tests {
         server.shutdown();
     }
 
+    /// Drives `server` with pipelined echo bursts through a `window`-deep
+    /// client and returns the server's in-flight peak.
+    fn pipelined_echo_peak(server: &TcpServer, window: usize) -> i64 {
+        let mut client = TcpClient::connect(server.local_addr())
+            .unwrap()
+            .with_window(window);
+        for burst in 0..300u32 {
+            // Alternate full windows with longer bursts, which refill
+            // the window one request per response read.
+            let n = if burst % 2 == 0 { window } else { 3 * window };
+            let outcomes = client.call_many("echo", vec![vec![1, 2, 3]; n]);
+            assert!(outcomes.iter().all(Result::is_ok));
+        }
+        server.pipeline().inflight_peak()
+    }
+
     #[test]
     fn tcp_inflight_peak_never_exceeds_the_client_window() {
         const WINDOW: usize = 16;
-        // The default batch covers the batch-end write; a batch of one
-        // writes every reply at once, where a slot released after the
-        // write would let the client's next request in first.
+        // Only slow-lane work stays in flight, so the echo is routed to
+        // the slow lane. The default batch covers the batch-end write; a
+        // batch of one writes every reply at once, where a slot released
+        // after the write would let the client's next request in first.
         for pipeline in [
             PipelineConfig::default(),
             PipelineConfig::default().with_max_batch(1),
         ] {
-            let server = TcpServer::bind_with_pipeline(
+            let server = TcpServer::bind_full(
                 "127.0.0.1:0",
                 echo,
+                |_: &Request| Lane::Slow,
                 PoolConfig::single_lane(1),
                 pipeline,
             )
             .unwrap();
-            let mut client = TcpClient::connect(server.local_addr())
-                .unwrap()
-                .with_window(WINDOW);
-            for burst in 0..300u32 {
-                // Alternate full windows with longer bursts, which refill
-                // the window one request per response read.
-                let n = if burst % 2 == 0 { WINDOW } else { 3 * WINDOW };
-                let outcomes = client.call_many("echo", vec![vec![1, 2, 3]; n]);
-                assert!(outcomes.iter().all(Result::is_ok));
-            }
-            let peak = server.pipeline().inflight_peak();
+            let peak = pipelined_echo_peak(&server, WINDOW);
             assert!(peak > 1, "the window must have been used, peak={peak}");
             assert!(
                 peak <= WINDOW as i64,
@@ -936,6 +1127,41 @@ mod tests {
             );
             server.shutdown();
         }
+    }
+
+    #[test]
+    fn tcp_fast_lane_requests_complete_before_the_next_is_read() {
+        // The reader serves each fast-lane request before it reads the
+        // next, so a fast-only connection never has two in flight.
+        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        assert_eq!(pipelined_echo_peak(&server, 16), 1);
+        assert_eq!(server.core.pool.stats().slow_jobs(), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn fast_lane_runs_on_the_calling_thread_and_slow_lane_on_the_pool() {
+        let server = InProcServer::start_with_classifier(
+            |_: &Request| {
+                let here = format!("{:?}", std::thread::current().id());
+                Response::ok(here.into_bytes())
+            },
+            |req: &Request| {
+                if req.method == "miss" {
+                    Lane::Slow
+                } else {
+                    Lane::Fast
+                }
+            },
+            PoolConfig::fast_slow(1, 1),
+        );
+        let client = server.client();
+        let caller = format!("{:?}", std::thread::current().id()).into_bytes();
+        assert_eq!(client.call("hit", vec![]).unwrap().body, caller);
+        assert_ne!(client.call("miss", vec![]).unwrap().body, caller);
+        let lanes = server.core.pool.stats();
+        assert_eq!((lanes.fast_jobs(), lanes.slow_jobs()), (1, 1));
+        server.shutdown();
     }
 
     #[test]

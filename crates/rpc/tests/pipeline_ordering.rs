@@ -1,7 +1,8 @@
 //! Out-of-order completion: a slow request at the head of a pipelined
 //! connection must not head-of-line-block the fast requests queued behind
-//! it. The raw-stream client here writes four frames back-to-back and
-//! observes the order responses actually come back in.
+//! it, and a fast reply the connection reader made must be on the wire
+//! before the reader blocks. The raw-stream client here writes frames
+//! back-to-back and observes the order responses actually come back in.
 
 use dcperf_rpc::frame::{read_frame, write_frame};
 use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpServer};
@@ -130,8 +131,9 @@ fn disabled_pipeline_serializes_the_window() {
 fn blocked_slow_lane_batch_does_not_hold_back_fast_responses() {
     // The slow worker may finish "slow_quick", queue its response, and
     // then block on "gated" in the same dequeue batch. The fast response
-    // must still be written by the fast worker's own batch end, not wait
-    // for the slow worker's.
+    // must still be written by the connection reader, which serves it
+    // inline and ends its own batch before it blocks, not wait for the
+    // slow worker's batch end.
     /// Opens the gate when dropped, so a failed assertion cannot leave
     /// the slow worker blocked and the server's shutdown hanging.
     struct Gate(Arc<AtomicBool>);
@@ -199,5 +201,135 @@ fn blocked_slow_lane_batch_does_not_hold_back_fast_responses() {
     }
     arrived.sort_unstable();
     assert_eq!(arrived, vec![1, 2, 3]);
+    server.shutdown();
+}
+
+#[test]
+fn fast_response_is_written_before_the_reader_blocks() {
+    // The reader serves the fast request inline and holds its reply in
+    // the outbox while more buffered frames follow. The gated slow
+    // requests behind it then make the reader block: first on a full
+    // read-ahead window, then on a full slow-lane queue. Either way it
+    // must write the fast reply out before it blocks, or the reply waits
+    // until the gate opens.
+    struct Gate(Arc<AtomicBool>);
+    impl Drop for Gate {
+        fn drop(&mut self) {
+            // ordering: a test gate; the response carries no data it guards
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let window_full = (
+        PoolConfig::fast_slow(1, 1),
+        PipelineConfig {
+            max_inflight: 2,
+            ..PipelineConfig::default()
+        },
+    );
+    let queue_full = (
+        PoolConfig::fast_slow(1, 1).with_queue_depth(1),
+        PipelineConfig::default(),
+    );
+    for (pool, pipeline) in [window_full, queue_full] {
+        let flag = Arc::new(AtomicBool::new(false));
+        let gate = Arc::clone(&flag);
+        let server = TcpServer::bind_full(
+            "127.0.0.1:0",
+            move |req: &Request| {
+                if req.method == "gated" {
+                    // ordering: a test gate; the response carries no data it guards
+                    while !gate.load(Ordering::Relaxed) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Response::ok(req.body.clone())
+            },
+            |req: &Request| {
+                if req.method == "fast" {
+                    Lane::Fast
+                } else {
+                    Lane::Slow
+                }
+            },
+            pool,
+            pipeline,
+        )
+        .expect("bind fast/slow server");
+        // Declared after the server, so it drops (and opens) first.
+        let open = Gate(flag);
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        // A hang fails the test instead of stalling it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+
+        let mut burst = Vec::new();
+        for (corr, method) in [(1u64, "fast"), (2, "gated"), (3, "gated"), (4, "gated")] {
+            let mut req = Request::new(method, vec![]);
+            req.seq = corr;
+            req.corr = corr;
+            write_frame(&mut burst, &req.encode()).expect("encode burst");
+        }
+        stream.write_all(&burst).expect("send burst");
+
+        let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+        let frame = read_frame(&mut reader)
+            .unwrap_or_else(|e| panic!("{pipeline:?}: no fast response while gated: {e}"))
+            .expect("open");
+        assert_eq!(Response::decode(&frame).expect("decodes").corr, 1);
+        drop(open);
+        let mut rest: Vec<u64> = (0..3)
+            .map(|_| {
+                let frame = read_frame(&mut reader).expect("read").expect("open");
+                Response::decode(&frame).expect("decodes").corr
+            })
+            .collect();
+        rest.sort_unstable();
+        assert_eq!(rest, vec![2, 3, 4]);
+        server.shutdown();
+    }
+}
+
+#[test]
+fn fast_response_is_written_before_a_read_that_could_block() {
+    // The reader has the fast frame and the first bytes of the next one
+    // buffered. Reading the rest of that frame blocks until the client
+    // sends it, and the client sends it only after the fast response
+    // arrives: the reader must write that response out before it reads.
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        |req: &Request| Response::ok(req.body.clone()),
+        PoolConfig::single_lane(1),
+    )
+    .expect("bind echo server");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    // A hang fails the test instead of stalling it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+
+    let mut frames = Vec::new();
+    for corr in [1u64, 2] {
+        let mut req = Request::new("fast", vec![]);
+        req.seq = corr;
+        req.corr = corr;
+        write_frame(&mut frames, &req.encode()).expect("encode frames");
+    }
+    let first_len = frames.len() / 2;
+    let (head, tail) = frames.split_at(first_len + 2);
+    stream
+        .write_all(head)
+        .expect("send the first frame and a partial one");
+
+    let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+    let frame = read_frame(&mut reader)
+        .expect("the fast response arrives while the next frame is partial")
+        .expect("open");
+    assert_eq!(Response::decode(&frame).expect("decodes").corr, 1);
+    stream.write_all(tail).expect("send the rest");
+    let frame = read_frame(&mut reader).expect("read").expect("open");
+    assert_eq!(Response::decode(&frame).expect("decodes").corr, 2);
     server.shutdown();
 }

@@ -154,3 +154,48 @@ fn inproc_burst_returns_in_issue_order_when_the_first_request_finishes_last() {
     }
     server.shutdown();
 }
+
+/// Echoes a window of large bodies through one `call_many`, on a server
+/// that serves every request on `lane`. The client writes its whole
+/// window before it reads a reply, and the window is far larger than
+/// the socket buffers, so the server must keep reading requests while
+/// replies it cannot write yet wait: a server that blocks on a reply
+/// write stalls until it gives up on the connection.
+fn large_bodies_round_trip(lane: Lane) {
+    const WINDOW: usize = 32;
+    const CALLS: usize = 40;
+    const BODY: usize = 1 << 20;
+    let server = dcperf_rpc::TcpServer::bind_full(
+        "127.0.0.1:0",
+        |req: &Request| Response::ok(req.body.clone()),
+        move |_: &Request| lane,
+        PoolConfig::single_lane(1),
+        PipelineConfig::default(),
+    )
+    .expect("bind echo server");
+    let mut client = TcpClient::connect(server.local_addr())
+        .expect("connect")
+        .with_window(WINDOW);
+    let bodies: Vec<Vec<u8>> = (0..CALLS).map(|i| vec![i as u8; BODY]).collect();
+    let outcomes = client.call_many("echo", bodies);
+    assert_eq!(outcomes.len(), CALLS);
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let resp = outcome.unwrap_or_else(|e| panic!("call {i} failed: {e}"));
+        assert_eq!(resp.body.len(), BODY, "call {i}");
+        assert!(
+            resp.body.iter().all(|&b| b == i as u8),
+            "call {i} got another body"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn fast_lane_echoes_a_window_of_large_bodies() {
+    large_bodies_round_trip(Lane::Fast);
+}
+
+#[test]
+fn slow_lane_echoes_a_window_of_large_bodies() {
+    large_bodies_round_trip(Lane::Slow);
+}

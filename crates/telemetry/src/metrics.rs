@@ -41,8 +41,9 @@ pub const DYN_LOADGEN_ENDPOINT: &str = "loadgen.endpoint";
 /// Transport counters (`requests`, `responses`, `errors`, `shed`,
 /// `deadline_exceeded`, `deadline_shed`, `bytes_sent`, `bytes_received`).
 pub const PREFIX_RPC: &str = "rpc";
-/// Thread-pool lane counters (`fast_jobs`, `slow_jobs`). Pool queues
-/// push back on callers rather than shed, so there is no shed counter.
+/// Lane counters: `fast_jobs` run inline on the delivering thread,
+/// `slow_jobs` queued to the pool. The pool queue pushes back on callers
+/// rather than shed, so there is no shed counter.
 pub const PREFIX_RPC_POOL: &str = "rpc.pool";
 /// The resilient client's circuit breaker, sharing the server registry.
 pub const PREFIX_RPC_BREAKER: &str = "rpc.breaker";
@@ -94,9 +95,9 @@ pub mod suffix {
     pub const BYTES_SENT: &str = "bytes_sent";
     /// Payload bytes received.
     pub const BYTES_RECEIVED: &str = "bytes_received";
-    /// Jobs accepted into the fast lane.
+    /// Fast-lane jobs, run inline on the thread that delivered them.
     pub const FAST_JOBS: &str = "fast_jobs";
-    /// Jobs accepted into the slow lane.
+    /// Slow-lane jobs, queued to the pool's workers.
     pub const SLOW_JOBS: &str = "slow_jobs";
     /// Requests currently in flight on pipelined connections (gauge).
     pub const INFLIGHT: &str = "inflight";

@@ -9,8 +9,8 @@
 //! * [`compare_pool_architectures`] — **fast/slow split pools vs a single
 //!   pool**. "TAO utilizes separate thread pools for fast and slow
 //!   paths." With one shared pool, slow (DB-latency) misses queue ahead
-//!   of cache hits and inflate the hit-path tail latency; the split pool
-//!   isolates them.
+//!   of cache hits and inflate the hit-path tail latency; the split
+//!   serves hits on the calling thread and queues only misses.
 //!
 //! Both return paired measurements so examples and tests can quantify
 //! the architectural difference on the running host.
@@ -168,19 +168,21 @@ pub struct PoolArchResult {
     pub requests: u64,
 }
 
-/// Workers in the single shared pool; the split pool has as many in
-/// total.
+/// Workers in the single shared pool. The split configuration keeps half
+/// as many slow workers and serves hits on the drivers' own threads.
 const POOL_WORKERS: usize = 4;
 
 /// Measures fast/slow split pools versus one shared pool, under a mixed
 /// hit/miss stream where misses carry a simulated DB latency.
 ///
-/// Both pools have `POOL_WORKERS` threads, and twice as many
-/// closed-loop drivers call them. With more requests outstanding than
-/// shared workers, misses fill the single pool and each hit queues
-/// behind about `(drivers − workers) × db_latency / workers` of them: the
-/// head-of-line blocking the split pool exists to prevent, since its
-/// fast workers never hold a miss.
+/// Twice as many closed-loop drivers as `POOL_WORKERS` call each server.
+/// The single pool routes every request to its `POOL_WORKERS` workers,
+/// so with more requests outstanding than workers, misses fill the pool
+/// and each hit queues behind about
+/// `(drivers − workers) × db_latency / workers` of them. The split
+/// configuration serves hits inline on the calling driver's thread and
+/// queues only misses to its slow workers, so a hit never waits behind a
+/// miss: the head-of-line blocking the split exists to prevent.
 pub fn compare_pool_architectures(
     miss_fraction: f64,
     db_latency: Duration,
@@ -192,14 +194,20 @@ pub fn compare_pool_architectures(
 
     let drivers = 2 * POOL_WORKERS;
     let mut out = Vec::new();
+    // (label, pool, lane of a hit); misses always take the slow lane.
     let configs = [
         (
             "fast/slow pools",
-            PoolConfig::fast_slow(POOL_WORKERS / 2, POOL_WORKERS / 2),
+            PoolConfig::single_lane(POOL_WORKERS / 2),
+            Lane::Fast,
         ),
-        ("single pool", PoolConfig::single_lane(POOL_WORKERS)),
+        (
+            "single pool",
+            PoolConfig::single_lane(POOL_WORKERS),
+            Lane::Slow,
+        ),
     ];
-    for (label, pool) in configs {
+    for (label, pool, hit_lane) in configs {
         let server = InProcServer::start_with_classifier(
             move |req: &Request| {
                 if req.method == "miss" {
@@ -210,11 +218,11 @@ pub fn compare_pool_architectures(
                 }
                 Response::ok(vec![0u8; 64])
             },
-            |req: &Request| {
+            move |req: &Request| {
                 if req.method == "miss" {
                     Lane::Slow
                 } else {
-                    Lane::Fast
+                    hit_lane
                 }
             },
             pool.with_queue_depth(8192),

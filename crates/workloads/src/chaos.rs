@@ -224,7 +224,7 @@ fn merge_plan_counters(snapshot: &mut TelemetrySnapshot, prefix: &str, plan: &Fa
     snapshot.merge(&extra);
 }
 
-/// Runs the TaoBench stack (cache + fast/slow pools + backing store)
+/// Runs the TaoBench stack (cache + fast/slow paths + backing store)
 /// under the configured fault plan and judges the result against `slo`.
 ///
 /// The full resilience layer is active: per-request deadlines shed
@@ -232,6 +232,12 @@ fn merge_plan_counters(snapshot: &mut TelemetrySnapshot, prefix: &str, plan: &Fa
 /// a retry budget, and a circuit breaker rejects calls while the backend
 /// is shedding.
 pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
+    run_tao_chaos_capped(config, slo, u64::MAX)
+}
+
+/// [`run_tao_chaos`], with a closed-loop run stopped after `max_requests`
+/// requests (or `duration`, whichever comes first).
+fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u64) -> ChaosOutcome {
     // Backing tier, with the store-side fault plan attached.
     let store_plan = Arc::new(match config.store_latency_fault {
         Some((probability, extra)) => FaultPlan::new(config.seed ^ 0x5707_ECAF)
@@ -290,7 +296,7 @@ pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
                 Lane::Slow
             }
         },
-        PoolConfig::fast_slow(2, 2).with_queue_depth(4096),
+        PoolConfig::single_lane(2).with_queue_depth(4096),
     );
 
     // RPC-dispatch fault plan (errors, latency, overload bursts).
@@ -339,6 +345,7 @@ pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
         None => ClosedLoop::new(mix)
             .workers(config.client_workers)
             .duration(config.duration)
+            .max_requests(max_requests)
             .telemetry(&registry)
             .run(&service, config.seed),
     };
@@ -450,16 +457,59 @@ mod tests {
 
     #[test]
     fn faulted_run_completes_and_degrades_goodput() {
-        let slo = tight_slo();
-        let baseline = run_tao_chaos(&quick(TaoChaosConfig::default()).fault_free(), &slo);
-        let faulted = run_tao_chaos(&quick(TaoChaosConfig::default()), &slo);
+        // Fixed work, as `perfbench` runs: both runs issue exactly
+        // REQUESTS calls, so how much they do never depends on how fast
+        // the host is. The duration is only a hang guard.
+        const REQUESTS: u64 = 1_000;
+        let fixed = |config| TaoChaosConfig {
+            duration: Duration::from_secs(60),
+            ..quick(config)
+        };
+        // The SLO margin. Fault-free, hits are served on the caller's
+        // thread and misses pay a 150 µs backing lookup on the slow lane:
+        // p95 is about 1–2 ms in a debug build on a 2-vCPU host. Faulted,
+        // 10% of backing lookups stall 50 ms on one of the two slow
+        // workers, and the misses queued behind them wait too, so p95 sits
+        // at the 50 ms stall. A 20 ms bound leaves more than 10 ms either
+        // side, above the 4–10 ms vCPU stalls a shared host adds.
+        let slo = SloSpec::p95_under_ms(20.0);
+        let baseline = run_tao_chaos_capped(
+            &fixed(TaoChaosConfig::default()).fault_free(),
+            &slo,
+            REQUESTS,
+        );
+        let faulted = run_tao_chaos_capped(&fixed(TaoChaosConfig::default()), &slo, REQUESTS);
 
-        // Both runs complete without panicking and do real work.
-        assert!(baseline.load.completed > 1_000);
-        assert!(faulted.load.completed > 100);
-        // 50ms stalls on 10% of backing lookups plus 1% injected errors
-        // must strictly degrade goodput (the margin is enormous: the
-        // baseline is orders of magnitude faster).
+        // Every issued call ends in exactly one outcome.
+        for run in [&baseline.load, &faulted.load] {
+            let failed = run.errors + run.deadline_exceeded + run.rejected + run.dropped;
+            assert_eq!(run.completed + failed, REQUESTS, "{run:?}");
+        }
+        // The control injects nothing and fails nothing.
+        assert_eq!(baseline.load.completed, REQUESTS);
+        assert_eq!(
+            baseline.snapshot.counter("chaos.rpc.injected_errors"),
+            Some(0)
+        );
+        assert_eq!(
+            baseline
+                .snapshot
+                .counter("chaos.store.injected_latency_ops"),
+            Some(0)
+        );
+        // Faults fire, and surface in the merged snapshot. An injected
+        // error is an application error, which is not retried: each one
+        // fails exactly one call.
+        let injected_errors = faulted
+            .snapshot
+            .counter("chaos.rpc.injected_errors")
+            .unwrap_or(0);
+        assert!(injected_errors > 0);
+        assert_eq!(faulted.load.errors, injected_errors);
+        assert!(faulted.snapshot.counter("chaos.store.injected_latency_ops") > Some(0));
+        // 50ms stalls on 10% of backing lookups must strictly degrade
+        // goodput (the margin is enormous: the same work takes an order
+        // of magnitude longer).
         assert!(
             faulted.goodput_rps() < baseline.goodput_rps(),
             "faulted {} !< baseline {}",
@@ -467,11 +517,16 @@ mod tests {
             baseline.goodput_rps()
         );
         // The fault-free control meets the SLO the faulted run cannot.
-        assert!(baseline.slo_attained, "baseline must meet the SLO");
-        assert!(!faulted.slo_attained, "faults must break the SLO");
-        // Injection counters surface in the merged snapshot.
-        assert!(faulted.snapshot.counter("chaos.store.injected_latency_ops") > Some(0));
-        assert!(faulted.snapshot.counter("chaos.rpc.injected_errors") > Some(0));
+        assert!(
+            baseline.slo_attained,
+            "baseline must meet the SLO: p95 {} ms",
+            baseline.load.p95_ms()
+        );
+        assert!(
+            !faulted.slo_attained,
+            "faults must break the SLO: p95 {} ms",
+            faulted.load.p95_ms()
+        );
     }
 
     #[test]

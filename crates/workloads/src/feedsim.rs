@@ -14,7 +14,8 @@
 //!    sent as one pipelined [`InProcClient::call_many`] burst, one
 //!    request per non-empty shard, to a single leaf server that owns
 //!    every shard. It returns serialized story payloads (the Thrift
-//!    tax).
+//!    tax). Fetches are fast-lane, so the leaf serves the burst on the
+//!    aggregator's thread, one shard after another.
 //! 2. **Feature extraction**: payloads are decoded and hashed into dense
 //!    feature vectors.
 //! 3. **Ranking**: dot products against a model weight vector, sigmoid
@@ -284,11 +285,12 @@ impl Benchmark for FeedSim {
         let seed = ctx.seed();
         let stories_per_leaf = self.config.base_stories_per_leaf * scale.min(16);
 
-        // One leaf server owns every shard's stories and serves "fetch",
-        // with the worker count of LEAF_SHARDS per-shard pools.
+        // One leaf server owns every shard's stories and serves "fetch"
+        // on the fast lane: inline, on the aggregator thread that calls
+        // it. Its pool never receives a job, so it keeps one worker.
         let leaf_server = InProcServer::start(
             move |req: &Request| fetch_stories(seed, req),
-            PoolConfig::single_lane(LEAF_SHARDS * (threads / LEAF_SHARDS).max(1)),
+            PoolConfig::single_lane(1),
         );
 
         let aggregator = Arc::new(Aggregator {

@@ -11,7 +11,9 @@
 //! This implementation is exactly that architecture on this repo's
 //! substrates: a [`dcperf_kvstore::Cache`] served through a
 //! [`dcperf_rpc::InProcServer`] whose classifier peeks the cache and
-//! routes hits to the fast pool and misses to the slow pool, a
+//! serves hits on the fast lane — inline, on the client thread that
+//! issued the call, as memcached serves a hit on the thread that read it
+//! — and queues misses to the slow pool, a
 //! [`BackingStore`] paying simulated DB latency on the miss path, and a
 //! memtier-style closed-loop client drawing Zipf-distributed keys with
 //! production-shaped value sizes.
@@ -228,7 +230,7 @@ impl Benchmark for TaoBench {
     }
 
     fn description(&self) -> &str {
-        "TAO-style read-through in-memory cache with fast/slow thread pools"
+        "TAO-style read-through in-memory cache with fast/slow paths"
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<BenchmarkReport, Error> {
@@ -255,8 +257,8 @@ impl Benchmark for TaoBench {
             ctx.telemetry(),
         ));
 
-        // Server: fast pool for hits, slow pool for misses/SETs.
-        let fast_threads = (threads / 2).max(2);
+        // Server: hits run inline on the fast lane, misses/SETs on the
+        // slow pool.
         let slow_threads = (threads / 2).max(2);
         let handler_cache = Arc::clone(&cache);
         let handler_store = Arc::clone(&store);
@@ -304,8 +306,8 @@ impl Benchmark for TaoBench {
                 other => Response::error(&format!("unknown method {other}")),
             },
             move |req: &Request| {
-                // TAO's dispatch: peek the cache; hits go to fast
-                // threads, misses and writes to slow threads. The peek is
+                // TAO's dispatch: peek the cache; hits take the fast
+                // lane, misses and writes the slow threads. The peek is
                 // a stat-less `contains` so classification neither skews
                 // hit/miss counters nor perturbs LRU order.
                 match req.method.as_str() {
@@ -322,7 +324,7 @@ impl Benchmark for TaoBench {
                     _ => Lane::Slow,
                 }
             },
-            PoolConfig::fast_slow(fast_threads, slow_threads).with_queue_depth(8192),
+            PoolConfig::single_lane(slow_threads).with_queue_depth(8192),
         );
 
         let client = TaoClient {
@@ -351,7 +353,6 @@ impl Benchmark for TaoBench {
         let mut report = ReportBuilder::new(self.name());
         report.param("key_space", key_space);
         report.param("cache_capacity_bytes", capacity as u64);
-        report.param("fast_threads", fast_threads as u64);
         report.param("slow_threads", slow_threads as u64);
         report.param("client_threads", threads as u64);
         report.param("pipeline_depth", self.config.pipeline_depth as u64);
