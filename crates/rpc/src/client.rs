@@ -7,7 +7,6 @@ use crate::stats::RpcStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -35,7 +34,6 @@ pub(crate) fn single(mut outcomes: Vec<Result<Response, RpcError>>) -> Result<Re
 #[derive(Clone)]
 pub struct InProcClient {
     core: Arc<ServerCore>,
-    seq: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for InProcClient {
@@ -46,17 +44,7 @@ impl std::fmt::Debug for InProcClient {
 
 impl InProcClient {
     pub(crate) fn new(core: Arc<ServerCore>) -> Self {
-        Self {
-            core,
-            seq: Arc::new(AtomicU64::new(1)),
-        }
-    }
-
-    fn build_request(&self, method: &str, body: Vec<u8>) -> Request {
-        let mut req = Request::new(method, body);
-        // ordering: seq only needs uniqueness, not ordering with other memory
-        req.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        req
+        Self { core }
     }
 
     /// Synchronous call: a burst of one through
@@ -123,8 +111,9 @@ impl InProcClient {
         // One sender per request: the last request takes the original.
         let senders = std::iter::repeat_n(tx, n);
         for ((idx, body), tx) in bodies.into_iter().enumerate().zip(senders) {
-            let mut req = self.build_request(method, body);
-            req.corr = req.seq;
+            // Replies are routed by `idx` in the reply closure, so the
+            // request needs no correlation id.
+            let mut req = Request::new(method, body);
             if let Some(b) = budget {
                 req = req.with_deadline(b);
             }
@@ -205,7 +194,7 @@ fn map_io(e: std::io::Error) -> RpcError {
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    seq: u64,
+    next_corr: u64,
     window: usize,
     stats: RpcStats,
 }
@@ -213,7 +202,7 @@ pub struct TcpClient {
 impl std::fmt::Debug for TcpClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpClient")
-            .field("seq", &self.seq)
+            .field("next_corr", &self.next_corr)
             .field("window", &self.window)
             .finish()
     }
@@ -236,7 +225,7 @@ impl TcpClient {
         Ok(Self {
             reader,
             writer,
-            seq: 1,
+            next_corr: 1,
             window: DEFAULT_CLIENT_WINDOW,
             stats: RpcStats::new(),
         })
@@ -336,12 +325,8 @@ impl TcpClient {
                         if let Some(b) = budget {
                             req = req.with_deadline(b);
                         }
-                        req.seq = self.seq;
-                        // corr == seq keeps correlation intact against
-                        // legacy servers, whose responses decode with
-                        // `corr` falling back to the echoed sequence number.
-                        req.corr = self.seq;
-                        self.seq += 1;
+                        req.corr = self.next_corr;
+                        self.next_corr += 1;
                         let payload = req.encode();
                         self.stats.record_request(payload.len());
                         if let Err(e) = append_frame(&mut burst, &payload) {

@@ -1,12 +1,14 @@
 //! Request/response messages and their stream framing.
 //!
-//! Frames are `[u32 length][payload]`; the payload encodes sequence
-//! number, status/kind, method name, and body with the [`wire`](crate::wire)
-//! primitives. The same frame codec backs the TCP transport and the
-//! serialization microbenchmark.
+//! Frames are `[u32 length][payload]`. The payload is one fixed field
+//! order, written with the [`wire`](crate::wire) primitives: a request is
+//! `corr, method, body, deadline_us` and a response is `corr, status,
+//! body`. Every field is required, and a payload with bytes left after
+//! its last field is rejected. The TCP transport and the in-process
+//! transport both use this codec.
 
 use crate::wire::{self, Reader, WireError};
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Hard cap on frame size (64 MiB): a corrupt length prefix must not
 /// trigger an enormous allocation.
@@ -15,8 +17,10 @@ pub const MAX_FRAME: u32 = 64 << 20;
 /// An RPC request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
-    /// Client-assigned sequence number, echoed in the response.
-    pub seq: u64,
+    /// Correlation id, echoed verbatim in the response so pipelined
+    /// connections can match out-of-order completions back to their
+    /// requests. A TCP client assigns unique ids per connection.
+    pub corr: u64,
     /// Method name, e.g. `"get"`, `"rank_stories"`.
     pub method: String,
     /// Serialized argument payload.
@@ -29,23 +33,17 @@ pub struct Request {
     /// [`Status::DeadlineExceeded`] if it is still queued when the
     /// budget runs out.
     pub deadline_us: u64,
-    /// Correlation id, echoed verbatim in the response so pipelined
-    /// connections can match out-of-order completions back to their
-    /// requests. 0 means "uncorrelated" (one-request-per-turn clients);
-    /// pipelining clients assign unique ids per connection.
-    pub corr: u64,
 }
 
 impl Request {
-    /// Creates a request with sequence number 0 (transports assign real
-    /// ones) and no deadline.
+    /// Creates a request with correlation id 0 (a TCP client assigns
+    /// real ones) and no deadline.
     pub fn new(method: &str, body: Vec<u8>) -> Self {
         Self {
-            seq: 0,
+            corr: 0,
             method: method.to_owned(),
             body,
             deadline_us: 0,
-            corr: 0,
         }
     }
 
@@ -62,37 +60,29 @@ impl Request {
     /// Serializes the request payload (without the frame length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24 + self.method.len() + self.body.len());
-        wire::write_uvarint(&mut out, self.seq);
+        wire::write_uvarint(&mut out, self.corr);
         wire::write_str(&mut out, &self.method);
         wire::write_bytes(&mut out, &self.body);
         wire::write_uvarint(&mut out, self.deadline_us);
-        wire::write_uvarint(&mut out, self.corr);
         out
     }
 
-    /// Parses a request payload. The trailing fields were appended over
-    /// protocol revisions, so frames from older encoders decode with
-    /// their defaults: no deadline (v1) and correlation id 0 (v1/v2).
-    /// Newer frames decode on older servers too — v1 decoders ignore
-    /// trailing bytes.
+    /// Parses a request payload.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on malformed input.
+    /// Returns a [`WireError`] on malformed input: a payload that stops
+    /// short of its last field, or has bytes left after it.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
-        let seq = r.read_uvarint()?;
-        let method = r.read_str()?.to_owned();
-        let body = r.read_bytes()?.to_vec();
-        let deadline_us = r.read_trailing_uvarint(0)?;
-        let corr = r.read_trailing_uvarint(0)?;
-        Ok(Self {
-            seq,
-            method,
-            body,
-            deadline_us,
-            corr,
-        })
+        let req = Self {
+            corr: r.read_uvarint()?,
+            method: r.read_str()?.to_owned(),
+            body: r.read_bytes()?.to_vec(),
+            deadline_us: r.read_uvarint()?,
+        };
+        r.finish()?;
+        Ok(req)
     }
 }
 
@@ -134,58 +124,41 @@ impl Status {
 /// An RPC response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
-    /// Echo of the request's sequence number.
-    pub seq: u64,
+    /// Echo of the request's correlation id.
+    pub corr: u64,
     /// Outcome status.
     pub status: Status,
     /// Serialized result payload.
     pub body: Vec<u8>,
-    /// Echo of the request's correlation id. Responses from legacy
-    /// servers decode with `corr == seq`: those servers echo the
-    /// sequence number, and pipelining clients assign `corr = seq`, so
-    /// correlation still resolves across protocol versions.
-    pub corr: u64,
 }
 
 impl Response {
+    fn with_status(status: Status, body: Vec<u8>) -> Self {
+        Self {
+            corr: 0,
+            status,
+            body,
+        }
+    }
+
     /// A successful response carrying `body`.
     pub fn ok(body: Vec<u8>) -> Self {
-        Self {
-            seq: 0,
-            status: Status::Ok,
-            body,
-            corr: 0,
-        }
+        Self::with_status(Status::Ok, body)
     }
 
     /// An application-error response with a message body.
     pub fn error(message: &str) -> Self {
-        Self {
-            seq: 0,
-            status: Status::Error,
-            body: message.as_bytes().to_vec(),
-            corr: 0,
-        }
+        Self::with_status(Status::Error, message.as_bytes().to_vec())
     }
 
     /// An overload response (request shed).
     pub fn overloaded() -> Self {
-        Self {
-            seq: 0,
-            status: Status::Overloaded,
-            body: Vec::new(),
-            corr: 0,
-        }
+        Self::with_status(Status::Overloaded, Vec::new())
     }
 
     /// A deadline-exceeded response (expired work shed).
     pub fn deadline_exceeded() -> Self {
-        Self {
-            seq: 0,
-            status: Status::DeadlineExceeded,
-            body: Vec::new(),
-            corr: 0,
-        }
+        Self::with_status(Status::DeadlineExceeded, Vec::new())
     }
 
     /// Whether the call succeeded.
@@ -196,52 +169,28 @@ impl Response {
     /// Serializes the response payload (without the frame length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.body.len());
-        wire::write_uvarint(&mut out, self.seq);
+        wire::write_uvarint(&mut out, self.corr);
         out.push(self.status.to_byte());
         wire::write_bytes(&mut out, &self.body);
-        wire::write_uvarint(&mut out, self.corr);
         out
     }
 
-    /// Parses a response payload. The correlation id is a trailing field:
-    /// frames from pre-pipelining servers decode with `corr == seq`, which
-    /// keeps correlation working because those servers echo the sequence
-    /// number and pipelining clients assign `corr = seq`.
+    /// Parses a response payload.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on malformed input.
+    /// Returns a [`WireError`] on malformed input: a payload that stops
+    /// short of its last field, or has bytes left after it.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
-        let seq = r.read_uvarint()?;
-        let status = Status::from_byte(r.read_u8()?)?;
-        let body = r.read_bytes()?.to_vec();
-        let corr = r.read_trailing_uvarint(seq)?;
-        Ok(Self {
-            seq,
-            status,
-            body,
-            corr,
-        })
+        let resp = Self {
+            corr: r.read_uvarint()?,
+            status: Status::from_byte(r.read_u8()?)?,
+            body: r.read_bytes()?.to_vec(),
+        };
+        r.finish()?;
+        Ok(resp)
     }
-}
-
-/// Writes a length-prefixed frame to a stream.
-///
-/// # Errors
-///
-/// Returns an I/O error from the underlying writer, or `InvalidData` if
-/// `payload` exceeds [`MAX_FRAME`].
-pub fn write_frame<W: Write>(mut w: W, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
 }
 
 /// Appends a length-prefixed frame to an in-memory buffer *without*
@@ -405,7 +354,7 @@ mod tests {
     #[test]
     fn request_round_trips() {
         let mut req = Request::new("get_feed", vec![1, 2, 3]);
-        req.seq = 77;
+        req.corr = u64::MAX;
         let back = Request::decode(&req.encode()).unwrap();
         assert_eq!(req, back);
     }
@@ -422,18 +371,6 @@ mod tests {
     fn tiny_nonzero_deadline_stays_nonzero_on_wire() {
         let req = Request::new("get", vec![]).with_deadline(std::time::Duration::from_nanos(10));
         assert_eq!(req.deadline_us, 1, "must not collapse to 'no deadline'");
-    }
-
-    #[test]
-    fn legacy_frame_without_deadline_decodes() {
-        // Re-create the pre-deadline encoding by hand.
-        let mut out = Vec::new();
-        crate::wire::write_uvarint(&mut out, 5);
-        crate::wire::write_str(&mut out, "get");
-        crate::wire::write_bytes(&mut out, b"key");
-        let req = Request::decode(&out).unwrap();
-        assert_eq!(req.seq, 5);
-        assert_eq!(req.deadline_us, 0);
     }
 
     #[test]
@@ -471,61 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn request_corr_round_trips() {
-        let mut req = Request::new("get", vec![1, 2]);
-        req.seq = 3;
-        req.corr = u64::MAX;
-        let back = Request::decode(&req.encode()).unwrap();
-        assert_eq!(back.corr, u64::MAX);
-        assert_eq!(req, back);
-    }
-
-    #[test]
     fn response_corr_round_trips() {
         let mut resp = Response::ok(vec![5; 10]);
-        resp.seq = 9;
         resp.corr = 12345;
         let back = Response::decode(&resp.encode()).unwrap();
         assert_eq!(back.corr, 12345);
         assert_eq!(resp, back);
-    }
-
-    #[test]
-    fn legacy_response_without_corr_falls_back_to_seq() {
-        // Re-create the pre-corr encoding by hand: seq, status, body.
-        let mut out = Vec::new();
-        crate::wire::write_uvarint(&mut out, 42);
-        out.push(0); // Status::Ok
-        crate::wire::write_bytes(&mut out, b"payload");
-        let resp = Response::decode(&out).unwrap();
-        assert_eq!(resp.seq, 42);
-        assert_eq!(
-            resp.corr, 42,
-            "legacy responses must correlate by sequence number"
-        );
-    }
-
-    #[test]
-    fn legacy_request_without_corr_decodes_as_uncorrelated() {
-        let mut out = Vec::new();
-        crate::wire::write_uvarint(&mut out, 5);
-        crate::wire::write_str(&mut out, "get");
-        crate::wire::write_bytes(&mut out, b"key");
-        crate::wire::write_uvarint(&mut out, 1_000); // deadline only (v2)
-        let req = Request::decode(&out).unwrap();
-        assert_eq!(req.deadline_us, 1_000);
-        assert_eq!(req.corr, 0);
-    }
-
-    #[test]
-    fn append_frame_matches_write_frame_bytes() {
-        let mut streamed = Vec::new();
-        write_frame(&mut streamed, b"abc").unwrap();
-        write_frame(&mut streamed, b"defg").unwrap();
-        let mut appended = Vec::new();
-        append_frame(&mut appended, b"abc").unwrap();
-        append_frame(&mut appended, b"defg").unwrap();
-        assert_eq!(streamed, appended);
     }
 
     #[test]
@@ -560,9 +448,9 @@ mod tests {
     #[test]
     fn frame_round_trips_over_a_buffer() {
         let mut stream = Vec::new();
-        write_frame(&mut stream, b"abc").unwrap();
-        write_frame(&mut stream, b"").unwrap();
-        write_frame(&mut stream, &[7u8; 1000]).unwrap();
+        append_frame(&mut stream, b"abc").unwrap();
+        append_frame(&mut stream, b"").unwrap();
+        append_frame(&mut stream, &[7u8; 1000]).unwrap();
         let mut cursor = std::io::Cursor::new(stream);
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"abc");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
@@ -573,7 +461,7 @@ mod tests {
     #[test]
     fn truncated_frame_is_io_error() {
         let mut stream = Vec::new();
-        write_frame(&mut stream, b"abcdef").unwrap();
+        append_frame(&mut stream, b"abcdef").unwrap();
         stream.truncate(stream.len() - 2);
         let mut cursor = std::io::Cursor::new(stream);
         assert!(read_frame(&mut cursor).is_err());
@@ -590,9 +478,9 @@ mod tests {
     #[test]
     fn corrupt_status_byte_rejected() {
         let mut resp = Response::ok(vec![]);
-        resp.seq = 1;
+        resp.corr = 1;
         let mut bytes = resp.encode();
-        bytes[1] = 0xEE; // status byte follows the 1-byte seq varint
+        bytes[1] = 0xEE; // status byte follows the 1-byte corr varint
         assert!(Response::decode(&bytes).is_err());
     }
 

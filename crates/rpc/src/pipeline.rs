@@ -22,15 +22,6 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// One request per turn: responses strictly in request order, exactly
-    /// the v1 wire behavior.
-    pub fn disabled() -> Self {
-        Self {
-            max_inflight: 1,
-            max_batch: 1,
-        }
-    }
-
     /// Overrides the response-burst batch size (builder style).
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
@@ -141,12 +132,6 @@ mod tests {
         let cfg = PipelineConfig::default();
         assert!(cfg.max_inflight > 1);
         assert!(cfg.max_batch > 1);
-    }
-
-    #[test]
-    fn disabled_config_serializes_the_connection() {
-        let cfg = PipelineConfig::disabled();
-        assert_eq!(cfg.max_inflight, 1);
     }
 
     #[test]

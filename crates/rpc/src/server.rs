@@ -13,14 +13,14 @@
 //! — and only slow-lane work (a miss that goes to the database) is
 //! queued to the server's [`ThreadPool`] and may complete out of order.
 
-use crate::frame::{append_frame, read_frame, Request, Response};
+use crate::frame::{append_frame, Request, Response, MAX_FRAME};
 use crate::pipeline::{InflightGuard, PipelineConfig, PipelineStats};
 use crate::pool::{self, BatchEnd, Lane, PoolConfig, ThreadPool};
 use crate::stats::RpcStats;
 use crossbeam::channel;
 use dcperf_resilience::Deadline;
 use std::cell::Cell;
-use std::io::{BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -47,11 +47,11 @@ pub(crate) struct ServerCore {
 }
 
 /// Builds the shed response for a request whose deadline has expired.
-fn expired_response(seq: u64, corr: u64) -> Response {
-    let mut resp = Response::deadline_exceeded();
-    resp.seq = seq;
-    resp.corr = corr;
-    resp
+fn expired_response(corr: u64) -> Response {
+    Response {
+        corr,
+        ..Response::deadline_exceeded()
+    }
 }
 
 impl ServerCore {
@@ -98,7 +98,7 @@ impl ServerCore {
         // Shed already-expired work before it costs anything more.
         if deadline.is_some_and(|d| d.expired()) {
             self.stats.record_deadline_shed();
-            reply(expired_response(req.seq, req.corr));
+            reply(expired_response(req.corr));
             return;
         }
         #[cfg(feature = "fault-injection")]
@@ -147,13 +147,13 @@ fn serve(
     req: Request,
     reply: impl FnOnce(Response),
 ) {
-    let (seq, corr) = (req.seq, req.corr);
+    let corr = req.corr;
     // Re-check at handler entry: classification and queueing may have
     // consumed the whole budget, and a reply the client already gave up
     // on is pure waste.
     if deadline.is_some_and(|d| d.expired()) {
         stats.record_deadline_shed();
-        reply(expired_response(seq, corr));
+        reply(expired_response(corr));
         return;
     }
     #[cfg(feature = "fault-injection")]
@@ -165,7 +165,6 @@ fn serve(
             FaultOutcome::Overload => Some(Response::overloaded()),
         };
         if let Some(mut resp) = injected {
-            resp.seq = seq;
             resp.corr = corr;
             reply(resp);
             return;
@@ -173,12 +172,11 @@ fn serve(
         // Injected latency may have burned the remaining budget.
         if deadline.is_some_and(|d| d.expired()) {
             stats.record_deadline_shed();
-            reply(expired_response(seq, corr));
+            reply(expired_response(corr));
             return;
         }
     }
     let mut resp = handler(&req);
-    resp.seq = seq;
     resp.corr = corr;
     reply(resp);
 }
@@ -445,12 +443,52 @@ impl Connection {
     }
 }
 
-/// Whether `buf` starts with a whole length-prefixed frame, so reading
-/// it cannot block.
-fn holds_complete_frame(buf: &[u8]) -> bool {
-    match buf.first_chunk::<4>() {
-        Some(len) => buf.len() - 4 >= u32::from_be_bytes(*len) as usize,
-        None => false,
+/// The bytes a connection reader has received but not yet served. A
+/// frame split across reads stays here until its last byte arrives,
+/// however long the sender pauses between the parts.
+struct Inbox {
+    /// `buf[start..end]` holds the unserved bytes.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Inbox {
+    /// Takes the payload of the next frame, if all of it is buffered.
+    fn next_frame(&mut self) -> Option<&[u8]> {
+        let prefix = self.buf[self.start..self.end].first_chunk::<4>()?;
+        let payload = self.start + 4..self.start + 4 + u32::from_be_bytes(*prefix) as usize;
+        if payload.end > self.end {
+            return None;
+        }
+        self.start = payload.end;
+        Some(&self.buf[payload])
+    }
+
+    /// Reads what `stream` has after the unserved bytes, which first move
+    /// to the front of the buffer; the buffer grows to fit the frame they
+    /// begin. Returns 0 at EOF.
+    ///
+    /// # Errors
+    ///
+    /// As the read, or `InvalidData` for a frame over [`MAX_FRAME`].
+    fn fill(&mut self, mut stream: &TcpStream) -> std::io::Result<usize> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if let Some(prefix) = self.buf[..self.end].first_chunk::<4>() {
+            let len = u32::from_be_bytes(*prefix);
+            if len > MAX_FRAME {
+                return Err(std::io::Error::new(
+                    ErrorKind::InvalidData,
+                    format!("frame length {len} exceeds MAX_FRAME"),
+                ));
+            }
+            self.buf.resize(self.buf.len().max(4 + len as usize), 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 }
 
@@ -499,8 +537,7 @@ impl TcpServer {
     }
 
     /// Binds with an explicit pipelining configuration (every request
-    /// routed to the fast lane). Use [`PipelineConfig::disabled`] for
-    /// strict one-request-per-turn v1 semantics.
+    /// routed to the fast lane).
     ///
     /// # Errors
     ///
@@ -604,8 +641,7 @@ impl TcpServer {
     /// client-side by correlation id.
     ///
     /// With `max_inflight == 1` the window admits a single request at a
-    /// time, which degenerates to the v1 one-request-per-turn behavior
-    /// (responses strictly in request order).
+    /// time: one request per turn, responses strictly in request order.
     fn serve_connection(stream: TcpStream, core: Arc<ServerCore>, stop: Arc<AtomicBool>) {
         let cfg = core.pipeline_cfg;
         // A read timeout lets the loop observe the stop flag even while a
@@ -627,7 +663,11 @@ impl TcpServer {
             max_batch: cfg.max_batch,
         });
 
-        let mut reader = BufReader::new(stream);
+        let mut inbox = Inbox {
+            buf: vec![0; 8 << 10],
+            start: 0,
+            end: 0,
+        };
         pool::enter_batch_context();
         ON_READER.set(true);
         loop {
@@ -635,25 +675,28 @@ impl TcpServer {
             if stop.load(Ordering::Relaxed) {
                 break;
             }
-            // The read below may block: write out what this run of
-            // buffered frames completed first.
-            if !holds_complete_frame(reader.buffer()) {
+            let Some(payload) = inbox.next_frame() else {
+                // The read below may block: write out what this run of
+                // buffered frames completed first.
                 pool::end_batch();
-            }
-            let frame = match read_frame(&mut reader) {
-                Ok(Some(f)) => f,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // Idle timeout between frames: re-check the stop flag.
-                    continue;
+                match inbox.fill(&stream) {
+                    Ok(0) => break,
+                    Ok(_) => continue,
+                    // A timeout keeps a partial frame buffered: re-check
+                    // the stop flag, then resume reading.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                        ) =>
+                    {
+                        continue
+                    }
+                    Err(_) => break,
                 }
-                Ok(None) | Err(_) => break,
             };
-            let req = match Request::decode(&frame) {
-                Ok(r) => r,
-                Err(_) => break,
+            let Ok(req) = Request::decode(payload) else {
+                break;
             };
             // A full window waits for a slow reply to free a slot.
             if pool::send_or_end_batch(&permit_tx, ()).is_err() {
@@ -746,7 +789,8 @@ impl Drop for TcpServer {
 mod tests {
     use super::*;
     use crate::client::TcpClient;
-    use crate::frame::Status;
+    use crate::frame::{read_frame, Status};
+    use std::io::BufReader;
 
     fn echo(req: &Request) -> Response {
         Response::ok(req.body.clone())

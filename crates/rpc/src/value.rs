@@ -127,9 +127,7 @@ impl Value {
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(buf);
         let v = Self::decode_from(&mut r)?;
-        if !r.is_empty() {
-            return Err(WireError::InvalidLength(r.remaining() as u64));
-        }
+        r.finish()?;
         Ok(v)
     }
 

@@ -14,7 +14,8 @@ pub enum WireError {
     UnexpectedEof,
     /// A varint ran past 10 bytes (would overflow `u64`).
     VarintOverflow,
-    /// A length prefix exceeded the remaining buffer or a sanity cap.
+    /// A length prefix exceeded the remaining buffer or a sanity cap, or
+    /// this many bytes were left after a message's last field.
     InvalidLength(u64),
     /// An unknown type tag was encountered.
     UnknownTag(u8),
@@ -99,9 +100,16 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Whether the reader consumed the whole buffer.
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
+    /// Ends a message: every byte must have been read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::InvalidLength`] with the count of bytes left.
+    pub fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(WireError::InvalidLength(n as u64)),
+        }
     }
 
     /// Reads one byte.
@@ -137,21 +145,6 @@ impl<'a> Reader<'a> {
             if shift > 63 {
                 return Err(WireError::VarintOverflow);
             }
-        }
-    }
-
-    /// Reads a trailing *optional* varint: frames grow by appending
-    /// fields, so a decoder built against a newer schema reads `default`
-    /// when an older encoder stopped short of the field.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Reader::read_uvarint`] when bytes are present.
-    pub fn read_trailing_uvarint(&mut self, default: u64) -> Result<u64, WireError> {
-        if self.is_empty() {
-            Ok(default)
-        } else {
-            self.read_uvarint()
         }
     }
 
@@ -250,7 +243,7 @@ mod tests {
             write_uvarint(&mut buf, v);
             let mut r = Reader::new(&buf);
             assert_eq!(r.read_uvarint().unwrap(), v);
-            assert!(r.is_empty());
+            assert_eq!(r.finish(), Ok(()));
         }
     }
 
@@ -293,7 +286,7 @@ mod tests {
         let mut r = Reader::new(&buf);
         assert_eq!(r.read_str().unwrap(), "héllo");
         assert_eq!(r.read_bytes().unwrap(), &[1, 2, 3]);
-        assert!(r.is_empty());
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]
@@ -334,22 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn trailing_uvarint_defaults_on_exhausted_buffer() {
+    fn finish_rejects_unread_bytes() {
         let mut buf = Vec::new();
         write_uvarint(&mut buf, 7);
         let mut r = Reader::new(&buf);
-        assert_eq!(r.read_uvarint().unwrap(), 7);
-        assert_eq!(r.read_trailing_uvarint(99).unwrap(), 99);
-        // With bytes present it reads them, and still errors on garbage.
-        write_uvarint(&mut buf, 300);
-        let mut r = Reader::new(&buf);
+        assert_eq!(r.finish(), Err(WireError::InvalidLength(1)));
         r.read_uvarint().unwrap();
-        assert_eq!(r.read_trailing_uvarint(99).unwrap(), 300);
-        let truncated = [0x80u8];
-        assert_eq!(
-            Reader::new(&truncated).read_trailing_uvarint(0),
-            Err(WireError::UnexpectedEof)
-        );
+        assert_eq!(r.finish(), Ok(()));
     }
 
     #[test]

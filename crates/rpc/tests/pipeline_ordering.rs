@@ -4,8 +4,8 @@
 //! before the reader blocks. The raw-stream client here writes frames
 //! back-to-back and observes the order responses actually come back in.
 
-use dcperf_rpc::frame::{read_frame, write_frame};
-use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpServer};
+use dcperf_rpc::frame::{append_frame, read_frame};
+use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpClient, TcpServer};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -13,6 +13,29 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const SLOW_MS: u64 = 150;
+
+/// Encodes `(corr, method)` requests back-to-back as one burst of frames.
+/// Each body is its correlation id, so a reply shows whose it is.
+fn burst(requests: &[(u64, &str)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &(corr, method) in requests {
+        let mut req = Request::new(method, corr.to_le_bytes().to_vec());
+        req.corr = corr;
+        append_frame(&mut out, &req.encode()).expect("encode burst");
+    }
+    out
+}
+
+/// Opens a test gate when dropped, so a failed assertion cannot leave a
+/// slow worker blocked and the server's shutdown hanging.
+struct Gate(Arc<AtomicBool>);
+
+impl Drop for Gate {
+    fn drop(&mut self) {
+        // ordering: a test gate; the response carries no data it guards
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
 
 fn start_fast_slow_server() -> TcpServer {
     TcpServer::bind_full(
@@ -44,14 +67,14 @@ fn slow_head_does_not_block_fast_tail() {
 
     // One slow request first, three fast ones right behind it, written
     // back-to-back before reading anything.
-    let mut burst = Vec::new();
-    for (corr, method) in [(1u64, "slow"), (2, "fast"), (3, "fast"), (4, "fast")] {
-        let mut req = Request::new(method, corr.to_le_bytes().to_vec());
-        req.seq = corr;
-        req.corr = corr;
-        write_frame(&mut burst, &req.encode()).expect("encode burst");
-    }
-    stream.write_all(&burst).expect("send burst");
+    stream
+        .write_all(&burst(&[
+            (1u64, "slow"),
+            (2, "fast"),
+            (3, "fast"),
+            (4, "fast"),
+        ]))
+        .expect("send burst");
     stream.flush().expect("flush burst");
 
     let mut arrived = Vec::new();
@@ -89,10 +112,15 @@ fn slow_head_does_not_block_fast_tail() {
     server.shutdown();
 }
 
+/// A connection whose read-ahead window holds one request.
+const WINDOW_OF_ONE: PipelineConfig = PipelineConfig {
+    max_inflight: 1,
+    max_batch: 1,
+};
+
 #[test]
-fn disabled_pipeline_serializes_the_window() {
-    // With max_inflight == 1 the same burst is served strictly in order:
-    // the v1 degenerate mode.
+fn window_of_one_serializes_the_connection() {
+    // With max_inflight == 1 the same burst is served strictly in order.
     let server = TcpServer::bind_with_pipeline(
         "127.0.0.1:0",
         |req: &Request| {
@@ -102,20 +130,15 @@ fn disabled_pipeline_serializes_the_window() {
             Response::ok(req.body.clone())
         },
         PoolConfig::single_lane(4).with_queue_depth(256),
-        PipelineConfig::disabled(),
+        WINDOW_OF_ONE,
     )
     .expect("bind serialized server");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
-    let mut burst = Vec::new();
-    for (corr, method) in [(1u64, "slow"), (2, "fast"), (3, "fast")] {
-        let mut req = Request::new(method, vec![]);
-        req.seq = corr;
-        req.corr = corr;
-        write_frame(&mut burst, &req.encode()).expect("encode burst");
-    }
-    stream.write_all(&burst).expect("send burst");
+    stream
+        .write_all(&burst(&[(1u64, "slow"), (2, "fast"), (3, "fast")]))
+        .expect("send burst");
 
     let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
     let mut arrived = Vec::new();
@@ -128,21 +151,41 @@ fn disabled_pipeline_serializes_the_window() {
 }
 
 #[test]
+fn pipelining_client_works_against_a_window_of_one() {
+    let server = TcpServer::bind_with_pipeline(
+        "127.0.0.1:0",
+        |req: &Request| Response::ok(req.body.clone()),
+        PoolConfig::single_lane(2).with_queue_depth(64),
+        WINDOW_OF_ONE,
+    )
+    .expect("bind serialized server");
+    let mut client = TcpClient::connect(server.local_addr())
+        .expect("connect")
+        .with_window(8);
+
+    // Single calls.
+    for i in 0..4u64 {
+        let resp = client.call("echo", i.to_le_bytes().to_vec()).expect("call");
+        assert_eq!(resp.body, i.to_le_bytes().to_vec());
+    }
+
+    // A full batch: the server serves the window one at a time (in
+    // order), which the correlation matching handles transparently.
+    let bodies: Vec<Vec<u8>> = (0..8u64).map(|i| i.to_le_bytes().to_vec()).collect();
+    for (i, outcome) in client.call_many("echo", bodies).into_iter().enumerate() {
+        let resp = outcome.expect("batched call against a window of one succeeds");
+        assert_eq!(resp.body, (i as u64).to_le_bytes().to_vec());
+    }
+    server.shutdown();
+}
+
+#[test]
 fn blocked_slow_lane_batch_does_not_hold_back_fast_responses() {
     // The slow worker may finish "slow_quick", queue its response, and
     // then block on "gated" in the same dequeue batch. The fast response
     // must still be written by the connection reader, which serves it
     // inline and ends its own batch before it blocks, not wait for the
     // slow worker's batch end.
-    /// Opens the gate when dropped, so a failed assertion cannot leave
-    /// the slow worker blocked and the server's shutdown hanging.
-    struct Gate(Arc<AtomicBool>);
-    impl Drop for Gate {
-        fn drop(&mut self) {
-            // ordering: a test gate; the response carries no data it guards
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
     let flag = Arc::new(AtomicBool::new(false));
     let gate = Arc::clone(&flag);
     let server = TcpServer::bind_full(
@@ -176,14 +219,9 @@ fn blocked_slow_lane_batch_does_not_hold_back_fast_responses() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
 
-    let mut burst = Vec::new();
-    for (corr, method) in [(1u64, "slow_quick"), (2, "gated"), (3, "fast")] {
-        let mut req = Request::new(method, vec![]);
-        req.seq = corr;
-        req.corr = corr;
-        write_frame(&mut burst, &req.encode()).expect("encode burst");
-    }
-    stream.write_all(&burst).expect("send burst");
+    stream
+        .write_all(&burst(&[(1u64, "slow_quick"), (2, "gated"), (3, "fast")]))
+        .expect("send burst");
 
     let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
     let mut arrived = Vec::new();
@@ -212,13 +250,6 @@ fn fast_response_is_written_before_the_reader_blocks() {
     // read-ahead window, then on a full slow-lane queue. Either way it
     // must write the fast reply out before it blocks, or the reply waits
     // until the gate opens.
-    struct Gate(Arc<AtomicBool>);
-    impl Drop for Gate {
-        fn drop(&mut self) {
-            // ordering: a test gate; the response carries no data it guards
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
     let window_full = (
         PoolConfig::fast_slow(1, 1),
         PipelineConfig {
@@ -264,14 +295,14 @@ fn fast_response_is_written_before_the_reader_blocks() {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
 
-        let mut burst = Vec::new();
-        for (corr, method) in [(1u64, "fast"), (2, "gated"), (3, "gated"), (4, "gated")] {
-            let mut req = Request::new(method, vec![]);
-            req.seq = corr;
-            req.corr = corr;
-            write_frame(&mut burst, &req.encode()).expect("encode burst");
-        }
-        stream.write_all(&burst).expect("send burst");
+        stream
+            .write_all(&burst(&[
+                (1u64, "fast"),
+                (2, "gated"),
+                (3, "gated"),
+                (4, "gated"),
+            ]))
+            .expect("send burst");
 
         let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
         let frame = read_frame(&mut reader)
@@ -310,13 +341,7 @@ fn fast_response_is_written_before_a_read_that_could_block() {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("read timeout");
 
-    let mut frames = Vec::new();
-    for corr in [1u64, 2] {
-        let mut req = Request::new("fast", vec![]);
-        req.seq = corr;
-        req.corr = corr;
-        write_frame(&mut frames, &req.encode()).expect("encode frames");
-    }
+    let frames = burst(&[(1u64, "fast"), (2, "fast")]);
     let first_len = frames.len() / 2;
     let (head, tail) = frames.split_at(first_len + 2);
     stream

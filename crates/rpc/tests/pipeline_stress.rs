@@ -4,11 +4,16 @@
 //! response was matched to *its* request — a swap anywhere in the window
 //! would scramble the payloads.
 //!
+//! A frame that arrives in parts, with pauses longer than the server's
+//! read timeout, must still be served.
+//!
 //! Runs identically with and without `--features fault-injection` (no
 //! plan is installed, so the injection hook must be inert).
 
+use dcperf_rpc::frame::{append_frame, read_frame};
 use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpClient};
-use std::net::SocketAddr;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -198,4 +203,36 @@ fn fast_lane_echoes_a_window_of_large_bodies() {
 #[test]
 fn slow_lane_echoes_a_window_of_large_bodies() {
     large_bodies_round_trip(Lane::Slow);
+}
+
+#[test]
+fn frame_split_by_a_long_pause_is_served() {
+    // One 64-byte echo frame in two writes, 400 ms apart: longer than the
+    // reader's 200 ms read timeout. The split falls inside the length
+    // prefix, on the prefix/payload boundary, and inside the payload.
+    let (server, addr) = start_echo_server();
+    let mut req = Request::new("echo", vec![0xAB; 52]);
+    req.corr = 9;
+    let mut frame = Vec::new();
+    append_frame(&mut frame, &req.encode()).expect("encode frame");
+    for split in [2, 4, 30] {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        // A lost partial frame fails the test instead of stalling it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .expect("read timeout");
+        stream
+            .write_all(&frame[..split])
+            .expect("send the first part");
+        std::thread::sleep(Duration::from_millis(400));
+        stream.write_all(&frame[split..]).expect("send the rest");
+        let reply = read_frame(&mut stream)
+            .unwrap_or_else(|e| panic!("split at byte {split}: no reply: {e}"))
+            .unwrap_or_else(|| panic!("split at byte {split}: connection closed"));
+        let resp = Response::decode(&reply).expect("response decodes");
+        assert_eq!(resp.corr, 9, "split at byte {split}");
+        assert_eq!(resp.body, req.body, "split at byte {split}");
+    }
+    server.shutdown();
 }

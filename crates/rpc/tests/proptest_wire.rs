@@ -1,6 +1,6 @@
 //! Property tests for the RPC wire formats: values, requests, responses,
-//! and frames all round-trip, and decoders reject garbage without
-//! panicking.
+//! and frames all round-trip, decoders reject garbage without panicking,
+//! and a request or response decodes only from exactly its own bytes.
 
 use dcperf_rpc::wire::WireError;
 use dcperf_rpc::{frame, Request, Response, Value};
@@ -28,6 +28,29 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     })
 }
 
+/// A response of each status: 0 ok, 1 error, 2 deadline exceeded, 3
+/// overloaded.
+fn response(kind: u8, body: Vec<u8>) -> Response {
+    match kind {
+        0 => Response::ok(body),
+        1 => Response::error(&String::from_utf8_lossy(&body)),
+        2 => Response::deadline_exceeded(),
+        _ => Response::overloaded(),
+    }
+}
+
+/// Whether a decode failure is one of the typed wire errors.
+fn is_typed(e: &WireError) -> bool {
+    matches!(
+        e,
+        WireError::UnexpectedEof
+            | WireError::VarintOverflow
+            | WireError::InvalidLength(_)
+            | WireError::UnknownTag(_)
+            | WireError::InvalidUtf8
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -45,47 +68,73 @@ proptest! {
 
     #[test]
     fn requests_round_trip(
-        seq in any::<u64>(),
+        corr in any::<u64>(),
         method in "[a-z_]{1,24}",
         body in proptest::collection::vec(any::<u8>(), 0..256),
         deadline_us in any::<u64>(),
-        corr in any::<u64>(),
     ) {
-        let req = Request { seq, method, body, deadline_us, corr };
+        let req = Request { corr, method, body, deadline_us };
         prop_assert_eq!(Request::decode(&req.encode()).expect("decodes"), req);
     }
 
     #[test]
     fn responses_round_trip(
-        seq in any::<u64>(),
+        corr in any::<u64>(),
         body in proptest::collection::vec(any::<u8>(), 0..256),
         kind in 0u8..4,
-        corr in any::<u64>(),
     ) {
-        let mut resp = match kind {
-            0 => Response::ok(body),
-            1 => Response::error(&String::from_utf8_lossy(&body)),
-            2 => Response::deadline_exceeded(),
-            _ => Response::overloaded(),
-        };
-        resp.seq = seq;
+        let mut resp = response(kind, body);
         resp.corr = corr;
         prop_assert_eq!(Response::decode(&resp.encode()).expect("decodes"), resp);
     }
 
-    /// Correlation ids survive the round trip independently of seq: the
-    /// multiplexing layer relies on the two fields never aliasing.
+    /// Every field is required: no strict prefix of an encoding decodes.
     #[test]
-    fn corr_and_seq_are_independent(
-        seq in any::<u64>(),
+    fn every_strict_prefix_fails_to_decode(
         corr in any::<u64>(),
-        method in "[a-z_]{1,12}",
+        method in "[a-z_]{1,16}",
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+        deadline_us in any::<u64>(),
+        kind in 0u8..4,
     ) {
-        let req = Request { seq, method, body: vec![], deadline_us: 7, corr };
-        let back = Request::decode(&req.encode()).expect("decodes");
-        prop_assert_eq!(back.seq, seq);
-        prop_assert_eq!(back.corr, corr);
-        prop_assert_eq!(back.deadline_us, 7);
+        let req = Request { corr, method, body: body.clone(), deadline_us }.encode();
+        for cut in 0..req.len() {
+            let decoded = Request::decode(&req[..cut]);
+            prop_assert!(decoded.is_err_and(|e| is_typed(&e)), "request cut at {}", cut);
+        }
+        let mut resp = response(kind, body);
+        resp.corr = corr;
+        let resp = resp.encode();
+        for cut in 0..resp.len() {
+            let decoded = Response::decode(&resp[..cut]);
+            prop_assert!(decoded.is_err_and(|e| is_typed(&e)), "response cut at {}", cut);
+        }
+    }
+
+    /// Bytes after the last field are rejected, whatever they are.
+    #[test]
+    fn appended_bytes_are_rejected(
+        corr in any::<u64>(),
+        method in "[a-z_]{1,16}",
+        body in proptest::collection::vec(any::<u8>(), 0..64),
+        deadline_us in any::<u64>(),
+        kind in 0u8..4,
+        extra in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        let mut req = Request { corr, method, body: body.clone(), deadline_us }.encode();
+        req.extend_from_slice(&extra);
+        prop_assert_eq!(
+            Request::decode(&req),
+            Err(WireError::InvalidLength(extra.len() as u64))
+        );
+        let mut resp = response(kind, body);
+        resp.corr = corr;
+        let mut resp = resp.encode();
+        resp.extend_from_slice(&extra);
+        prop_assert_eq!(
+            Response::decode(&resp),
+            Err(WireError::InvalidLength(extra.len() as u64))
+        );
     }
 
     #[test]
@@ -95,7 +144,7 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for p in &payloads {
-            frame::write_frame(&mut stream, p).expect("in-memory write succeeds");
+            frame::append_frame(&mut stream, p).expect("in-memory append succeeds");
         }
         let mut cursor = std::io::Cursor::new(stream);
         for p in &payloads {
@@ -111,81 +160,41 @@ proptest! {
         let _ = Response::decode(&data);
     }
 
-    /// Byte-mutation fuzz: flipping any byte of a valid encoding (or
-    /// truncating it) must either still decode or fail with a *typed*
+    /// Byte-mutation fuzz: flipping any byte of a valid encoding must
+    /// either still decode or fail with a *typed*
     /// [`WireError`] — never a panic, never a mystery error.
     #[test]
     fn mutated_requests_fail_typed(
-        seq in any::<u64>(),
+        corr in any::<u64>(),
         method in "[a-z_]{1,16}",
         body in proptest::collection::vec(any::<u8>(), 0..64),
         deadline_us in any::<u64>(),
-        corr in any::<u64>(),
         flip_at in any::<usize>(),
         flip_bits in 1u8..255,
-        truncate_to in any::<usize>(),
     ) {
-        let req = Request { seq, method, body, deadline_us, corr };
+        let req = Request { corr, method, body, deadline_us };
         let mut bytes = req.encode();
-
-        // Single-byte mutation.
         let idx = flip_at % bytes.len();
         bytes[idx] ^= flip_bits;
-        match Request::decode(&bytes) {
-            Ok(_) => {} // mutation landed in a don't-care position
-            Err(e) => prop_assert!(matches!(
-                e,
-                WireError::UnexpectedEof
-                    | WireError::VarintOverflow
-                    | WireError::InvalidLength(_)
-                    | WireError::UnknownTag(_)
-                    | WireError::InvalidUtf8
-            )),
-        }
-
-        // Truncation of the *unmutated* encoding.
-        let intact = req.encode();
-        let cut = truncate_to % (intact.len() + 1);
-        match Request::decode(&intact[..cut]) {
-            // A cut that lands exactly on the end of a trailing optional
-            // field (corr, deadline) still decodes; anything else must be
-            // a typed failure.
-            Ok(back) => prop_assert_eq!(back.seq, seq),
-            Err(e) => prop_assert!(matches!(
-                e,
-                WireError::UnexpectedEof
-                    | WireError::VarintOverflow
-                    | WireError::InvalidLength(_)
-                    | WireError::UnknownTag(_)
-                    | WireError::InvalidUtf8
-            )),
+        if let Err(e) = Request::decode(&bytes) {
+            prop_assert!(is_typed(&e), "{:?}", e);
         }
     }
 
     #[test]
     fn mutated_responses_fail_typed(
-        seq in any::<u64>(),
-        body in proptest::collection::vec(any::<u8>(), 0..64),
         corr in any::<u64>(),
+        body in proptest::collection::vec(any::<u8>(), 0..64),
         flip_at in any::<usize>(),
         flip_bits in 1u8..255,
     ) {
         let mut resp = Response::ok(body);
-        resp.seq = seq;
         resp.corr = corr;
         let mut bytes = resp.encode();
         let idx = flip_at % bytes.len();
         bytes[idx] ^= flip_bits;
-        match Response::decode(&bytes) {
-            Ok(_) => {}
-            Err(e) => prop_assert!(matches!(
-                e,
-                WireError::UnexpectedEof
-                    | WireError::VarintOverflow
-                    | WireError::InvalidLength(_)
-                    | WireError::UnknownTag(_)
-                    | WireError::InvalidUtf8
-            )),
+        if let Err(e) = Response::decode(&bytes) {
+            prop_assert!(is_typed(&e), "{:?}", e);
         }
     }
 }

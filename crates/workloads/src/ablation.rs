@@ -36,7 +36,7 @@ pub struct CacheArchResult {
     pub hit_rate: f64,
 }
 
-fn cache_server(cache: Arc<Cache>, store: Arc<BackingStore>, workers: usize) -> InProcServer {
+fn cache_server(cache: Arc<Cache>, store: Arc<BackingStore>) -> InProcServer {
     InProcServer::start(
         move |req: &Request| match req.method.as_str() {
             // Read-through GET: the server fills on miss.
@@ -65,7 +65,9 @@ fn cache_server(cache: Arc<Cache>, store: Arc<BackingStore>, workers: usize) -> 
             }
             other => Response::error(&format!("unknown {other}")),
         },
-        PoolConfig::single_lane(workers).with_queue_depth(8192),
+        // Every request runs inline on the caller's thread (fast lane),
+        // so the pool never receives a job and keeps one worker.
+        PoolConfig::single_lane(1),
     )
 }
 
@@ -137,7 +139,7 @@ pub fn compare_cache_architectures(
             },
             seed,
         ));
-        let server = cache_server(Arc::clone(&cache), store, threads.max(2));
+        let server = cache_server(Arc::clone(&cache), store);
         let client = server.client();
         let started = Instant::now();
         let (requests, rpc_calls) =

@@ -24,9 +24,7 @@ use dcperf_loadgen::{ClosedLoop, EndpointMix, LoadReport, OpenLoop, Service, Ser
 use dcperf_resilience::{
     BreakerConfig, CircuitBreaker, FaultOutcome, FaultPlan, LatencyFault, RetryPolicy,
 };
-use dcperf_rpc::{
-    InProcClient, InProcServer, Lane, PoolConfig, Request, ResilientClient, Response, RpcError,
-};
+use dcperf_rpc::{InProcClient, PoolConfig, ResilientClient, RpcError};
 use dcperf_telemetry::{metrics, Telemetry, TelemetrySnapshot};
 use dcperf_util::{SplitMix64, Zipf};
 use std::sync::Arc;
@@ -267,35 +265,10 @@ fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u6
         &cache_registry,
     ));
 
-    // Server: the TaoBench fast/slow architecture.
-    let handler_cache = Arc::clone(&cache);
-    let handler_store = Arc::clone(&store);
-    let classify_cache = Arc::clone(&cache);
-    let server = InProcServer::start_with_classifier(
-        move |req: &Request| match req.method.as_str() {
-            "get" => match handler_cache.get_or_load(&req.body, |key| handler_store.lookup(key)) {
-                Some(value) => Response::ok(value.to_vec()),
-                None => Response::error("object not found"),
-            },
-            "set" => {
-                if req.body.len() < 8 {
-                    return Response::error("malformed set");
-                }
-                let (key, value) = req.body.split_at(8);
-                handler_cache.set(key, value.to_vec());
-                Response::ok(Vec::new())
-            }
-            other => Response::error(&format!("unknown method {other}")),
-        },
-        move |req: &Request| {
-            // A stat-less `contains` peek: classification must not skew
-            // the hit/miss counters the snapshot reports.
-            if req.method == "get" && classify_cache.contains(&req.body) {
-                Lane::Fast
-            } else {
-                Lane::Slow
-            }
-        },
+    // Server: TaoBench's, with its fast/slow architecture.
+    let server = crate::taobench::tao_server(
+        cache,
+        Arc::clone(&store),
         PoolConfig::single_lane(2).with_queue_depth(4096),
     );
 

@@ -220,6 +220,74 @@ impl Service for TaoClient {
     }
 }
 
+/// TaoBench's server over `cache` and `store`: `get`, `set`, `mget` and
+/// `mset` handlers, with TAO's dispatch. The classifier peeks the cache,
+/// so hits run on the fast lane and misses and writes queue to `pool`.
+pub(crate) fn tao_server(
+    cache: Arc<Cache>,
+    store: Arc<BackingStore>,
+    pool: PoolConfig,
+) -> InProcServer {
+    let handler_cache = Arc::clone(&cache);
+    InProcServer::start_with_classifier(
+        move |req: &Request| match req.method.as_str() {
+            "get" => match handler_cache.get_or_load(&req.body, |key| store.lookup(key)) {
+                Some(value) => Response::ok(value.to_vec()),
+                None => Response::error("object not found"),
+            },
+            "set" => {
+                if req.body.len() < 8 {
+                    return Response::error("malformed set");
+                }
+                let (key, value) = req.body.split_at(8);
+                handler_cache.set(key, value.to_vec());
+                Response::ok(Vec::new())
+            }
+            "mget" => {
+                // Body: concatenated 8-byte keys. The whole burst
+                // resolves in one shard-grouped cache pass, with
+                // misses loaded through the single-flight fill path.
+                if !req.body.len().is_multiple_of(8) {
+                    return Response::error("malformed mget");
+                }
+                let keys: Vec<&[u8]> = req.body.chunks_exact(8).collect();
+                let values = handler_cache.get_or_load_many(&keys, |key| store.lookup(key));
+                let mut out = Vec::new();
+                for value in &values {
+                    encode_mget_slot(&mut out, value.as_deref());
+                }
+                Response::ok(out)
+            }
+            "mset" => match parse_mset_items(&req.body) {
+                // One write-locked pass per touched shard.
+                Some(items) => {
+                    handler_cache.set_many(items);
+                    Response::ok(Vec::new())
+                }
+                None => Response::error("malformed mset"),
+            },
+            other => Response::error(&format!("unknown method {other}")),
+        },
+        move |req: &Request| {
+            // TAO's dispatch: peek the cache; hits take the fast
+            // lane, misses and writes the slow threads. The peek is
+            // a stat-less `contains` so classification neither skews
+            // hit/miss counters nor perturbs LRU order.
+            match req.method.as_str() {
+                "get" if cache.contains(&req.body) => Lane::Fast,
+                "mget"
+                    if req.body.len().is_multiple_of(8)
+                        && req.body.chunks_exact(8).all(|key| cache.contains(key)) =>
+                {
+                    Lane::Fast
+                }
+                _ => Lane::Slow,
+            }
+        },
+        pool,
+    )
+}
+
 impl Benchmark for TaoBench {
     fn name(&self) -> &str {
         "taobench"
@@ -260,70 +328,9 @@ impl Benchmark for TaoBench {
         // Server: hits run inline on the fast lane, misses/SETs on the
         // slow pool.
         let slow_threads = (threads / 2).max(2);
-        let handler_cache = Arc::clone(&cache);
-        let handler_store = Arc::clone(&store);
-        let classify_cache = Arc::clone(&cache);
-        let server = InProcServer::start_with_classifier(
-            move |req: &Request| match req.method.as_str() {
-                "get" => {
-                    match handler_cache.get_or_load(&req.body, |key| handler_store.lookup(key)) {
-                        Some(value) => Response::ok(value.to_vec()),
-                        None => Response::error("object not found"),
-                    }
-                }
-                "set" => {
-                    if req.body.len() < 8 {
-                        return Response::error("malformed set");
-                    }
-                    let (key, value) = req.body.split_at(8);
-                    handler_cache.set(key, value.to_vec());
-                    Response::ok(Vec::new())
-                }
-                "mget" => {
-                    // Body: concatenated 8-byte keys. The whole burst
-                    // resolves in one shard-grouped cache pass, with
-                    // misses loaded through the single-flight fill path.
-                    if !req.body.len().is_multiple_of(8) {
-                        return Response::error("malformed mget");
-                    }
-                    let keys: Vec<&[u8]> = req.body.chunks_exact(8).collect();
-                    let values =
-                        handler_cache.get_or_load_many(&keys, |key| handler_store.lookup(key));
-                    let mut out = Vec::new();
-                    for value in &values {
-                        encode_mget_slot(&mut out, value.as_deref());
-                    }
-                    Response::ok(out)
-                }
-                "mset" => match parse_mset_items(&req.body) {
-                    // One write-locked pass per touched shard.
-                    Some(items) => {
-                        handler_cache.set_many(items);
-                        Response::ok(Vec::new())
-                    }
-                    None => Response::error("malformed mset"),
-                },
-                other => Response::error(&format!("unknown method {other}")),
-            },
-            move |req: &Request| {
-                // TAO's dispatch: peek the cache; hits take the fast
-                // lane, misses and writes the slow threads. The peek is
-                // a stat-less `contains` so classification neither skews
-                // hit/miss counters nor perturbs LRU order.
-                match req.method.as_str() {
-                    "get" if classify_cache.contains(&req.body) => Lane::Fast,
-                    "mget"
-                        if req.body.len().is_multiple_of(8)
-                            && req
-                                .body
-                                .chunks_exact(8)
-                                .all(|key| classify_cache.contains(key)) =>
-                    {
-                        Lane::Fast
-                    }
-                    _ => Lane::Slow,
-                }
-            },
+        let server = tao_server(
+            Arc::clone(&cache),
+            Arc::clone(&store),
             PoolConfig::single_lane(slow_threads).with_queue_depth(8192),
         );
 
