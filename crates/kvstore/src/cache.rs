@@ -105,9 +105,12 @@ enum FillOutcome {
     Failed,
 }
 
-enum FillState {
-    Pending,
-    Done(FillOutcome),
+struct FillState {
+    /// `None` until the leader publishes.
+    outcome: Option<FillOutcome>,
+    /// Waiters parked on `done`. The leader notifies only when there is
+    /// one: a notify makes a futex call even with no thread to wake.
+    parked: usize,
 }
 
 /// One in-flight fill: waiters park on `done` until the leader publishes.
@@ -147,11 +150,14 @@ struct FillGuard<'a> {
 
 impl FillGuard<'_> {
     fn publish(&mut self, outcome: FillOutcome) {
-        {
+        let parked = {
             let mut state = lock(&self.flight.state);
-            *state = FillState::Done(outcome);
+            state.outcome = Some(outcome);
+            state.parked
+        };
+        if parked > 0 {
+            self.flight.done.notify_all();
         }
-        self.flight.done.notify_all();
         lock(&self.cache.shards[self.shard].fills).remove(self.key);
         self.published = true;
     }
@@ -427,7 +433,10 @@ impl Cache {
             Some(flight) => FillRole::Waiter(Arc::clone(flight)),
             None => {
                 let flight = Arc::new(InFlight {
-                    state: Mutex::new(FillState::Pending),
+                    state: Mutex::new(FillState {
+                        outcome: None,
+                        parked: 0,
+                    }),
                     done: Condvar::new(),
                 });
                 fills.insert(key.into(), Arc::clone(&flight));
@@ -440,13 +449,15 @@ impl Cache {
     fn await_fill(flight: &InFlight) -> FillOutcome {
         let mut state = lock(&flight.state);
         loop {
-            if let FillState::Done(outcome) = &*state {
+            if let Some(outcome) = &state.outcome {
                 return outcome.clone();
             }
+            state.parked += 1;
             state = flight
                 .done
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
         }
     }
 

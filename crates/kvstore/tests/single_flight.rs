@@ -223,3 +223,55 @@ fn disabling_single_flight_restores_thundering_herd() {
     );
     assert_eq!(c.stats().singleflight_fills(), 0);
 }
+
+#[test]
+fn eight_waiters_on_one_fill_all_get_the_value() {
+    // The leader's loader holds the fill open until all eight waiters
+    // have joined it, so each one parks (or finds the value published)
+    // and must be woken by the leader's publish.
+    let c = cache();
+    let (leading_tx, leading_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let leader = {
+        let (c, done_tx) = (Arc::clone(&c), done_tx.clone());
+        std::thread::spawn(move || {
+            let got = c.get_or_load(b"cold", |_| {
+                leading_tx.send(()).expect("test is waiting");
+                let give_up = std::time::Instant::now() + Duration::from_secs(10);
+                while c.stats().singleflight_waits() < THREADS as u64
+                    && std::time::Instant::now() < give_up
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // Give the last waiter time to park after it registered.
+                std::thread::sleep(Duration::from_millis(20));
+                Some(b"filled".to_vec())
+            });
+            done_tx.send(got).expect("test is waiting");
+        })
+    };
+    leading_rx.recv().expect("the leader started its fill");
+    let waiters: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (c, done_tx) = (Arc::clone(&c), done_tx.clone());
+            std::thread::spawn(move || {
+                let got = c.get_or_load(b"cold", |_| panic!("a waiter must not load"));
+                done_tx.send(got).expect("test is waiting");
+            })
+        })
+        .collect();
+    // A waiter left parked shows as a missing value, not a hung test.
+    for _ in 0..=THREADS {
+        let got = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every caller returns");
+        assert_eq!(got.as_deref(), Some(&b"filled"[..]));
+    }
+    leader.join().expect("leader");
+    for w in waiters {
+        w.join().expect("waiter");
+    }
+    let stats = c.stats();
+    assert_eq!(stats.singleflight_fills(), 1);
+    assert_eq!(stats.singleflight_waits(), THREADS as u64);
+}

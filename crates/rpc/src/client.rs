@@ -1,11 +1,10 @@
 //! RPC clients: in-process and TCP. Each client has one request path,
 //! the pipelined `call_many` burst; a single call is a burst of one.
 
-use crate::frame::{append_frame, read_frame, Request, Response, RpcError, Status};
+use crate::frame::{self, append_frame_with, read_frame, Request, Response, RpcError, Status};
 use crate::server::ServerCore;
 use crate::stats::RpcStats;
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -186,14 +185,42 @@ fn map_io(e: std::io::Error) -> RpcError {
     }
 }
 
+/// Reads the next response frame and returns it with its payload length.
+/// A frame that is whole in the read buffer decodes straight from it; one
+/// larger than the buffer, or split across reads, goes through
+/// [`read_frame`].
+fn read_response(reader: &mut BufReader<TcpStream>) -> Result<(Response, usize), RpcError> {
+    let buffered = reader.fill_buf().map_err(map_io)?;
+    if buffered.is_empty() {
+        return Err(RpcError::Disconnected);
+    }
+    if let Some(prefix) = buffered.first_chunk::<4>() {
+        let len = u32::from_be_bytes(*prefix) as usize;
+        // A frame that fits the buffer is far below MAX_FRAME.
+        if let Some(payload) = buffered.get(4..).and_then(|rest| rest.get(..len)) {
+            let resp = Response::decode(payload)?;
+            reader.consume(4 + len);
+            return Ok((resp, len));
+        }
+    }
+    match read_frame(reader) {
+        Ok(Some(payload)) => Ok((Response::decode(&payload)?, payload.len())),
+        Ok(None) => Err(RpcError::Disconnected),
+        Err(e) => Err(map_io(e)),
+    }
+}
+
 /// A synchronous TCP RPC client. [`TcpClient::call_many`] pipelines a
 /// batch through an in-flight window so one connection does the work of
 /// N single-call clients; [`TcpClient::call`] is a burst of one, so it
 /// keeps one outstanding call per connection (classic Thrift sync
 /// behavior).
 pub struct TcpClient {
+    /// Replies are read through the buffer; requests are written to the
+    /// socket it wraps.
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// The frames of one window top-up, reused from burst to burst.
+    burst: Vec<u8>,
     next_corr: u64,
     window: usize,
     stats: RpcStats,
@@ -220,11 +247,9 @@ impl TcpClient {
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
         Ok(Self {
-            reader,
-            writer,
+            reader: BufReader::new(stream),
+            burst: Vec::new(),
             next_corr: 1,
             window: DEFAULT_CLIENT_WINDOW,
             stats: RpcStats::new(),
@@ -307,60 +332,57 @@ impl TcpClient {
     ) -> Vec<Result<Response, RpcError>> {
         let n = bodies.len();
         let mut results: Vec<Option<Result<Response, RpcError>>> = (0..n).map(|_| None).collect();
-        let mut slot_of: HashMap<u64, usize> = HashMap::with_capacity(self.window);
-        let mut pending: VecDeque<(usize, Vec<u8>)> = bodies.into_iter().enumerate().collect();
-        let window = self.window.max(1);
+        let deadline_us = budget.map_or(0, frame::budget_us);
+        // Request `i` of this call carries `base + i`, so a reply's corr
+        // names its slot.
+        let base = self.next_corr;
+        let (mut sent, mut received) = (0, 0);
 
         let failure: Option<RpcError> = 'run: {
             loop {
                 // Top up the window: encode a burst of frames and push it
-                // with one buffered write + flush.
-                if !pending.is_empty() && slot_of.len() < window {
-                    let mut burst = Vec::new();
-                    while slot_of.len() < window {
-                        let Some((idx, body)) = pending.pop_front() else {
-                            break;
-                        };
-                        let mut req = Request::new(method, body);
-                        if let Some(b) = budget {
-                            req = req.with_deadline(b);
+                // with one write.
+                if sent < n && sent - received < self.window {
+                    self.burst.clear();
+                    while sent < n && sent - received < self.window {
+                        let encoded = append_frame_with(&mut self.burst, |out| {
+                            frame::encode_request(
+                                out,
+                                self.next_corr,
+                                method,
+                                &bodies[sent],
+                                deadline_us,
+                            );
+                        });
+                        match encoded {
+                            Ok(len) => self.stats.record_request(len),
+                            Err(e) => break 'run Some(map_io(e)),
                         }
-                        req.corr = self.next_corr;
                         self.next_corr += 1;
-                        let payload = req.encode();
-                        self.stats.record_request(payload.len());
-                        if let Err(e) = append_frame(&mut burst, &payload) {
-                            break 'run Some(map_io(e));
-                        }
-                        slot_of.insert(req.corr, idx);
+                        sent += 1;
                     }
-                    if let Err(e) = self
-                        .writer
-                        .write_all(&burst)
-                        .and_then(|()| self.writer.flush())
-                    {
+                    if let Err(e) = self.reader.get_ref().write_all(&self.burst) {
                         break 'run Some(map_io(e));
                     }
                 }
-                if slot_of.is_empty() {
+                if received == sent {
                     break 'run None;
                 }
                 // Await any one completion; the server may answer in any
-                // order, so route by correlation id.
-                let frame = match read_frame(&mut self.reader) {
-                    Ok(Some(f)) => f,
-                    Ok(None) => break 'run Some(RpcError::Disconnected),
-                    Err(e) => break 'run Some(map_io(e)),
-                };
-                let resp = match Response::decode(&frame) {
+                // order.
+                let (resp, len) = match read_response(&mut self.reader) {
                     Ok(r) => r,
-                    Err(e) => break 'run Some(RpcError::Wire(e)),
+                    Err(e) => break 'run Some(e),
                 };
-                self.stats.record_response(frame.len(), resp.status);
-                let Some(idx) = slot_of.remove(&resp.corr) else {
-                    break 'run Some(RpcError::CorrelationMismatch { got: resp.corr });
+                self.stats.record_response(len, resp.status);
+                // A corr outside this call's sent requests, or one already
+                // answered, means the stream cannot be trusted.
+                let slot = match usize::try_from(resp.corr.wrapping_sub(base)) {
+                    Ok(i) if i < sent && results[i].is_none() => i,
+                    _ => break 'run Some(RpcError::CorrelationMismatch { got: resp.corr }),
                 };
-                results[idx] = Some(response_to_result(resp));
+                results[slot] = Some(response_to_result(resp));
+                received += 1;
             }
         };
         if let Some(err) = failure {

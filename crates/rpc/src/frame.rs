@@ -51,20 +51,21 @@ impl Request {
     /// budgets are rounded up so a nonzero budget stays nonzero on the
     /// wire.
     pub fn with_deadline(mut self, budget: std::time::Duration) -> Self {
-        self.deadline_us = u64::try_from(budget.as_micros())
-            .unwrap_or(u64::MAX)
-            .max(u64::from(!budget.is_zero()));
+        self.deadline_us = budget_us(budget);
         self
     }
 
     /// Serializes the request payload (without the frame length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(24 + self.method.len() + self.body.len());
-        wire::write_uvarint(&mut out, self.corr);
-        wire::write_str(&mut out, &self.method);
-        wire::write_bytes(&mut out, &self.body);
-        wire::write_uvarint(&mut out, self.deadline_us);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends the request payload (without the frame length prefix) to
+    /// `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_request(out, self.corr, &self.method, &self.body, self.deadline_us);
     }
 
     /// Parses a request payload.
@@ -74,16 +75,53 @@ impl Request {
     /// Returns a [`WireError`] on malformed input: a payload that stops
     /// short of its last field, or has bytes left after it.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let req = Self {
-            corr: r.read_uvarint()?,
-            method: r.read_str()?.to_owned(),
-            body: r.read_bytes()?.to_vec(),
-            deadline_us: r.read_uvarint()?,
-        };
-        r.finish()?;
+        let mut req = Self::new("", Vec::new());
+        req.decode_into(buf)?;
         Ok(req)
     }
+
+    /// Parses a request payload into `self`, reusing the capacity of its
+    /// `method` and `body`. The rules are those of [`Request::decode`];
+    /// on error `self` holds a partly decoded request.
+    ///
+    /// # Errors
+    ///
+    /// As [`Request::decode`].
+    pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), WireError> {
+        let mut r = Reader::new(buf);
+        self.corr = r.read_uvarint()?;
+        let method = r.read_str()?;
+        self.method.clear();
+        self.method.push_str(method);
+        let body = r.read_bytes()?;
+        self.body.clear();
+        self.body.extend_from_slice(body);
+        self.deadline_us = r.read_uvarint()?;
+        r.finish()
+    }
+}
+
+/// A deadline budget in whole wire microseconds. Sub-microsecond budgets
+/// round up, so a nonzero budget stays nonzero on the wire.
+pub(crate) fn budget_us(budget: std::time::Duration) -> u64 {
+    u64::try_from(budget.as_micros())
+        .unwrap_or(u64::MAX)
+        .max(u64::from(!budget.is_zero()))
+}
+
+/// Appends a request payload built from its fields, so a caller that
+/// holds them apart needs no [`Request`].
+pub(crate) fn encode_request(
+    out: &mut Vec<u8>,
+    corr: u64,
+    method: &str,
+    body: &[u8],
+    deadline_us: u64,
+) {
+    wire::write_uvarint(out, corr);
+    wire::write_str(out, method);
+    wire::write_bytes(out, body);
+    wire::write_uvarint(out, deadline_us);
 }
 
 /// Response status, mirroring Thrift's reply/exception split.
@@ -169,10 +207,16 @@ impl Response {
     /// Serializes the response payload (without the frame length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.body.len());
-        wire::write_uvarint(&mut out, self.corr);
-        out.push(self.status.to_byte());
-        wire::write_bytes(&mut out, &self.body);
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends the response payload (without the frame length prefix) to
+    /// `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        wire::write_uvarint(out, self.corr);
+        out.push(self.status.to_byte());
+        wire::write_bytes(out, &self.body);
     }
 
     /// Parses a response payload.
@@ -193,23 +237,38 @@ impl Response {
     }
 }
 
-/// Appends a length-prefixed frame to an in-memory buffer *without*
-/// flushing, so a burst of responses can be coalesced into one
-/// `write_all` syscall (the batching half of pipelining).
+/// Appends one length-prefixed frame to `out`, with the payload that
+/// `encode` appends after the prefix: the prefix is reserved first and
+/// filled in once the payload's length is known, so the payload is
+/// written straight into the buffer that goes on the wire. Frames
+/// appended without a flush between them leave in one `write_all` (the
+/// batching half of pipelining). Returns the payload's length.
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` if `payload` exceeds [`MAX_FRAME`].
-pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
+/// Returns `InvalidData`, leaving `out` as it was, if the payload
+/// exceeds [`MAX_FRAME`].
+pub fn append_frame_with(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<usize> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = out.len() - start - 4;
+    match u32::try_from(len) {
+        Ok(prefix) if prefix <= MAX_FRAME => {
+            out[start..start + 4].copy_from_slice(&prefix.to_be_bytes());
+            Ok(len)
+        }
+        _ => {
+            out.truncate(start);
+            Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds MAX_FRAME"),
+            ))
+        }
     }
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
-    Ok(())
 }
 
 /// Reads one length-prefixed frame from a stream. Returns `Ok(None)` on a
@@ -417,12 +476,20 @@ mod tests {
     }
 
     #[test]
-    fn append_frame_rejects_oversized_payload() {
-        let payload = vec![0u8; MAX_FRAME as usize + 1];
-        let mut out = Vec::new();
-        let err = append_frame(&mut out, &payload).unwrap_err();
+    fn append_frame_with_rejects_oversized_payload() {
+        let mut out = b"earlier frames".to_vec();
+        let err = append_frame_with(&mut out, |b| b.resize(b.len() + MAX_FRAME as usize + 1, 0))
+            .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(out.is_empty(), "nothing may be appended on rejection");
+        assert_eq!(
+            out, b"earlier frames",
+            "nothing may be appended on rejection"
+        );
+    }
+
+    /// Appends `payload` as one frame.
+    fn append(out: &mut Vec<u8>, payload: &[u8]) {
+        append_frame_with(out, |b| b.extend_from_slice(payload)).unwrap();
     }
 
     #[test]
@@ -448,9 +515,9 @@ mod tests {
     #[test]
     fn frame_round_trips_over_a_buffer() {
         let mut stream = Vec::new();
-        append_frame(&mut stream, b"abc").unwrap();
-        append_frame(&mut stream, b"").unwrap();
-        append_frame(&mut stream, &[7u8; 1000]).unwrap();
+        append(&mut stream, b"abc");
+        append(&mut stream, b"");
+        append(&mut stream, &[7u8; 1000]);
         let mut cursor = std::io::Cursor::new(stream);
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"abc");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"");
@@ -461,7 +528,7 @@ mod tests {
     #[test]
     fn truncated_frame_is_io_error() {
         let mut stream = Vec::new();
-        append_frame(&mut stream, b"abcdef").unwrap();
+        append(&mut stream, b"abcdef");
         stream.truncate(stream.len() - 2);
         let mut cursor = std::io::Cursor::new(stream);
         assert!(read_frame(&mut cursor).is_err());

@@ -114,10 +114,20 @@ pub(crate) fn defer_to_batch_end<T: BatchEnd + 'static>(task: &Arc<T>) -> bool {
 /// taken out first, so a task may schedule work for the next batch. A
 /// no-op off a batch context.
 pub(crate) fn end_batch() {
-    let tasks = BATCH_END.with(|slot| slot.borrow_mut().as_mut().map(std::mem::take));
-    for task in tasks.into_iter().flatten() {
+    let Some(mut tasks) = BATCH_END.with(|slot| slot.borrow_mut().as_mut().map(std::mem::take))
+    else {
+        return;
+    };
+    for task in tasks.drain(..) {
         task.batch_end();
     }
+    // Hand the emptied list back for the next batch, so scheduling does
+    // not allocate once per batch.
+    BATCH_END.with(|slot| {
+        if let Some(next) = slot.borrow_mut().as_mut().filter(|next| next.is_empty()) {
+            *next = tasks;
+        }
+    });
 }
 
 /// Sends `msg`, waiting for space in the bounded channel. When it has to

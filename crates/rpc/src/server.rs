@@ -13,7 +13,7 @@
 //! — and only slow-lane work (a miss that goes to the database) is
 //! queued to the server's [`ThreadPool`] and may complete out of order.
 
-use crate::frame::{append_frame, Request, Response, MAX_FRAME};
+use crate::frame::{append_frame_with, Request, Response, MAX_FRAME};
 use crate::pipeline::{InflightGuard, PipelineConfig, PipelineStats};
 use crate::pool::{self, BatchEnd, Lane, PoolConfig, ThreadPool};
 use crate::stats::RpcStats;
@@ -23,7 +23,7 @@ use std::cell::Cell;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -91,7 +91,14 @@ impl ServerCore {
     /// Dispatches a request. A [`Lane::Fast`] job runs here, on the thread
     /// that delivered the request; a [`Lane::Slow`] job is queued to the
     /// pool, waiting for queue space. `reply` receives the response.
-    pub(crate) fn dispatch(&self, req: Request, reply: impl FnOnce(Response) + Send + 'static) {
+    ///
+    /// Returns the request when it was answered here, so the caller can
+    /// decode the next one into it; a queued job keeps it.
+    pub(crate) fn dispatch(
+        &self,
+        req: Request,
+        reply: impl FnOnce(Response) + Send + 'static,
+    ) -> Option<Request> {
         // Pin the wire budget (relative microseconds) to an absolute
         // instant the moment the request enters the server.
         let deadline = (req.deadline_us > 0).then(|| Deadline::from_budget_us(req.deadline_us));
@@ -99,7 +106,7 @@ impl ServerCore {
         if deadline.is_some_and(|d| d.expired()) {
             self.stats.record_deadline_shed();
             reply(expired_response(req.corr));
-            return;
+            return Some(req);
         }
         #[cfg(feature = "fault-injection")]
         let plan = self.fault_plan.lock().ok().and_then(|slot| slot.clone());
@@ -112,9 +119,10 @@ impl ServerCore {
                     #[cfg(feature = "fault-injection")]
                     plan.as_deref(),
                     deadline,
-                    req,
+                    &req,
                     reply,
                 );
+                Some(req)
             }
             Lane::Slow => {
                 let handler = Arc::clone(&self.handler);
@@ -128,10 +136,11 @@ impl ServerCore {
                         #[cfg(feature = "fault-injection")]
                         plan.as_deref(),
                         deadline,
-                        req,
+                        &req,
                         reply,
                     );
                 });
+                None
             }
         }
     }
@@ -144,7 +153,7 @@ fn serve(
     stats: &RpcStats,
     #[cfg(feature = "fault-injection")] plan: Option<&dcperf_resilience::FaultPlan>,
     deadline: Option<Deadline>,
-    req: Request,
+    req: &Request,
     reply: impl FnOnce(Response),
 ) {
     let corr = req.corr;
@@ -176,7 +185,7 @@ fn serve(
             return;
         }
     }
-    let mut resp = handler(&req);
+    let mut resp = handler(req);
     resp.corr = corr;
     reply(resp);
 }
@@ -292,6 +301,16 @@ struct Outbox {
     writing: bool,
 }
 
+/// A flusher thread and the connection it writes out. The connection is
+/// held weakly, so a finished flusher keeps no socket open.
+struct Flusher {
+    thread: JoinHandle<()>,
+    conn: Weak<Connection>,
+}
+
+/// The flushers a server's connections started, joined on shutdown.
+type Flushers = Arc<Mutex<Vec<Flusher>>>;
+
 /// The write side of one pipelined connection. The reader (fast lane) and
 /// pool workers (slow lane) append their responses to the outbox and
 /// write it out; one thread writes at a time, so frames never interleave
@@ -304,6 +323,7 @@ struct Connection {
     permits: channel::Receiver<()>,
     pipeline: Arc<PipelineStats>,
     max_batch: usize,
+    flushers: Flushers,
 }
 
 /// One request's place in the read-ahead window.
@@ -332,9 +352,8 @@ impl Connection {
     /// `max_batch` frames, and at once when the reply is made off a batch
     /// context, where no batch end will come.
     fn reply(self: &Arc<Self>, resp: Response, slot: WindowSlot) {
-        let payload = resp.encode();
         let mut out = self.lock_outbox();
-        if append_frame(&mut out.buf, &payload).is_ok() {
+        if append_frame_with(&mut out.buf, |b| resp.encode_into(b)).is_ok() {
             out.frames += 1;
         }
         // Release the slot before any write: once the frame is on the wire
@@ -374,12 +393,22 @@ impl Connection {
         let flusher = std::thread::Builder::new()
             .name("rpc-flush".into())
             .spawn(move || conn.write_until_drained());
-        if flusher.is_err() {
-            let _ = self.stream.shutdown(Shutdown::Both);
-            let mut out = self.lock_outbox();
-            out.buf.clear();
-            out.frames = 0;
-            out.writing = false;
+        match flusher {
+            Ok(thread) => {
+                let mut flushers = self.flushers.lock().unwrap_or_else(|e| e.into_inner());
+                flushers.retain(|f| !f.thread.is_finished());
+                flushers.push(Flusher {
+                    thread,
+                    conn: Arc::downgrade(self),
+                });
+            }
+            Err(_) => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+                let mut out = self.lock_outbox();
+                out.buf.clear();
+                out.frames = 0;
+                out.writing = false;
+            }
         }
     }
 
@@ -506,6 +535,7 @@ pub struct TcpServer {
     accept_thread: Option<JoinHandle<()>>,
     /// One reader thread per open connection, joined on shutdown.
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    flushers: Flushers,
     core: Arc<ServerCore>,
 }
 
@@ -580,10 +610,12 @@ impl TcpServer {
             pipeline,
         ));
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let flushers = Flushers::default();
 
         let stop2 = Arc::clone(&stop);
         let core2 = Arc::clone(&core);
         let threads2 = Arc::clone(&conn_threads);
+        let flushers2 = Arc::clone(&flushers);
         let accept_thread = std::thread::Builder::new()
             .name("rpc-accept".into())
             .spawn(move || {
@@ -595,9 +627,10 @@ impl TcpServer {
                     let Ok(stream) = stream else { continue };
                     let core = Arc::clone(&core2);
                     let stop = Arc::clone(&stop2);
+                    let flushers = Arc::clone(&flushers2);
                     let spawned = std::thread::Builder::new()
                         .name("rpc-conn".into())
-                        .spawn(move || Self::serve_connection(stream, core, stop));
+                        .spawn(move || Self::serve_connection(stream, core, stop, flushers));
                     if let Ok(handle) = spawned {
                         let mut threads = threads2.lock().unwrap_or_else(|e| e.into_inner());
                         // Closed connections' threads have exited; drop
@@ -613,6 +646,7 @@ impl TcpServer {
             stop,
             accept_thread: Some(accept_thread),
             conn_threads,
+            flushers,
             core,
         })
     }
@@ -642,7 +676,12 @@ impl TcpServer {
     ///
     /// With `max_inflight == 1` the window admits a single request at a
     /// time: one request per turn, responses strictly in request order.
-    fn serve_connection(stream: TcpStream, core: Arc<ServerCore>, stop: Arc<AtomicBool>) {
+    fn serve_connection(
+        stream: TcpStream,
+        core: Arc<ServerCore>,
+        stop: Arc<AtomicBool>,
+        flushers: Flushers,
+    ) {
         let cfg = core.pipeline_cfg;
         // A read timeout lets the loop observe the stop flag even while a
         // client holds the connection open without sending.
@@ -661,6 +700,7 @@ impl TcpServer {
             permits,
             pipeline: Arc::clone(&core.pipeline),
             max_batch: cfg.max_batch,
+            flushers,
         });
 
         let mut inbox = Inbox {
@@ -668,6 +708,9 @@ impl TcpServer {
             start: 0,
             end: 0,
         };
+        // Each request decodes into the one the last inline serve handed
+        // back; only a queued request leaves a new one to be made.
+        let mut spare: Option<Request> = None;
         pool::enter_batch_context();
         ON_READER.set(true);
         loop {
@@ -695,9 +738,10 @@ impl TcpServer {
                     Err(_) => break,
                 }
             };
-            let Ok(req) = Request::decode(payload) else {
+            let mut req = spare.take().unwrap_or_else(|| Request::new("", Vec::new()));
+            if req.decode_into(payload).is_err() {
                 break;
-            };
+            }
             // A full window waits for a slow reply to free a slot.
             if pool::send_or_end_batch(&permit_tx, ()).is_err() {
                 break;
@@ -706,7 +750,7 @@ impl TcpServer {
                 conn: Arc::clone(&conn),
                 _inflight: core.pipeline.track(),
             };
-            core.dispatch(req, move |resp| {
+            spare = core.dispatch(req, move |resp| {
                 let conn = Arc::clone(&slot.conn);
                 conn.reply(resp, slot);
             });
@@ -745,8 +789,9 @@ impl TcpServer {
     }
 
     /// Stops accepting, joins the connection threads (waiting a bounded
-    /// time for each), then closes the pool once the last handle to it
-    /// drops.
+    /// time for each), shuts down the sockets of connections a flusher
+    /// still writes to and joins the flushers, then closes the pool once
+    /// the last handle to it drops.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -774,6 +819,16 @@ impl TcpServer {
             } else {
                 still_running += 1;
             }
+        }
+        // A flusher can wait in a write for up to WRITE_STALL_TIMEOUT on a
+        // peer that stopped reading; shutting the socket down ends it.
+        let flushers =
+            std::mem::take(&mut *self.flushers.lock().unwrap_or_else(|e| e.into_inner()));
+        for flusher in flushers {
+            if let Some(conn) = flusher.conn.upgrade() {
+                let _ = conn.stream.shutdown(Shutdown::Both);
+            }
+            let _ = flusher.thread.join();
         }
         still_running
     }
@@ -991,6 +1046,7 @@ mod tests {
             permits: permit_rx,
             pipeline: Arc::new(PipelineStats::new()),
             max_batch,
+            flushers: Flushers::default(),
         });
         (conn, peer)
     }
@@ -1065,6 +1121,34 @@ mod tests {
         pool.shutdown();
         assert_eq!(conn.pipeline.flushes(), 2);
         assert_eq!(conn.pipeline.batched_responses(), 3);
+    }
+
+    #[test]
+    fn an_oversized_reply_leaves_the_outbox_as_it_was() {
+        let (conn, peer) = test_connection(16, 2);
+        let pool = ThreadPool::new(PoolConfig::single_lane(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let c = Arc::clone(&conn);
+        pool.spawn(move || {
+            // On a pool worker the first frame waits for the batch end.
+            c.reply(ok_with_corr(1), slot(&c));
+            let before = c.lock_outbox().buf.clone();
+            let oversized = Response::ok(vec![0; MAX_FRAME as usize + 1]);
+            c.reply(oversized, slot(&c));
+            let out = c.lock_outbox();
+            tx.send((before, out.buf.clone(), out.frames)).unwrap();
+        })
+        .unwrap();
+        let (before, after, frames) = rx.recv().unwrap();
+        assert_eq!(after, before, "the outbox bytes must be unchanged");
+        assert_eq!(frames, 1);
+        assert_eq!(read_corrs(&peer, 1), vec![1]);
+        pool.shutdown();
+        assert_eq!(
+            conn.pipeline.inflight(),
+            0,
+            "both window slots were released"
+        );
     }
 
     #[test]

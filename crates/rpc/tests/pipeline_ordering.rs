@@ -4,7 +4,7 @@
 //! before the reader blocks. The raw-stream client here writes frames
 //! back-to-back and observes the order responses actually come back in.
 
-use dcperf_rpc::frame::{append_frame, read_frame};
+use dcperf_rpc::frame::{append_frame_with, read_frame};
 use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpClient, TcpServer};
 use std::io::Write;
 use std::net::TcpStream;
@@ -21,7 +21,7 @@ fn burst(requests: &[(u64, &str)]) -> Vec<u8> {
     for &(corr, method) in requests {
         let mut req = Request::new(method, corr.to_le_bytes().to_vec());
         req.corr = corr;
-        append_frame(&mut out, &req.encode()).expect("encode burst");
+        append_frame_with(&mut out, |b| req.encode_into(b)).expect("encode burst");
     }
     out
 }

@@ -10,7 +10,7 @@
 //! Runs identically with and without `--features fault-injection` (no
 //! plan is installed, so the injection hook must be inert).
 
-use dcperf_rpc::frame::{append_frame, read_frame};
+use dcperf_rpc::frame::{append_frame_with, read_frame};
 use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpClient};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -214,7 +214,7 @@ fn frame_split_by_a_long_pause_is_served() {
     let mut req = Request::new("echo", vec![0xAB; 52]);
     req.corr = 9;
     let mut frame = Vec::new();
-    append_frame(&mut frame, &req.encode()).expect("encode frame");
+    append_frame_with(&mut frame, |b| req.encode_into(b)).expect("encode frame");
     for split in [2, 4, 30] {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");

@@ -144,7 +144,8 @@ proptest! {
     ) {
         let mut stream = Vec::new();
         for p in &payloads {
-            frame::append_frame(&mut stream, p).expect("in-memory append succeeds");
+            frame::append_frame_with(&mut stream, |b| b.extend_from_slice(p))
+                .expect("in-memory append succeeds");
         }
         let mut cursor = std::io::Cursor::new(stream);
         for p in &payloads {
@@ -152,6 +153,59 @@ proptest! {
             prop_assert_eq!(&got, p);
         }
         prop_assert!(frame::read_frame(&mut cursor).expect("clean EOF").is_none());
+    }
+
+    /// A frame encoded in place is the length prefix followed by
+    /// `encode()`, after whatever the buffer already held.
+    #[test]
+    fn frames_encoded_in_place_match_prefix_and_encode(
+        corr in any::<u64>(),
+        method in ".{0,24}",
+        body in proptest::collection::vec(any::<u8>(), 0..512),
+        deadline_us in any::<u64>(),
+        kind in 0u8..4,
+        earlier in proptest::collection::vec(any::<u8>(), 0..32),
+    ) {
+        let req = Request { corr, method, body: body.clone(), deadline_us };
+        let mut resp = response(kind, body);
+        resp.corr = corr;
+        let framed = |payload: Vec<u8>| {
+            let mut frame = earlier.clone();
+            frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            frame.extend_from_slice(&payload);
+            frame
+        };
+        let mut out = earlier.clone();
+        let len = frame::append_frame_with(&mut out, |b| req.encode_into(b)).expect("fits");
+        prop_assert_eq!(len, req.encode().len());
+        prop_assert_eq!(out, framed(req.encode()));
+        let mut out = earlier.clone();
+        let len = frame::append_frame_with(&mut out, |b| resp.encode_into(b)).expect("fits");
+        prop_assert_eq!(len, resp.encode().len());
+        prop_assert_eq!(out, framed(resp.encode()));
+    }
+
+    /// Decoding into a reused request leaves nothing of what it held.
+    #[test]
+    fn decode_into_a_reused_request_equals_decode(
+        corr in any::<u64>(),
+        method in ".{0,24}",
+        body in proptest::collection::vec(any::<u8>(), 0..256),
+        deadline_us in any::<u64>(),
+        old_method in ".{0,48}",
+        old_body in proptest::collection::vec(any::<u8>(), 0..512),
+        old_corr in any::<u64>(),
+        old_deadline_us in any::<u64>(),
+    ) {
+        let bytes = Request { corr, method, body, deadline_us }.encode();
+        let mut reused = Request {
+            corr: old_corr,
+            method: old_method,
+            body: old_body,
+            deadline_us: old_deadline_us,
+        };
+        reused.decode_into(&bytes).expect("decodes");
+        prop_assert_eq!(reused, Request::decode(&bytes).expect("decodes"));
     }
 
     #[test]
