@@ -175,8 +175,9 @@ fn parse_args() -> Result<Args, String> {
 
 /// The pre-rewrite read path, reconstructed faithfully: every lookup
 /// reads the clock, takes its shard's exclusive lock, refreshes LRU
-/// recency inline through [`Shard::get`] over the era's SipHash key map
-/// (`RandomState`), copies the hit out, and bumps a hit/miss counter —
+/// recency inline through [`Shard::get`] with the era's SipHash key
+/// hashing (`RandomState`; the shard's entry layout is today's), copies
+/// the hit out, and bumps a hit/miss counter —
 /// the per-op cost profile `Cache::get` had before the zero-copy values,
 /// the batch API and the multiply-rotate hashing. Kept here (not in the
 /// library) so the library carries only the current implementation.

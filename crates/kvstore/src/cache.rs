@@ -6,8 +6,8 @@
 //!   [`std::sync::Mutex`]. A hit moves its entry to the recency front
 //!   inline under that lock and hands back a reference-counted handle to
 //!   the shared `Arc<[u8]>` value instead of copying the bytes out, so
-//!   the critical section is a map probe, a list splice and a refcount
-//!   bump. Eviction order is exact LRU; with one caller thread it is a
+//!   the critical section is an index probe, a key compare, a list splice
+//!   and a refcount bump. Eviction order is exact LRU; with one caller thread it is a
 //!   pure function of the operation sequence. An expired entry is removed
 //!   and counted by the read that sees it. Pipelined bursts map onto
 //!   shard-grouped [`Cache::get_many`] / [`Cache::set_many`] passes that
@@ -254,8 +254,8 @@ impl Cache {
     /// Multiply-rotate hash over the key selects the shard — computed
     /// exactly once per operation; every path below carries the index
     /// instead of re-hashing. Starts from a different state than the
-    /// shard maps' hasher and folds the high bits into the low ones, so
-    /// the masked shard choice stays uncorrelated with bucket choice.
+    /// shards' key hasher and folds the high bits into the low ones, so
+    /// the masked shard choice stays uncorrelated with a key's tag.
     fn shard_index(&self, key: &[u8]) -> usize {
         let h = crate::shard::key_hash_bytes(0xcbf2_9ce4_8422_2325, key);
         ((h ^ (h >> 32)) & self.mask) as usize

@@ -1,4 +1,5 @@
-//! A single LRU shard: hash map + intrusive recency list over a slab.
+//! A single LRU shard: a slab of entries threaded on an intrusive recency
+//! list, indexed by a 32-bit tag of each key's hash.
 //!
 //! Kept lock-free internally; [`Cache`](crate::Cache) wraps each shard in
 //! a mutex. Every read is an exact LRU step: [`Shard::get`] moves the
@@ -12,16 +13,16 @@ use std::sync::Arc;
 
 const NIL: u32 = u32::MAX;
 
-/// Multiply-rotate seed shared by the shard map hasher and the cache's
-/// shard selector (which starts from a different initial state and folds
-/// in the high bits, so bucket and shard choices stay uncorrelated).
+/// Multiply-rotate seed shared by the shard's hasher and the cache's
+/// shard selector (which starts from a different initial state, so tag
+/// and shard choices stay uncorrelated).
 pub(crate) const KEY_HASH_SEED: u64 = 0x517c_c1b7_2722_0a95;
 
 /// Word-at-a-time multiply-rotate hasher (FxHash-style) for the shard's
-/// key map. Cache keys are short internal workload identifiers (8–40
-/// bytes), hashed in one or two multiplies — several times faster than
-/// the default SipHash, whose hash-flooding resistance buys nothing
-/// here.
+/// keys, and for its index of their tags. Cache keys are short internal
+/// workload identifiers (8–40 bytes), hashed in one or two multiplies —
+/// several times faster than the default SipHash, whose hash-flooding
+/// resistance buys nothing here.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KeyBuildHasher;
 
@@ -70,29 +71,82 @@ impl BuildHasher for KeyBuildHasher {
     }
 }
 
-/// Fixed per-entry bookkeeping charge (slab links, map entry, TTL),
+/// Fixed per-entry bookkeeping charge (slab links, index entry, TTL),
 /// approximating a production cache's metadata overhead.
 pub const ENTRY_OVERHEAD: usize = 64;
 
+/// Longest key stored inside its slab entry; a longer key gets one
+/// boxed copy.
+const INLINE_KEY: usize = 22;
+
+/// `Entry::expires_at_ms` of an entry without a TTL.
+const NO_TTL: u64 = u64::MAX;
+
+/// A key's bytes, inline when they fit so that an insert allocates
+/// nothing for the key.
+#[derive(Debug)]
+enum Key {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Boxed(Box<[u8]>),
+}
+
+impl Key {
+    fn new(key: &[u8]) -> Self {
+        if key.len() <= INLINE_KEY {
+            let mut bytes = [0; INLINE_KEY];
+            bytes[..key.len()].copy_from_slice(key);
+            Key::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            Key::Boxed(key.into())
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..*len as usize],
+            Key::Boxed(key) => key,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
-    key: Box<[u8]>,
+    key: Key,
     /// Values are shared slices so a hit hands out a reference-counted
     /// handle instead of copying the bytes — the read path's "zero-copy
     /// hits" property.
     value: Arc<[u8]>,
-    expires_at_ms: Option<u64>,
+    /// [`NO_TTL`] when the entry never expires.
+    expires_at_ms: u64,
     prev: u32,
     next: u32,
+    /// The next entry whose key has the same hash tag, or `NIL`.
+    dup: u32,
+}
+
+impl Entry {
+    fn expired(&self, now_ms: u64) -> bool {
+        self.expires_at_ms != NO_TTL && self.expires_at_ms <= now_ms
+    }
 }
 
 /// An LRU map with byte-based capacity accounting and optional TTLs.
+///
+/// Each entry lives in one slab slot that holds its key (inline up to
+/// 22 bytes), its value handle and its links. The index maps a 32-bit
+/// tag of the key's hash to the slot heading that tag's chain; entries
+/// whose tags are equal are chained through their slots, and a lookup
+/// compares the key in each slot of the chain.
 ///
 /// All time parameters are milliseconds on a caller-provided clock, which
 /// keeps the shard deterministic under test.
 #[derive(Debug)]
 pub struct Shard<S: BuildHasher = KeyBuildHasher> {
-    map: HashMap<Box<[u8]>, u32, S>,
+    index: HashMap<u32, u32, KeyBuildHasher>,
+    hasher: S,
     slab: Vec<Entry>,
     free: Vec<u32>,
     head: u32,
@@ -105,20 +159,21 @@ pub struct Shard<S: BuildHasher = KeyBuildHasher> {
 
 impl Shard {
     /// Creates a shard bounded to `capacity_bytes` of charged data, keyed
-    /// with the default multiply-rotate map hasher.
+    /// with the default multiply-rotate hasher.
     pub fn new(capacity_bytes: usize) -> Self {
         Self::with_hasher(capacity_bytes, KeyBuildHasher)
     }
 }
 
 impl<S: BuildHasher> Shard<S> {
-    /// Creates a shard with an explicit key-map hasher. Exists so
-    /// `bench_kvstore` can reconstruct the pre-rewrite baseline (std's
-    /// SipHash `RandomState`) byte-for-byte; production code uses
+    /// Creates a shard with an explicit key hasher. Exists so
+    /// `bench_kvstore` can reconstruct the pre-rewrite baseline's key
+    /// hashing (std's SipHash `RandomState`); production code uses
     /// [`Shard::new`].
     pub fn with_hasher(capacity_bytes: usize, hasher: S) -> Self {
         Self {
-            map: HashMap::with_hasher(hasher),
+            index: HashMap::with_hasher(KeyBuildHasher),
+            hasher,
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -130,9 +185,34 @@ impl<S: BuildHasher> Shard<S> {
         }
     }
 
+    /// The modelled cost of an entry: a production cache's bookkeeping,
+    /// which stores the key twice (index and item). It is not this
+    /// shard's own layout, which stores the key once; keeping the model
+    /// fixed keeps evictions, and so hits, misses and fills, independent
+    /// of how the shard lays entries out.
     fn charge(key: &[u8], value: &[u8]) -> usize {
-        // Key stored in both the map and the slab entry.
         key.len() * 2 + value.len() + ENTRY_OVERHEAD
+    }
+
+    /// The key's 64-bit hash folded to 32 bits. Both halves go in: under
+    /// the multiply-rotate hasher the low half depends only on the low
+    /// bytes of each word.
+    fn tag(&self, key: &[u8]) -> u32 {
+        let h = self.hasher.hash_one(key);
+        (h ^ (h >> 32)) as u32
+    }
+
+    /// The slot holding `key`, whose tag is `tag`.
+    fn find(&self, tag: u32, key: &[u8]) -> Option<u32> {
+        let mut idx = *self.index.get(&tag)?;
+        while idx != NIL {
+            let entry = &self.slab[idx as usize];
+            if entry.key.as_bytes() == key {
+                return Some(idx);
+            }
+            idx = entry.dup;
+        }
+        None
     }
 
     fn detach(&mut self, idx: u32) {
@@ -168,15 +248,31 @@ impl<S: BuildHasher> Shard<S> {
         }
     }
 
-    fn remove_idx(&mut self, idx: u32) {
+    /// Unlinks the entry in slot `idx` from its tag chain (`tag` is its
+    /// key's tag) and from the recency list, and frees the slot.
+    fn remove_idx(&mut self, tag: u32, idx: u32) {
         self.detach(idx);
+        let dup = self.slab[idx as usize].dup;
+        if let Some(head) = self.index.get_mut(&tag) {
+            if *head != idx {
+                let mut prev = *head;
+                while self.slab[prev as usize].dup != idx {
+                    prev = self.slab[prev as usize].dup;
+                }
+                self.slab[prev as usize].dup = dup;
+            } else if dup != NIL {
+                *head = dup;
+            } else {
+                self.index.remove(&tag);
+            }
+        }
         let entry = &mut self.slab[idx as usize];
-        self.used_bytes -= Self::charge(&entry.key, &entry.value);
-        let key = std::mem::take(&mut entry.key);
+        self.used_bytes -= Self::charge(entry.key.as_bytes(), &entry.value);
         // Drop this slot's handle; the bytes free once the last reader's
-        // clone does (empty `Arc<[u8]>` is allocation-free).
+        // clone does (empty `Arc<[u8]>` is allocation-free). A boxed key
+        // frees with it.
         entry.value = Arc::default();
-        self.map.remove(&key);
+        entry.key = Key::new(&[]);
         self.free.push(idx);
     }
 
@@ -184,12 +280,10 @@ impl<S: BuildHasher> Shard<S> {
     /// handle to the cached bytes (zero-copy). Expired entries are
     /// removed, counted in [`Shard::expirations`], and reported absent.
     pub fn get(&mut self, key: &[u8], now_ms: u64) -> Option<Arc<[u8]>> {
-        let idx = *self.map.get(key)?;
-        if self.slab[idx as usize]
-            .expires_at_ms
-            .is_some_and(|exp| exp <= now_ms)
-        {
-            self.remove_idx(idx);
+        let tag = self.tag(key);
+        let idx = self.find(tag, key)?;
+        if self.slab[idx as usize].expired(now_ms) {
+            self.remove_idx(tag, idx);
             self.expirations += 1;
             return None;
         }
@@ -200,11 +294,8 @@ impl<S: BuildHasher> Shard<S> {
 
     /// Checks presence without refreshing recency or cloning.
     pub fn contains(&self, key: &[u8], now_ms: u64) -> bool {
-        self.map.get(key).is_some_and(|&idx| {
-            self.slab[idx as usize]
-                .expires_at_ms
-                .is_none_or(|exp| exp > now_ms)
-        })
+        self.find(self.tag(key), key)
+            .is_some_and(|idx| !self.slab[idx as usize].expired(now_ms))
     }
 
     /// Inserts or replaces `key`, evicting LRU entries to stay within
@@ -220,17 +311,18 @@ impl<S: BuildHasher> Shard<S> {
         now_ms: u64,
     ) -> u64 {
         let value: Arc<[u8]> = value.into();
-        if let Some(&idx) = self.map.get(key) {
-            self.remove_idx(idx);
+        let tag = self.tag(key);
+        if let Some(idx) = self.find(tag, key) {
+            self.remove_idx(tag, idx);
         }
         let charge = Self::charge(key, &value);
-        let boxed_key: Box<[u8]> = key.into();
         let entry = Entry {
-            key: boxed_key.clone(),
+            key: Key::new(key),
             value,
-            expires_at_ms: ttl_ms.map(|t| now_ms.saturating_add(t)),
+            expires_at_ms: ttl_ms.map_or(NO_TTL, |t| now_ms.saturating_add(t)),
             prev: NIL,
             next: NIL,
+            dup: NIL,
         };
         let idx = match self.free.pop() {
             Some(i) => {
@@ -242,14 +334,17 @@ impl<S: BuildHasher> Shard<S> {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.map.insert(boxed_key, idx);
+        if let Some(next) = self.index.insert(tag, idx) {
+            self.slab[idx as usize].dup = next;
+        }
         self.used_bytes += charge;
         self.attach_front(idx);
 
         let mut evicted = 0;
         while self.used_bytes > self.capacity_bytes && self.tail != NIL && self.tail != idx {
             let victim = self.tail;
-            self.remove_idx(victim);
+            let victim_tag = self.tag(self.slab[victim as usize].key.as_bytes());
+            self.remove_idx(victim_tag, victim);
             evicted += 1;
         }
         self.evictions += evicted;
@@ -258,8 +353,9 @@ impl<S: BuildHasher> Shard<S> {
 
     /// Removes `key`, returning whether it was present.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        if let Some(&idx) = self.map.get(key) {
-            self.remove_idx(idx);
+        let tag = self.tag(key);
+        if let Some(idx) = self.find(tag, key) {
+            self.remove_idx(tag, idx);
             true
         } else {
             false
@@ -268,12 +364,12 @@ impl<S: BuildHasher> Shard<S> {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Whether the shard holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Charged bytes currently held.
@@ -429,5 +525,52 @@ mod tests {
         s.insert(&[10], vec![0; 10], None, 0); // evicts 1
         assert!(!s.contains(&[1], 0));
         assert!(s.contains(&[2], 0));
+    }
+
+    #[test]
+    fn an_entry_fits_a_cache_line() {
+        assert!(
+            std::mem::size_of::<Entry>() <= 64,
+            "Entry is {} bytes",
+            std::mem::size_of::<Entry>()
+        );
+    }
+
+    #[test]
+    fn keys_inline_and_boxed_round_trip() {
+        let mut s = shard();
+        let keys: Vec<Vec<u8>> = (0..=40u8).map(|n| (0..n).collect()).collect();
+        for (i, key) in keys.iter().enumerate() {
+            s.insert(key, vec![i as u8], None, 0);
+        }
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(s.get(key, 0).as_deref(), Some(&[i as u8][..]));
+        }
+        assert!(matches!(Key::new(&keys[22]), Key::Inline { .. }));
+        assert!(matches!(Key::new(&keys[23]), Key::Boxed(_)));
+    }
+
+    #[test]
+    fn sequential_keys_spread_over_tags() {
+        // Folding the hash's high half into the tag is what keeps these
+        // apart: they differ only in their last bytes.
+        let mut s = Shard::new(usize::MAX);
+        for i in 0..10_000 {
+            s.insert(format!("user:{i:08}").as_bytes(), vec![0], None, 0);
+        }
+        let longest = s
+            .index
+            .values()
+            .map(|&head| {
+                let (mut idx, mut len) = (head, 0);
+                while idx != NIL {
+                    len += 1;
+                    idx = s.slab[idx as usize].dup;
+                }
+                len
+            })
+            .max();
+        assert_eq!(s.len(), 10_000);
+        assert!(longest <= Some(4), "longest tag chain {longest:?}");
     }
 }

@@ -301,15 +301,16 @@ struct Outbox {
     writing: bool,
 }
 
-/// A flusher thread and the connection it writes out. The connection is
-/// held weakly, so a finished flusher keeps no socket open.
-struct Flusher {
-    thread: JoinHandle<()>,
-    conn: Weak<Connection>,
+/// What shutdown must reach of a server's connections: every open one's
+/// socket, held weakly so a closed connection keeps none open, and the
+/// flusher threads they started.
+#[derive(Default)]
+struct OpenConnections {
+    conns: Vec<Weak<Connection>>,
+    flushers: Vec<JoinHandle<()>>,
 }
 
-/// The flushers a server's connections started, joined on shutdown.
-type Flushers = Arc<Mutex<Vec<Flusher>>>;
+type Open = Arc<Mutex<OpenConnections>>;
 
 /// The write side of one pipelined connection. The reader (fast lane) and
 /// pool workers (slow lane) append their responses to the outbox and
@@ -323,7 +324,7 @@ struct Connection {
     permits: channel::Receiver<()>,
     pipeline: Arc<PipelineStats>,
     max_batch: usize,
-    flushers: Flushers,
+    open: Open,
 }
 
 /// One request's place in the read-ahead window.
@@ -351,9 +352,18 @@ impl Connection {
     /// the reader's run of buffered frames — at once when the outbox holds
     /// `max_batch` frames, and at once when the reply is made off a batch
     /// context, where no batch end will come.
+    ///
+    /// A response too large to frame is answered with an error carrying
+    /// its `corr`, so its caller is not left waiting for it.
     fn reply(self: &Arc<Self>, resp: Response, slot: WindowSlot) {
         let mut out = self.lock_outbox();
-        if append_frame_with(&mut out.buf, |b| resp.encode_into(b)).is_ok() {
+        let error = || Response {
+            corr: resp.corr,
+            ..Response::error("response exceeds MAX_FRAME")
+        };
+        if append_frame_with(&mut out.buf, |b| resp.encode_into(b)).is_ok()
+            || append_frame_with(&mut out.buf, |b| error().encode_into(b)).is_ok()
+        {
             out.frames += 1;
         }
         // Release the slot before any write: once the frame is on the wire
@@ -395,12 +405,9 @@ impl Connection {
             .spawn(move || conn.write_until_drained());
         match flusher {
             Ok(thread) => {
-                let mut flushers = self.flushers.lock().unwrap_or_else(|e| e.into_inner());
-                flushers.retain(|f| !f.thread.is_finished());
-                flushers.push(Flusher {
-                    thread,
-                    conn: Arc::downgrade(self),
-                });
+                let mut open = self.open.lock().unwrap_or_else(|e| e.into_inner());
+                open.flushers.retain(|f| !f.is_finished());
+                open.flushers.push(thread);
             }
             Err(_) => {
                 let _ = self.stream.shutdown(Shutdown::Both);
@@ -535,7 +542,7 @@ pub struct TcpServer {
     accept_thread: Option<JoinHandle<()>>,
     /// One reader thread per open connection, joined on shutdown.
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    flushers: Flushers,
+    open: Open,
     core: Arc<ServerCore>,
 }
 
@@ -610,12 +617,12 @@ impl TcpServer {
             pipeline,
         ));
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let flushers = Flushers::default();
+        let open = Open::default();
 
         let stop2 = Arc::clone(&stop);
         let core2 = Arc::clone(&core);
         let threads2 = Arc::clone(&conn_threads);
-        let flushers2 = Arc::clone(&flushers);
+        let open2 = Arc::clone(&open);
         let accept_thread = std::thread::Builder::new()
             .name("rpc-accept".into())
             .spawn(move || {
@@ -627,10 +634,10 @@ impl TcpServer {
                     let Ok(stream) = stream else { continue };
                     let core = Arc::clone(&core2);
                     let stop = Arc::clone(&stop2);
-                    let flushers = Arc::clone(&flushers2);
+                    let open = Arc::clone(&open2);
                     let spawned = std::thread::Builder::new()
                         .name("rpc-conn".into())
-                        .spawn(move || Self::serve_connection(stream, core, stop, flushers));
+                        .spawn(move || Self::serve_connection(stream, core, stop, open));
                     if let Ok(handle) = spawned {
                         let mut threads = threads2.lock().unwrap_or_else(|e| e.into_inner());
                         // Closed connections' threads have exited; drop
@@ -646,7 +653,7 @@ impl TcpServer {
             stop,
             accept_thread: Some(accept_thread),
             conn_threads,
-            flushers,
+            open,
             core,
         })
     }
@@ -680,7 +687,7 @@ impl TcpServer {
         stream: TcpStream,
         core: Arc<ServerCore>,
         stop: Arc<AtomicBool>,
-        flushers: Flushers,
+        open: Open,
     ) {
         let cfg = core.pipeline_cfg;
         // A read timeout lets the loop observe the stop flag even while a
@@ -700,8 +707,13 @@ impl TcpServer {
             permits,
             pipeline: Arc::clone(&core.pipeline),
             max_batch: cfg.max_batch,
-            flushers,
+            open,
         });
+        {
+            let mut open = conn.open.lock().unwrap_or_else(|e| e.into_inner());
+            open.conns.retain(|c| c.strong_count() > 0);
+            open.conns.push(Arc::downgrade(&conn));
+        }
 
         let mut inbox = Inbox {
             buf: vec![0; 8 << 10],
@@ -789,9 +801,10 @@ impl TcpServer {
     }
 
     /// Stops accepting, joins the connection threads (waiting a bounded
-    /// time for each), shuts down the sockets of connections a flusher
-    /// still writes to and joins the flushers, then closes the pool once
-    /// the last handle to it drops.
+    /// time for each), shuts down the socket of every connection still
+    /// open and joins the flushers, then closes the pool once the last
+    /// handle to it drops. Replies not yet written when the sockets shut
+    /// down are dropped.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -820,15 +833,16 @@ impl TcpServer {
                 still_running += 1;
             }
         }
-        // A flusher can wait in a write for up to WRITE_STALL_TIMEOUT on a
-        // peer that stopped reading; shutting the socket down ends it.
-        let flushers =
-            std::mem::take(&mut *self.flushers.lock().unwrap_or_else(|e| e.into_inner()));
-        for flusher in flushers {
-            if let Some(conn) = flusher.conn.upgrade() {
-                let _ = conn.stream.shutdown(Shutdown::Both);
-            }
-            let _ = flusher.thread.join();
+        // A flusher or a pool worker can wait in a write for up to
+        // WRITE_STALL_TIMEOUT on a peer that stopped reading, once per
+        // reply; shutting the socket down ends the write and fails the
+        // ones after it at once.
+        let open = std::mem::take(&mut *self.open.lock().unwrap_or_else(|e| e.into_inner()));
+        for conn in open.conns.iter().filter_map(Weak::upgrade) {
+            let _ = conn.stream.shutdown(Shutdown::Both);
+        }
+        for flusher in open.flushers {
+            let _ = flusher.join();
         }
         still_running
     }
@@ -1046,7 +1060,7 @@ mod tests {
             permits: permit_rx,
             pipeline: Arc::new(PipelineStats::new()),
             max_batch,
-            flushers: Flushers::default(),
+            open: Open::default(),
         });
         (conn, peer)
     }
@@ -1124,7 +1138,7 @@ mod tests {
     }
 
     #[test]
-    fn an_oversized_reply_leaves_the_outbox_as_it_was() {
+    fn an_oversized_reply_is_answered_with_an_error() {
         let (conn, peer) = test_connection(16, 2);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1132,17 +1146,25 @@ mod tests {
         pool.spawn(move || {
             // On a pool worker the first frame waits for the batch end.
             c.reply(ok_with_corr(1), slot(&c));
-            let before = c.lock_outbox().buf.clone();
-            let oversized = Response::ok(vec![0; MAX_FRAME as usize + 1]);
+            let oversized = Response {
+                corr: 2,
+                ..Response::ok(vec![0; MAX_FRAME as usize + 1])
+            };
             c.reply(oversized, slot(&c));
-            let out = c.lock_outbox();
-            tx.send((before, out.buf.clone(), out.frames)).unwrap();
+            tx.send(c.lock_outbox().frames).unwrap();
         })
         .unwrap();
-        let (before, after, frames) = rx.recv().unwrap();
-        assert_eq!(after, before, "the outbox bytes must be unchanged");
-        assert_eq!(frames, 1);
-        assert_eq!(read_corrs(&peer, 1), vec![1]);
+        assert_eq!(rx.recv().unwrap(), 2, "the error frame is queued");
+        let mut reader = BufReader::new(&peer);
+        let mut next = || Response::decode(&read_frame(&mut reader).unwrap().unwrap()).unwrap();
+        assert_eq!(next(), ok_with_corr(1));
+        assert_eq!(
+            next(),
+            Response {
+                corr: 2,
+                ..Response::error("response exceeds MAX_FRAME")
+            }
+        );
         pool.shutdown();
         assert_eq!(
             conn.pipeline.inflight(),

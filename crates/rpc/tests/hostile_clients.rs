@@ -12,7 +12,8 @@
 //! Every complete, well-formed request on a connection the client keeps
 //! healthy gets exactly one reply, with its own `corr` and the echoed
 //! body. Bad input closes only its own connection. After `shutdown`, no
-//! thread the server started is left running.
+//! thread the server started is left running, and `shutdown` does not
+//! wait out the write timeout on a client that stopped reading.
 //!
 //! Frames are built by hand (length prefix + `Request::encode`), so the
 //! test states the wire format rather than borrowing the server's writer.
@@ -366,6 +367,37 @@ fn shutdown_under_a_backed_up_slow_reader_leaves_no_rpc_thread() {
     server.shutdown();
     // A joined thread may linger in the task list for a moment; a
     // flusher left blocked stays for its whole write timeout (5 s).
+    assert!(
+        eventually(Duration::from_millis(500), || rpc_threads().is_empty()),
+        "threads outlived shutdown: {:?}",
+        rpc_threads()
+    );
+}
+
+#[test]
+fn shutdown_ends_pool_workers_stalled_on_a_client_that_never_reads() {
+    let _serial = serial();
+    let server = echo_server();
+    let mut stream = connect(server.local_addr());
+    // 16 MiB of slow-lane replies to a client that never reads: the pool
+    // workers write their replies themselves and block once the socket
+    // buffers fill, each write for up to the server's 5 s write timeout.
+    for corr in 1..=16u64 {
+        let req = Request {
+            corr,
+            method: "slow".into(),
+            body: vec![corr as u8; 1 << 20],
+            deadline_us: 0,
+        };
+        stream.write_all(&frame_of(&req.encode())).expect("send");
+    }
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "shutdown waited {took:?} on stalled writes"
+    );
     assert!(
         eventually(Duration::from_millis(500), || rpc_threads().is_empty()),
         "threads outlived shutdown: {:?}",

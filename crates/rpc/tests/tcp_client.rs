@@ -3,9 +3,10 @@
 //! across its end, is read through `read_frame`. Replies are routed to
 //! their requests by correlation-id offset, whatever order they come
 //! in, and a corr outside the call's sent requests, or one already
-//! answered, is a `CorrelationMismatch`.
+//! answered, is a `CorrelationMismatch`. A reply too large for a frame
+//! comes back as the server's error, not as a timeout.
 
-use dcperf_rpc::frame::{append_frame_with, read_frame};
+use dcperf_rpc::frame::{append_frame_with, read_frame, MAX_FRAME};
 use dcperf_rpc::{
     Lane, PipelineConfig, PoolConfig, Request, Response, RpcError, TcpClient, TcpServer,
 };
@@ -220,4 +221,28 @@ fn a_corr_not_yet_sent_is_a_mismatch() {
     });
     assert_mismatch(&outcomes[0][0], 3);
     assert_mismatch(&outcomes[0][1], 3);
+}
+
+#[test]
+fn a_reply_over_max_frame_comes_back_as_an_error() {
+    let server = TcpServer::bind(
+        "127.0.0.1:0",
+        |req: &Request| match req.method.as_str() {
+            "big" => Response::ok(vec![0; MAX_FRAME as usize + 1]),
+            _ => Response::ok(req.body.clone()),
+        },
+        PoolConfig::single_lane(1),
+    )
+    .expect("bind");
+    let mut client = TcpClient::connect(server.local_addr()).expect("connect");
+    let outcome = client.call_with_deadline("big", Vec::new(), Duration::from_millis(500));
+    assert!(
+        matches!(&outcome, Err(RpcError::Application(m)) if m == "response exceeds MAX_FRAME"),
+        "expected the server's error, got {outcome:?}"
+    );
+    // The connection stays usable.
+    let resp = client.call("echo", vec![7]).expect("echo after the error");
+    assert_eq!(resp.body, vec![7]);
+    drop(client);
+    server.shutdown();
 }

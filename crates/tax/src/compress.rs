@@ -228,11 +228,16 @@ pub fn lz_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
                 produced: out.len(),
             });
         }
-        // Overlapping copy, byte at a time (offset may be < match_len).
+        // A match longer than its offset repeats the `offset` bytes at
+        // `start`. Every copy below is a whole number of those periods
+        // (bar the last), so copying again from `start` continues the
+        // repetition, and each copy doubles what the next can take.
         let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
+        let mut left = match_len;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
     if out.len() != expected {
