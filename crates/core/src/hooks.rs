@@ -6,17 +6,11 @@
 //! fixed interval while a benchmark runs; the [`HookManager`] owns the
 //! sampler thread and assembles [`HookReport`]s when the run ends.
 //!
-//! Built-in hooks mirror the paper's list: CPU utilization with user/system
-//! breakdown ([`CpuUtilHook`]), memory ([`MemStatHook`]), network
-//! ([`NetStatHook`]), core frequency ([`CpuFreqHook`]), power
-//! ([`PowerHook`]), top-down microarchitecture metrics ([`TopdownHook`]),
-//! and the execution-support [`CopyMoveHook`].
-//!
-//! Hardware counters and board sensors are not portably readable from an
-//! unprivileged process, so [`PowerHook`] and [`TopdownHook`] accept a
-//! *provider* closure — in DCPerf-RS the workloads wire the calibrated
-//! platform model in as the provider, and on hosts that expose RAPL the
-//! power hook reads `/sys/class/powercap` directly.
+//! The built-in hooks measure what an unprivileged process can read on
+//! the host: CPU utilization with user/system breakdown ([`CpuUtilHook`]),
+//! memory ([`MemStatHook`]), network ([`NetStatHook`]) and core frequency
+//! ([`CpuFreqHook`]). Power and top-down counters are not portably
+//! readable, so no hook reports them.
 
 use dcperf_util::RunningStats;
 use serde::{Deserialize, Serialize};
@@ -60,7 +54,7 @@ pub struct HookReport {
     pub hook: String,
     /// Series keyed by name (e.g. `"cpu_util_total"`).
     pub series: std::collections::BTreeMap<String, TimeSeries>,
-    /// Free-form notes (e.g. files moved by [`CopyMoveHook`]).
+    /// Free-form notes from [`Hook::on_stop`].
     pub notes: Vec<String>,
 }
 
@@ -519,217 +513,6 @@ impl Hook for CpuFreqHook {
     }
 }
 
-/// A provider of out-of-band samples, used by [`PowerHook`] and
-/// [`TopdownHook`] where hardware counters are not portably accessible.
-pub type SampleProvider = Box<dyn FnMut() -> Vec<(String, f64)> + Send>;
-
-/// Power consumption. Reads Intel RAPL (`/sys/class/powercap`) when
-/// available; otherwise falls back to an injected model provider (DCPerf-RS
-/// wires the platform power model here).
-pub struct PowerHook {
-    rapl: Vec<(std::path::PathBuf, Option<u64>)>,
-    last_t: Option<Instant>,
-    provider: Option<SampleProvider>,
-}
-
-impl std::fmt::Debug for PowerHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PowerHook")
-            .field("rapl_domains", &self.rapl.len())
-            .field("has_provider", &self.provider.is_some())
-            .finish()
-    }
-}
-
-impl PowerHook {
-    /// Creates a hook reading RAPL only.
-    pub fn new() -> Self {
-        Self {
-            rapl: Vec::new(),
-            last_t: None,
-            provider: None,
-        }
-    }
-
-    /// Creates a hook with a fallback model provider.
-    pub fn with_provider(provider: SampleProvider) -> Self {
-        Self {
-            provider: Some(provider),
-            ..Self::new()
-        }
-    }
-}
-
-impl Default for PowerHook {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Hook for PowerHook {
-    fn name(&self) -> &str {
-        "power"
-    }
-
-    fn on_start(&mut self) {
-        if let Ok(entries) = std::fs::read_dir("/sys/class/powercap") {
-            for entry in entries.flatten() {
-                let path = entry.path().join("energy_uj");
-                if path.exists() {
-                    self.rapl.push((path, None));
-                }
-            }
-        }
-        self.last_t = Some(Instant::now());
-    }
-
-    fn sample(&mut self) -> Vec<Sample> {
-        let now = Instant::now();
-        let dt = self
-            .last_t
-            .replace(now)
-            .map(|t| now.duration_since(t).as_secs_f64())
-            .unwrap_or(0.0);
-        let mut out = Vec::new();
-        if dt > 0.0 {
-            let mut total_uj = 0u64;
-            let mut have = false;
-            for (path, last) in &mut self.rapl {
-                if let Ok(text) = std::fs::read_to_string(&*path) {
-                    if let Ok(uj) = text.trim().parse::<u64>() {
-                        if let Some(prev) = last.replace(uj) {
-                            total_uj += uj.saturating_sub(prev);
-                            have = true;
-                        }
-                    }
-                }
-            }
-            if have {
-                out.push(("power_rapl_watts".into(), "W", total_uj as f64 / 1e6 / dt));
-            }
-        }
-        if let Some(provider) = &mut self.provider {
-            for (name, value) in provider() {
-                out.push((name, "W", value));
-            }
-        }
-        out
-    }
-}
-
-/// Top-down microarchitecture metrics.
-///
-/// Real DCPerf programs PMU counters; from an unprivileged process that is
-/// not portable, so this hook samples an injected provider (the platform
-/// model, or a perf-wrapper if the deployment has one).
-pub struct TopdownHook {
-    provider: SampleProvider,
-}
-
-impl std::fmt::Debug for TopdownHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TopdownHook").finish_non_exhaustive()
-    }
-}
-
-impl TopdownHook {
-    /// Creates the hook around a sample provider.
-    pub fn new(provider: SampleProvider) -> Self {
-        Self { provider }
-    }
-}
-
-impl Hook for TopdownHook {
-    fn name(&self) -> &str {
-        "topdown"
-    }
-
-    fn sample(&mut self) -> Vec<Sample> {
-        (self.provider)()
-            .into_iter()
-            .map(|(name, v)| (name, "percent", v))
-            .collect()
-    }
-}
-
-/// Copies or moves files (e.g. logs with time-series data) into a
-/// per-run folder when the benchmark finishes, "ensuring long-term data
-/// preservation and enabling post-analysis" (§3.1).
-#[derive(Debug)]
-pub struct CopyMoveHook {
-    sources: Vec<std::path::PathBuf>,
-    dest_dir: std::path::PathBuf,
-    remove_source: bool,
-}
-
-impl CopyMoveHook {
-    /// Creates a hook that copies `sources` into `dest_dir` at run end.
-    pub fn copy(sources: Vec<std::path::PathBuf>, dest_dir: std::path::PathBuf) -> Self {
-        Self {
-            sources,
-            dest_dir,
-            remove_source: false,
-        }
-    }
-
-    /// Creates a hook that moves `sources` into `dest_dir` at run end.
-    pub fn r#move(sources: Vec<std::path::PathBuf>, dest_dir: std::path::PathBuf) -> Self {
-        Self {
-            sources,
-            dest_dir,
-            remove_source: true,
-        }
-    }
-}
-
-impl Hook for CopyMoveHook {
-    fn name(&self) -> &str {
-        "copy_move"
-    }
-
-    fn sample(&mut self) -> Vec<Sample> {
-        Vec::new()
-    }
-
-    fn on_stop(&mut self) -> Vec<String> {
-        let mut notes = Vec::new();
-        if std::fs::create_dir_all(&self.dest_dir).is_err() {
-            notes.push(format!(
-                "copy_move: could not create {}",
-                self.dest_dir.display()
-            ));
-            return notes;
-        }
-        for src in &self.sources {
-            let Some(file_name) = src.file_name() else {
-                continue;
-            };
-            let dst = self.dest_dir.join(file_name);
-            let outcome = std::fs::copy(src, &dst).and_then(|_| {
-                if self.remove_source {
-                    std::fs::remove_file(src)
-                } else {
-                    Ok(())
-                }
-            });
-            match outcome {
-                Ok(()) => notes.push(format!(
-                    "{} {} -> {}",
-                    if self.remove_source {
-                        "moved"
-                    } else {
-                        "copied"
-                    },
-                    src.display(),
-                    dst.display()
-                )),
-                Err(e) => notes.push(format!("failed {}: {e}", src.display())),
-            }
-        }
-        notes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,64 +613,5 @@ mod tests {
         assert!(samples
             .iter()
             .any(|(n, _, v)| n == "mem_used_mb" && *v > 0.0));
-    }
-
-    #[test]
-    fn copy_move_hook_copies_files() {
-        let dir = std::env::temp_dir().join(format!("dcperf-hook-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let src = dir.join("log.txt");
-        std::fs::write(&src, "hello").unwrap();
-        let dest = dir.join("archive");
-        let mut hook = CopyMoveHook::copy(vec![src.clone()], dest.clone());
-        let notes = hook.on_stop();
-        assert!(notes[0].starts_with("copied"), "{notes:?}");
-        assert_eq!(
-            std::fs::read_to_string(dest.join("log.txt")).unwrap(),
-            "hello"
-        );
-        assert!(src.exists(), "copy must preserve the source");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn copy_move_hook_moves_files() {
-        let dir = std::env::temp_dir().join(format!("dcperf-hook-move-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let src = dir.join("ts.json");
-        std::fs::write(&src, "{}").unwrap();
-        let dest = dir.join("runs");
-        let mut hook = CopyMoveHook::r#move(vec![src.clone()], dest.clone());
-        let _ = hook.on_stop();
-        assert!(!src.exists(), "move must remove the source");
-        assert!(dest.join("ts.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn topdown_hook_forwards_provider_samples() {
-        let mut hook = TopdownHook::new(Box::new(|| {
-            vec![
-                ("topdown_frontend".into(), 33.0),
-                ("topdown_retiring".into(), 45.0),
-            ]
-        }));
-        let samples = hook.sample();
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].0, "topdown_frontend");
-        assert_eq!(samples[0].2, 33.0);
-    }
-
-    #[test]
-    fn power_hook_uses_provider_fallback() {
-        let mut hook =
-            PowerHook::with_provider(Box::new(|| vec![("power_model_watts".into(), 212.5)]));
-        hook.on_start();
-        let samples = hook.sample();
-        assert!(samples
-            .iter()
-            .any(|(n, _, v)| n == "power_model_watts" && *v == 212.5));
     }
 }

@@ -4,7 +4,7 @@
 //! the high-level `install`/`run` driver, per-benchmark JSON result
 //! reporting, normalized scoring against a baseline machine with a
 //! geometric-mean overall score, and the extensible *hooks* system that
-//! samples CPU utilization, memory, network, frequency, and power while a
+//! samples CPU utilization, memory, network and core frequency while a
 //! benchmark runs.
 //!
 //! The framework is deliberately independent of the benchmarks themselves:
@@ -64,8 +64,7 @@ pub mod sysinfo;
 pub use benchmark::{Benchmark, RunConfig, RunContext, Scale, WorkloadCategory};
 pub use error::Error;
 pub use hooks::{
-    CopyMoveHook, CpuFreqHook, CpuUtilHook, Hook, HookManager, HookReport, MemStatHook,
-    NetStatHook, PowerHook, TimeSeries, TopdownHook,
+    CpuFreqHook, CpuUtilHook, Hook, HookManager, HookReport, MemStatHook, NetStatHook, TimeSeries,
 };
 pub use report::{BenchmarkReport, MetricValue, ReportBuilder};
 pub use score::{BaselineTable, ScoreCard};

@@ -41,9 +41,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use crossbeam::channel::{bounded, RecvTimeoutError};
 use dcperf_telemetry::{metrics, Counter, Telemetry, TelemetrySnapshot};
-use dcperf_util::{Empirical, Exponential, Histogram, Rng, Xoshiro256pp};
+use dcperf_util::queue::RecvTimeoutError;
+use dcperf_util::{BoundedQueue, Empirical, Exponential, Histogram, Rng, Xoshiro256pp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -522,7 +522,7 @@ impl OpenLoop {
         let started = Instant::now();
         let deadline = started + self.duration;
         // Arrival = (endpoint, seq, scheduled time).
-        let (tx, rx) = bounded::<(usize, u64, Instant)>(self.queue_depth);
+        let arrivals = BoundedQueue::<(usize, u64, Instant)>::new(self.queue_depth);
 
         std::thread::scope(|scope| {
             // Dispatcher.
@@ -533,7 +533,7 @@ impl OpenLoop {
                     // analyzer: allow(panic-path) — rate() clamps to positive at construction
                     Exponential::new(self.offered_rps).expect("offered rate clamped positive");
                 let mut rng = Xoshiro256pp::seed_from_u64(seed);
-                let tx = tx.clone();
+                let arrivals = &arrivals;
                 scope.spawn(move || {
                     let mut next = Instant::now();
                     let mut seq = 0u64;
@@ -546,7 +546,7 @@ impl OpenLoop {
                             std::thread::sleep(next - now);
                         }
                         let endpoint = mix.sample(&mut rng);
-                        match tx.try_send((endpoint, seq, next)) {
+                        match arrivals.try_send((endpoint, seq, next)) {
                             Ok(()) => {}
                             Err(_) => {
                                 recorder.dropped.inc();
@@ -555,35 +555,33 @@ impl OpenLoop {
                         seq += 1;
                         next += Duration::from_secs_f64(gaps.sample(&mut rng));
                     }
+                    arrivals.close();
                 });
             }
-            drop(tx);
 
             for _ in 0..self.workers {
                 let recorder = &recorder;
-                let rx = rx.clone();
+                let arrivals = &arrivals;
                 let depth = self.pipeline_depth;
                 scope.spawn(move || loop {
-                    match rx.recv_timeout(Duration::from_millis(50)) {
+                    match arrivals.recv_timeout(Duration::from_millis(50)) {
                         Ok(first) => {
                             // Drain whatever else already arrived, up to the
                             // pipeline depth — opportunistic, never waiting.
-                            let mut arrivals = vec![first];
-                            while arrivals.len() < depth {
-                                match rx.try_recv() {
-                                    Ok(a) => arrivals.push(a),
-                                    Err(_) => break,
+                            let mut burst = vec![first];
+                            while burst.len() < depth {
+                                match arrivals.try_recv() {
+                                    Some(a) => burst.push(a),
+                                    None => break,
                                 }
                             }
-                            let batch: Vec<(usize, u64)> = arrivals
+                            let batch: Vec<(usize, u64)> = burst
                                 .iter()
                                 .map(|&(endpoint, seq, _)| (endpoint, seq))
                                 .collect();
                             let outcomes = service.call_many(&batch);
                             let now = Instant::now();
-                            for (&(endpoint, _, scheduled), outcome) in
-                                arrivals.iter().zip(outcomes)
-                            {
+                            for (&(endpoint, _, scheduled), outcome) in burst.iter().zip(outcomes) {
                                 match outcome {
                                     Ok(bytes) => {
                                         // From scheduled arrival, so queueing
@@ -605,7 +603,7 @@ impl OpenLoop {
                                 break;
                             }
                         }
-                        Err(RecvTimeoutError::Disconnected) => break,
+                        Err(RecvTimeoutError::Closed) => break,
                     }
                 });
             }

@@ -105,7 +105,7 @@ impl InProcClient {
     ) -> Vec<Result<Response, RpcError>> {
         let n = bodies.len();
         let mut results: Vec<Option<Result<Response, RpcError>>> = (0..n).map(|_| None).collect();
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, Vec<u8>)>(n.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<u8>)>(n.max(1));
         let mut dispatched = 0usize;
         // One sender per request: the last request takes the original.
         let senders = std::iter::repeat_n(tx, n);

@@ -6,8 +6,8 @@
 //! hit) runs on the thread that delivered the request — the caller of an
 //! in-process client, or a TCP connection's reader — and only
 //! [`Lane::Slow`] jobs (misses that go to the database) are handed to a
-//! [`ThreadPool`]. The pool is one bounded queue drained by one set of
-//! workers. A full queue makes [`ThreadPool::spawn`] wait for space, so
+//! [`ThreadPool`]. The pool is one [`BoundedQueue`] drained by one set
+//! of workers. A full queue makes [`ThreadPool::spawn`] wait for space, so
 //! overload pushes back on callers as queueing delay instead of growing
 //! memory without bound. Jobs are never shed.
 //!
@@ -17,10 +17,11 @@
 //! (writing out the responses they completed) runs once per run, and
 //! before the thread blocks.
 
-use crossbeam::channel::{bounded, Receiver, SendError, Sender, TrySendError};
 use dcperf_telemetry::{metrics, Counter, Telemetry};
+use dcperf_util::queue::{SendError, TrySendError};
+use dcperf_util::BoundedQueue;
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Where a request's job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,21 +131,21 @@ pub(crate) fn end_batch() {
     });
 }
 
-/// Sends `msg`, waiting for space in the bounded channel. When it has to
+/// Sends `msg`, waiting for space in the bounded queue. When it has to
 /// wait, it first ends the calling thread's batch, so the work that batch
 /// deferred is not held back by the wait.
 ///
 /// # Errors
 ///
-/// Returns the message when the channel is disconnected.
-pub(crate) fn send_or_end_batch<T>(tx: &Sender<T>, msg: T) -> Result<(), SendError<T>> {
-    match tx.try_send(msg) {
+/// Returns the message when the queue is closed.
+pub(crate) fn send_or_end_batch<T>(queue: &BoundedQueue<T>, msg: T) -> Result<(), SendError<T>> {
+    match queue.try_send(msg) {
         Ok(()) => Ok(()),
         Err(TrySendError::Full(msg)) => {
             end_batch();
-            tx.send(msg)
+            queue.send(msg)
         }
-        Err(TrySendError::Disconnected(msg)) => Err(SendError(msg)),
+        Err(TrySendError::Closed(msg)) => Err(SendError(msg)),
     }
 }
 
@@ -215,7 +216,7 @@ impl Default for PoolStats {
 /// assert_eq!(misses.load(Ordering::Relaxed), 100);
 /// ```
 pub struct ThreadPool {
-    tx: Option<Sender<Job>>,
+    queue: Arc<BoundedQueue<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     stats: Arc<PoolStats>,
 }
@@ -225,6 +226,24 @@ impl std::fmt::Debug for ThreadPool {
         f.debug_struct("ThreadPool")
             .field("workers", &self.workers.len())
             .finish()
+    }
+}
+
+/// Held by each pool worker. The last worker to exit closes the queue, so
+/// once panicking jobs have ended every worker, [`ThreadPool::spawn`]
+/// fails instead of queueing work no thread will run.
+struct WorkerExit {
+    queue: Arc<BoundedQueue<Job>>,
+    live: Arc<Mutex<usize>>,
+}
+
+impl Drop for WorkerExit {
+    fn drop(&mut self) {
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        *live -= 1;
+        if *live == 0 {
+            self.queue.close();
+        }
     }
 }
 
@@ -261,21 +280,30 @@ impl ThreadPool {
     }
 
     fn with_stats(config: PoolConfig, stats: PoolStats) -> Self {
-        let (tx, rx) = bounded::<Job>(config.queue_depth);
-        let workers = (0..config.workers.max(1))
-            .map(|i| Self::worker(format!("rpc-slow-{i}"), rx.clone()))
+        let queue = Arc::new(BoundedQueue::new(config.queue_depth));
+        let n = config.workers.max(1);
+        let live = Arc::new(Mutex::new(n));
+        let workers = (0..n)
+            .map(|i| {
+                let exit = WorkerExit {
+                    queue: Arc::clone(&queue),
+                    live: Arc::clone(&live),
+                };
+                Self::worker(format!("rpc-slow-{i}"), exit)
+            })
             .collect();
         Self {
-            tx: Some(tx),
+            queue,
             workers,
             stats: Arc::new(stats),
         }
     }
 
-    fn worker(name: String, rx: Receiver<Job>) -> std::thread::JoinHandle<()> {
+    fn worker(name: String, exit: WorkerExit) -> std::thread::JoinHandle<()> {
         std::thread::Builder::new()
             .name(name)
             .spawn(move || {
+                let queue = &exit.queue;
                 // Batch dequeue: after the blocking receive, drain up to
                 // DEQUEUE_BATCH already-queued jobs without re-parking.
                 // Under a pipelined burst this trades one wakeup for a
@@ -285,12 +313,12 @@ impl ThreadPool {
                 // before the worker parks again.
                 const DEQUEUE_BATCH: usize = 16;
                 enter_batch_context();
-                while let Ok(job) = rx.recv() {
+                while let Some(job) = queue.recv() {
                     job();
                     for _ in 1..DEQUEUE_BATCH {
-                        match rx.try_recv() {
-                            Ok(job) => job(),
-                            Err(_) => break,
+                        match queue.try_recv() {
+                            Some(job) => job(),
+                            None => break,
                         }
                     }
                     end_batch();
@@ -311,8 +339,7 @@ impl ThreadPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        let tx = self.tx.as_ref().ok_or(SpawnError::Shutdown)?;
-        send_or_end_batch(tx, Box::new(job) as Job).map_err(|_| SpawnError::Shutdown)?;
+        send_or_end_batch(&self.queue, Box::new(job) as Job).map_err(|_| SpawnError::Shutdown)?;
         self.stats.slow_jobs.inc();
         Ok(())
     }
@@ -333,8 +360,8 @@ impl ThreadPool {
     }
 
     fn shutdown_inner(&mut self) {
-        // Dropping the sender closes the channel; workers drain and exit.
-        drop(self.tx.take());
+        // Workers drain the closed queue and exit.
+        self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -436,7 +463,7 @@ mod tests {
         let probe = BatchProbe::new();
         // Hold the worker on a gate so the next three jobs queue up and
         // are drained as one batch.
-        let (gate_tx, gate_rx) = bounded::<()>(1);
+        let (gate_tx, gate_rx) = std::sync::mpsc::sync_channel::<()>(1);
         pool.spawn(move || {
             let _ = gate_rx.recv();
         })
@@ -465,13 +492,14 @@ mod tests {
             enter_batch_context();
             let probe = BatchProbe::new();
             assert!(defer_to_batch_end(&probe));
-            let (tx, rx) = bounded::<u32>(1);
-            tx.send(0).unwrap();
-            // The channel is full: the send below waits until the drainer
+            let queue = Arc::new(BoundedQueue::new(1));
+            queue.send(0).unwrap();
+            // The queue is full: the send below waits until the drainer
             // takes a message, and the drainer waits for the batch end. A
             // send that waited without ending the batch would leave the
             // drainer to time out.
             let seen = Arc::clone(&probe);
+            let rx = Arc::clone(&queue);
             let drainer = std::thread::spawn(move || {
                 let give_up = std::time::Instant::now() + Duration::from_secs(5);
                 while seen.seen_at_batch_end.lock().unwrap().is_empty()
@@ -481,19 +509,28 @@ mod tests {
                 }
                 let ended_first = !seen.seen_at_batch_end.lock().unwrap().is_empty();
                 assert_eq!(rx.recv().unwrap(), 0);
-                (ended_first, rx)
+                ended_first
             });
-            send_or_end_batch(&tx, 1).unwrap();
-            let (ended_first, rx) = drainer.join().unwrap();
+            send_or_end_batch(&queue, 1).unwrap();
+            let ended_first = drainer.join().unwrap();
             assert!(ended_first, "the batch must end before the send waits");
-            assert_eq!(rx.recv().unwrap(), 1);
+            assert_eq!(queue.recv().unwrap(), 1);
             // A send with room neither waits nor ends the batch.
             assert!(defer_to_batch_end(&probe));
-            send_or_end_batch(&tx, 2).unwrap();
+            send_or_end_batch(&queue, 2).unwrap();
             assert_eq!(probe.seen_at_batch_end.lock().unwrap().len(), 1);
         })
         .join()
         .unwrap();
+    }
+
+    #[test]
+    fn a_pool_whose_workers_all_died_refuses_jobs() {
+        let mut pool = ThreadPool::new(PoolConfig::single_lane(1));
+        pool.spawn(|| panic!("a job panics on purpose")).unwrap();
+        let worker = pool.workers.pop().unwrap();
+        assert!(worker.join().is_err(), "the worker died with the job");
+        assert_eq!(pool.spawn(|| {}), Err(SpawnError::Shutdown));
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::frame::{append_frame_with, Request, Response, MAX_FRAME};
 use crate::pipeline::{InflightGuard, PipelineConfig, PipelineStats};
 use crate::pool::{self, BatchEnd, Lane, PoolConfig, ThreadPool};
 use crate::stats::RpcStats;
-use crossbeam::channel;
 use dcperf_resilience::Deadline;
+use dcperf_util::BoundedQueue;
 use std::cell::Cell;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -319,9 +319,9 @@ type Open = Arc<Mutex<OpenConnections>>;
 struct Connection {
     stream: TcpStream,
     outbox: Mutex<Outbox>,
-    /// The read-ahead window: the reader sends a permit per request and
+    /// The read-ahead window: the reader queues a permit per request and
     /// parks once `max_inflight` are out; each reply takes one back.
-    permits: channel::Receiver<()>,
+    permits: BoundedQueue<()>,
     pipeline: Arc<PipelineStats>,
     max_batch: usize,
     open: Open,
@@ -338,7 +338,7 @@ impl Drop for WindowSlot {
         // Each slot owns exactly one queued permit, so this never misses;
         // dropping the slot (reply queued, request shed, or closure
         // discarded by a draining pool) reopens the window.
-        let _ = self.conn.permits.try_recv();
+        self.conn.permits.try_recv();
     }
 }
 
@@ -664,7 +664,7 @@ impl TcpServer {
     ///
     /// * the *reader* (this thread) decodes frames, serves fast-lane
     ///   requests itself and queues slow-lane ones to the pool. It takes a
-    ///   permit from a bounded channel per request, so it blocks once
+    ///   permit from a bounded queue per request, so it blocks once
     ///   `max_inflight` requests are outstanding (the read-ahead window).
     ///   It is a batch context: the replies it makes wait in the outbox
     ///   until it is about to block — on a read with no complete frame
@@ -700,11 +700,10 @@ impl TcpServer {
         let Ok(write_half) = stream.try_clone() else {
             return;
         };
-        let (permit_tx, permits) = channel::bounded::<()>(cfg.max_inflight);
         let conn = Arc::new(Connection {
             stream: write_half,
             outbox: Mutex::new(Outbox::default()),
-            permits,
+            permits: BoundedQueue::new(cfg.max_inflight),
             pipeline: Arc::clone(&core.pipeline),
             max_batch: cfg.max_batch,
             open,
@@ -755,7 +754,7 @@ impl TcpServer {
                 break;
             }
             // A full window waits for a slow reply to free a slot.
-            if pool::send_or_end_batch(&permit_tx, ()).is_err() {
+            if pool::send_or_end_batch(&conn.permits, ()).is_err() {
                 break;
             }
             let slot = WindowSlot {
@@ -1050,14 +1049,14 @@ mod tests {
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        let (permit_tx, permit_rx) = channel::bounded::<()>(permits.max(1));
+        let permit_queue = BoundedQueue::new(permits);
         for _ in 0..permits {
-            permit_tx.send(()).unwrap();
+            permit_queue.send(()).unwrap();
         }
         let conn = Arc::new(Connection {
             stream: server_side,
             outbox: Mutex::new(Outbox::default()),
-            permits: permit_rx,
+            permits: permit_queue,
             pipeline: Arc::new(PipelineStats::new()),
             max_batch,
             open: Open::default(),
@@ -1098,7 +1097,7 @@ mod tests {
         assert_eq!(read_corrs(&peer, 1), vec![7]);
         assert_eq!(conn.pipeline.flushes(), 1);
         assert_eq!(conn.pipeline.inflight(), 0, "the window slot was released");
-        assert!(conn.permits.try_recv().is_err(), "the permit was returned");
+        assert!(conn.permits.try_recv().is_none(), "the permit was returned");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! can compute ops/sec, and so scalability collapse (e.g. a global counter
 //! at high core counts, §5.3 of the paper) is directly measurable.
 
-use crossbeam::channel::bounded;
+use dcperf_util::BoundedQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -73,72 +73,46 @@ pub fn sharded_counter(threads: usize, per_thread: u64) -> u64 {
 }
 
 /// Streams `messages` items from `producers` producer threads to an equal
-/// number of consumers over a bounded MPMC channel. Returns the number of
+/// number of consumers over a [`BoundedQueue`]. Returns the number of
 /// items received.
 pub fn queue_throughput(producers: usize, messages: u64) -> u64 {
     let producers = producers.max(1);
-    let (tx, rx) = bounded::<u64>(1024);
+    let queue = Arc::new(BoundedQueue::<u64>::new(1024));
     let received = Arc::new(AtomicU64::new(0));
 
-    let mut handles = Vec::new();
+    let mut senders = Vec::new();
     for p in 0..producers {
-        let tx = tx.clone();
+        let queue = Arc::clone(&queue);
         let share = messages / producers as u64
             + if (p as u64) < messages % producers as u64 {
                 1
             } else {
                 0
             };
-        handles.push(std::thread::spawn(move || {
+        senders.push(std::thread::spawn(move || {
             for i in 0..share {
-                tx.send(i).expect("consumer hung up early");
+                queue.send(i).expect("queue closed early");
             }
         }));
     }
-    drop(tx);
+    let mut receivers = Vec::new();
     for _ in 0..producers {
-        let rx = rx.clone();
+        let queue = Arc::clone(&queue);
         let received = Arc::clone(&received);
-        handles.push(std::thread::spawn(move || {
-            while rx.recv().is_ok() {
+        receivers.push(std::thread::spawn(move || {
+            while queue.recv().is_some() {
                 received.fetch_add(1, Ordering::Relaxed);
             }
         }));
     }
-    for h in handles {
-        h.join().expect("queue worker panicked");
+    for h in senders {
+        h.join().expect("queue producer panicked");
+    }
+    queue.close();
+    for h in receivers {
+        h.join().expect("queue consumer panicked");
     }
     received.load(Ordering::Relaxed)
-}
-
-/// Lock-handoff ping-pong between two threads `rounds` times; returns the
-/// number of completed handoffs. Measures wake-up latency cost.
-pub fn lock_handoff(rounds: u64) -> u64 {
-    let (tx_a, rx_a) = bounded::<u64>(1);
-    let (tx_b, rx_b) = bounded::<u64>(1);
-    let ponger = std::thread::spawn(move || {
-        let mut count = 0u64;
-        while let Ok(v) = rx_a.recv() {
-            if tx_b.send(v + 1).is_err() {
-                break;
-            }
-            count += 1;
-        }
-        count
-    });
-    let mut completed = 0u64;
-    for i in 0..rounds {
-        if tx_a.send(i).is_err() {
-            break;
-        }
-        if rx_b.recv().is_err() {
-            break;
-        }
-        completed += 1;
-    }
-    drop(tx_a);
-    let _ = ponger.join();
-    completed
 }
 
 #[cfg(test)]
@@ -173,11 +147,5 @@ mod tests {
         assert_eq!(queue_throughput(1, 0), 0);
         // Uneven split.
         assert_eq!(queue_throughput(3, 10), 10);
-    }
-
-    #[test]
-    fn lock_handoff_completes_all_rounds() {
-        assert_eq!(lock_handoff(1000), 1000);
-        assert_eq!(lock_handoff(0), 0);
     }
 }

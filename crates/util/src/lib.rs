@@ -8,7 +8,9 @@
 //! instead of depending on an external randomness source, together with the
 //! distributions the DCPerf paper calls out (Zipf key popularity, log-normal
 //! request/response sizes, Poisson arrivals) and an HDR-style log-bucketed
-//! histogram for latency percentiles.
+//! histogram for latency percentiles. It also holds the one bounded
+//! multi-consumer queue ([`BoundedQueue`]) that the RPC pool, the load
+//! generators and the workloads hand work through.
 //!
 //! # Examples
 //!
@@ -30,10 +32,12 @@
 
 pub mod dist;
 pub mod hist;
+pub mod queue;
 pub mod rng;
 pub mod stats;
 
 pub use dist::{Bernoulli, Empirical, Exponential, LogNormal, Pareto, Poisson, Uniform, Zipf};
 pub use hist::{Histogram, NUM_BUCKETS};
+pub use queue::BoundedQueue;
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};
 pub use stats::{geometric_mean, percentile_of_sorted, weighted_geometric_mean, RunningStats};

@@ -17,7 +17,7 @@
 //!   many cores exist (Figure 13c).
 
 use dcperf_kvstore::{Cache, CacheConfig};
-use dcperf_util::{Rng, SplitMix64, Xoshiro256pp, Zipf};
+use dcperf_util::{BoundedQueue, Rng, SplitMix64, Xoshiro256pp, Zipf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -109,17 +109,17 @@ pub fn web_serving_scaling(
     load_scales
         .iter()
         .map(|&load| {
-            let (tx, rx) = crossbeam::channel::bounded::<Instant>(4096);
+            let queue = BoundedQueue::<Instant>::new(4096);
             let completed = AtomicU64::new(0);
             let errors = AtomicU64::new(0);
             std::thread::scope(|scope| {
                 // The fixed worker pool (the bottleneck).
                 for _ in 0..pool_size {
-                    let rx = rx.clone();
+                    let queue = &queue;
                     let completed = &completed;
                     let errors = &errors;
                     scope.spawn(move || {
-                        while let Ok(enqueued) = rx.recv() {
+                        while let Some(enqueued) = queue.recv() {
                             if enqueued.elapsed() > gateway_timeout {
                                 errors.fetch_add(1, Ordering::Relaxed); // 504
                                 continue;
@@ -135,11 +135,11 @@ pub fn web_serving_scaling(
                 }
                 // Offered load: `load` requests, paced quickly.
                 for _ in 0..load {
-                    if tx.send(Instant::now()).is_err() {
+                    if queue.send(Instant::now()).is_err() {
                         break;
                     }
                 }
-                drop(tx);
+                queue.close();
             });
             WebServingSample {
                 load_scale: load,

@@ -160,15 +160,15 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let queue = crossbeam::queue::SegQueue::new();
-    for (i, item) in items.into_iter().enumerate() {
-        queue.push((i, item));
-    }
+    // Every task exists before the workers start: each takes the next
+    // one until none are left.
+    let tasks = Mutex::new(items.into_iter().enumerate());
+    let next_task = || tasks.lock().unwrap_or_else(PoisonError::into_inner).next();
     let results = Mutex::new(Vec::<(usize, R)>::new());
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
             scope.spawn(|| {
-                while let Some((i, item)) = queue.pop() {
+                while let Some((i, item)) = next_task() {
                     let r = f(item);
                     results
                         .lock()
