@@ -105,20 +105,48 @@ fn hash4(bytes: &[u8]) -> usize {
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `a` and `b`, at most `max`: eight
+/// bytes per step (the first differing byte is the lowest set byte of
+/// the XOR), then byte by byte.
+#[inline]
+fn match_len(a: &[u8], b: &[u8], max: usize) -> usize {
+    let mut len = 0usize;
+    while len + 8 <= max {
+        let x = u64::from_le_bytes(a[len..len + 8].try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(b[len..len + 8].try_into().expect("8 bytes"));
+        if x != 0 {
+            return len + (x.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < max && a[len] == b[len] {
+        len += 1;
+    }
+    len
+}
+
 /// Compresses `input` with the szip LZ77 codec.
 ///
 /// Output layout: `[varint uncompressed_len]` followed by tokens of the
 /// form `[varint lit_len][literals][varint match_code]` where a match code
 /// of 0 terminates the stream and `code > 0` encodes a match of
 /// `code + MIN_MATCH - 1` bytes followed by `[varint offset]`.
+///
+/// The match finder stores positions as `u32` (`u32::MAX` marks an empty
+/// slot), which halves its tables. An input longer than `u32::MAX` bytes
+/// still compresses correctly: a stored position is then its true value
+/// modulo 2^32, and every such truncated position lies more than the
+/// window behind the current one, so it only ever ends a chain walk as
+/// out of the window. It never yields a bad offset; past 4 GiB the
+/// finder may only miss matches.
 pub fn lz_compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     write_varint(&mut out, input.len() as u64);
 
     // Hash table: bucket -> most recent position; chain: pos -> previous
     // pos with the same hash.
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut chain = vec![usize::MAX; input.len()];
+    let mut head = vec![u32::MAX; 1 << HASH_BITS];
+    let mut chain = vec![u32::MAX; input.len()];
 
     let mut lit_start = 0usize;
     let mut i = 0usize;
@@ -128,22 +156,22 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
         let mut best_len = 0usize;
         let mut best_off = 0usize;
         let mut depth = 0usize;
-        while candidate != usize::MAX && depth < MAX_CHAIN {
-            let off = i - candidate;
+        let max = input.len() - i;
+        while candidate != u32::MAX && depth < MAX_CHAIN && best_len < max {
+            let c = candidate as usize;
+            let off = i - c;
             if off > WINDOW {
                 break;
             }
-            // Extend the match.
-            let max = input.len() - i;
-            let mut len = 0usize;
-            while len < max && input[candidate + len] == input[i + len] {
-                len += 1;
+            // Only a candidate that also agrees at `best_len` can beat it.
+            if input[c + best_len] == input[i + best_len] {
+                let len = match_len(&input[c..], &input[i..], max);
+                if len > best_len {
+                    best_len = len;
+                    best_off = off;
+                }
             }
-            if len > best_len {
-                best_len = len;
-                best_off = off;
-            }
-            candidate = chain[candidate];
+            candidate = chain[c];
             depth += 1;
         }
 
@@ -163,14 +191,14 @@ pub fn lz_compress(input: &[u8]) -> Vec<u8> {
             while j < idx_end {
                 let h = hash4(&input[j..]);
                 chain[j] = head[h];
-                head[h] = j;
+                head[h] = j as u32;
                 j += 1;
             }
             i = match_end;
             lit_start = i;
         } else {
             chain[i] = head[h];
-            head[h] = i;
+            head[h] = i as u32;
             i += 1;
         }
     }

@@ -1,37 +1,14 @@
 //! Concurrency-management kernels: the "ThreadManager" tax slice.
 //!
-//! Production thread managers pay for lock handoffs, contended atomics,
-//! and queue transfers. Each kernel here runs a fixed amount of work across
+//! Production thread managers pay for contended atomics and queue
+//! transfers. Each kernel here runs a fixed amount of work across
 //! `threads` workers and returns the observed operation count so callers
 //! can compute ops/sec, and so scalability collapse (e.g. a global counter
 //! at high core counts, §5.3 of the paper) is directly measurable.
 
 use dcperf_util::BoundedQueue;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Increments a single mutex-protected counter from `threads` workers,
-/// `per_thread` times each. Returns the final count.
-///
-/// This is the worst-case shared-state kernel: all workers serialize on
-/// one lock, exactly the `tg->load_avg` pathology of §5.3.
-pub fn contended_mutex_counter(threads: usize, per_thread: u64) -> u64 {
-    let counter = Arc::new(Mutex::new(0u64));
-    let mut handles = Vec::new();
-    for _ in 0..threads.max(1) {
-        let counter = Arc::clone(&counter);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..per_thread {
-                *counter.lock().unwrap_or_else(PoisonError::into_inner) += 1;
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("counter worker panicked");
-    }
-    let v = *counter.lock().unwrap_or_else(PoisonError::into_inner);
-    v
-}
+use std::sync::Arc;
 
 /// The same increment load against a relaxed atomic — the "ratelimited /
 /// distributed counter" fix: cache-line ping-pong but no lock handoff.
@@ -50,26 +27,6 @@ pub fn contended_atomic_counter(threads: usize, per_thread: u64) -> u64 {
         h.join().expect("counter worker panicked");
     }
     counter.load(Ordering::Relaxed)
-}
-
-/// Per-thread sharded counters folded at the end — the scalable design.
-pub fn sharded_counter(threads: usize, per_thread: u64) -> u64 {
-    let shards: Vec<Arc<AtomicU64>> = (0..threads.max(1))
-        .map(|_| Arc::new(AtomicU64::new(0)))
-        .collect();
-    let mut handles = Vec::new();
-    for shard in &shards {
-        let shard = Arc::clone(shard);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..per_thread {
-                shard.fetch_add(1, Ordering::Relaxed);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().expect("counter worker panicked");
-    }
-    shards.iter().map(|s| s.load(Ordering::Relaxed)).sum()
 }
 
 /// Streams `messages` items from `producers` producer threads to an equal
@@ -120,25 +77,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mutex_counter_is_exact() {
-        assert_eq!(contended_mutex_counter(4, 10_000), 40_000);
-    }
-
-    #[test]
     fn atomic_counter_is_exact() {
         assert_eq!(contended_atomic_counter(4, 10_000), 40_000);
     }
 
     #[test]
-    fn sharded_counter_is_exact() {
-        assert_eq!(sharded_counter(4, 10_000), 40_000);
-    }
-
-    #[test]
     fn counters_handle_zero_threads() {
-        assert_eq!(contended_mutex_counter(0, 10), 10);
         assert_eq!(contended_atomic_counter(0, 10), 10);
-        assert_eq!(sharded_counter(0, 10), 10);
     }
 
     #[test]

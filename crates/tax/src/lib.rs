@@ -20,11 +20,19 @@
 //! * [`hash`] — FNV-1a, a 64-bit mixing hash (`dcx64`), and table-driven
 //!   CRC-32.
 //! * [`crypto`] — SHA-256, HMAC-SHA-256, and the ChaCha20 stream cipher.
+//!   On x86_64 they run on the instructions production libraries use (the
+//!   SHA extensions when detected, SSE2 four-block ChaCha20);
+//!   [`crypto::backend`] names the path a host runs.
 //! * [`serialize`] — varint-based record batch serialization.
-//! * [`memops`] — sequential/strided/scatter memory kernels.
-//! * [`concurrency`] — lock, atomic, and queue contention kernels.
+//! * [`memops`] — sequential copy, fill, gather and pointer-chase memory
+//!   kernels.
+//! * [`concurrency`] — atomic and queue contention kernels.
 //! * [`registry`] — the named-kernel registry for the microbenchmark
 //!   harness.
+//!
+//! The only `unsafe` code is in [`crypto`]: calls into its
+//! `#[target_feature]` functions, each made after the features it enables
+//! were detected (or, for SSE2, are in the x86_64 baseline).
 //!
 //! # Examples
 //!
@@ -37,7 +45,7 @@
 //! # Ok::<(), dcperf_tax::compress::CompressError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 pub mod compress;

@@ -2,7 +2,7 @@
 //!
 //! Production services spend measurable cycles in `memcpy`/`memmove`/
 //! `memset` and in pointer-chasing access patterns. These kernels exercise
-//! sequential copy, strided copy, random gather, and pointer chase over
+//! sequential copy, fill, random gather, and pointer chase over
 //! caller-sized buffers, returning checksums so the optimizer cannot elide
 //! the work.
 
@@ -19,25 +19,6 @@ pub fn copy_sequential(src: &[u8], dst: &mut [u8], iters: usize) -> u64 {
     assert_eq!(src.len(), dst.len(), "copy buffers must match in length");
     for _ in 0..iters {
         dst.copy_from_slice(src);
-    }
-    checksum(dst)
-}
-
-/// Copies with a stride: touches one cache line out of every `stride`,
-/// defeating hardware prefetch the way sparse row access does.
-///
-/// # Panics
-///
-/// Panics if the buffers differ in length or `stride` is zero.
-pub fn copy_strided(src: &[u8], dst: &mut [u8], stride: usize, iters: usize) -> u64 {
-    assert_eq!(src.len(), dst.len(), "copy buffers must match in length");
-    assert!(stride > 0, "stride must be positive");
-    for _ in 0..iters {
-        let mut i = 0;
-        while i < src.len() {
-            dst[i] = src[i];
-            i += stride;
-        }
     }
     checksum(dst)
 }
@@ -118,20 +99,6 @@ mod tests {
     fn copy_sequential_rejects_mismatch() {
         let mut dst = vec![0u8; 3];
         let _ = copy_sequential(&[1, 2], &mut dst, 1);
-    }
-
-    #[test]
-    fn copy_strided_touches_only_stride_positions() {
-        let src = vec![9u8; 64];
-        let mut dst = vec![0u8; 64];
-        copy_strided(&src, &mut dst, 16, 1);
-        for (i, &b) in dst.iter().enumerate() {
-            if i % 16 == 0 {
-                assert_eq!(b, 9, "index {i}");
-            } else {
-                assert_eq!(b, 0, "index {i}");
-            }
-        }
     }
 
     #[test]

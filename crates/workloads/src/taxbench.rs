@@ -6,9 +6,13 @@
 //! per-kernel ops/sec plus a geometric-mean score, the folly_bench-style
 //! early-warning signal: "if a server SKU performs poorly on them, it is
 //! likely to exhibit subpar performance for many applications".
+//!
+//! The report's `crypto_backend` parameter names the SHA-256 and ChaCha20
+//! code paths the host ran ([`dcperf_tax::crypto::backend`]), so scores
+//! compared across SKUs say which implementation they measured.
 
 use dcperf_core::{Benchmark, BenchmarkReport, Error, ReportBuilder, RunContext, WorkloadCategory};
-use dcperf_tax::Registry;
+use dcperf_tax::{crypto, Registry};
 use dcperf_util::geometric_mean;
 use std::time::Instant;
 
@@ -62,6 +66,7 @@ impl Benchmark for TaxMicroBench {
         let mut report = ReportBuilder::new(self.name());
         report.param("iterations_per_kernel", iters);
         report.param("kernel_count", registry.len() as u64);
+        report.param("crypto_backend", crypto::backend());
 
         let mut rates = Vec::with_capacity(registry.len());
         for bench in registry.iter() {
@@ -100,5 +105,9 @@ mod tests {
             .filter(|k| k.starts_with("kernel/"))
             .count();
         assert_eq!(kernel_metrics, Registry::with_builtin().len());
+        assert_eq!(
+            report.parameters.get("crypto_backend"),
+            Some(&crypto::backend().into())
+        );
     }
 }
