@@ -6,7 +6,7 @@
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{lex, Lexed, TokKind};
 use crate::rules::RULE_IDS;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The marker that introduces a suppression comment.
 pub const ALLOW_MARKER: &str = "analyzer: allow(";
@@ -315,15 +315,6 @@ pub fn report_unused_allows(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-/// Groups tokens by line for rules that need per-line scans.
-pub fn tokens_by_line(lx: &Lexed) -> BTreeMap<u32, Vec<usize>> {
-    let mut map: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for (i, t) in lx.tokens.iter().enumerate() {
-        map.entry(t.line).or_default().push(i);
-    }
-    map
 }
 
 #[cfg(test)]

@@ -21,7 +21,9 @@
 //!   unsafe-free crates need `#![forbid(unsafe_code)]`;
 //! * **feature-gate & determinism hygiene** — gated `cfg` blocks only in
 //!   crates declaring the feature, and no wall-clock reads in seeded
-//!   deterministic modules.
+//!   deterministic modules;
+//! * **dead API** — every `pub` item in non-test code must be named by
+//!   non-test code somewhere outside its own definition.
 //!
 //! Findings are structured diagnostics with `file:line:col` spans,
 //! severities, and stable rule ids, suppressible in source with
@@ -152,6 +154,15 @@ pub fn analyze_files(ws: &workspace::Workspace, policy: &Policy) -> AnalysisRepo
         rules::metrics_orphan(&schema, &policy.schema_path, &usage, &mut candidates);
     }
 
+    // Workspace pass: pub items nothing names. Allows and malformed
+    // comments in reference-only files are not this workspace's to report.
+    let reference_ctxs: Vec<FileCtx> = ws
+        .references
+        .iter()
+        .map(|f| FileCtx::new(&f.rel, &f.crate_name, &f.src, &mut Vec::new()))
+        .collect();
+    rules::dead_pub(&ctxs, &reference_ctxs, &policy.schema_path, &mut candidates);
+
     // Workspace pass: per-crate unsafe hygiene.
     let mut per_crate: BTreeMap<&str, CrateUnsafeFacts> = BTreeMap::new();
     for (ctx, f) in ctxs.iter().zip(&ws.files) {
@@ -279,6 +290,7 @@ mod tests {
                 ),
             ],
             features: Default::default(),
+            references: Vec::new(),
         };
         let report = analyze_files(&ws, &mini_policy());
         let rules: Vec<&str> = report.diagnostics.iter().map(|d| d.rule).collect();
@@ -287,5 +299,31 @@ mod tests {
         assert_eq!(report.files_checked, 3);
         assert!(report.failed(true));
         assert!(!report.failed(false));
+    }
+
+    #[test]
+    fn dead_pub_counts_no_impl_of_a_type_as_its_use() {
+        let ws = Workspace {
+            files: vec![
+                file("crates/tele/src/metrics.rs", "tele", SCHEMA),
+                file(
+                    "crates/app/src/main.rs",
+                    "app",
+                    "#![forbid(unsafe_code)]\npub struct Orphan;\nimpl Default for Orphan {\n    \
+                     fn default() -> Self {\n        Self\n    }\n}\npub const fn shared() -> u8 {\n    \
+                     1\n}\nfn main() {\n    let _ = shared();\n}\n",
+                ),
+            ],
+            features: Default::default(),
+            references: Vec::new(),
+        };
+        let report = analyze_files(&ws, &mini_policy());
+        let dead: Vec<u32> = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == "dead-pub")
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(dead, vec![2], "{:?}", report.diagnostics);
     }
 }

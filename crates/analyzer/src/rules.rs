@@ -15,6 +15,7 @@
 //! | `unsafe-forbid`  | unsafe hygiene      | workspace |
 //! | `feature-gate`   | feature hygiene     | per file  |
 //! | `wall-clock`     | determinism         | per file  |
+//! | `dead-pub`       | dead API            | workspace |
 //! | `suppression`    | meta                | per file  |
 
 use crate::context::FileCtx;
@@ -22,6 +23,7 @@ use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Tok, TokKind};
 use crate::policy::Policy;
 use crate::schema::MetricsSchema;
+use std::collections::HashMap;
 
 /// Every rule id the analyzer can emit (used to validate allow comments).
 pub const RULE_IDS: &[&str] = &[
@@ -33,6 +35,7 @@ pub const RULE_IDS: &[&str] = &[
     "unsafe-forbid",
     "feature-gate",
     "wall-clock",
+    "dead-pub",
     "suppression",
 ];
 
@@ -69,6 +72,10 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     (
         "wall-clock",
         "no Instant/SystemTime reads in deterministic seeded modules",
+    ),
+    (
+        "dead-pub",
+        "every pub item in non-test code must be named by non-test code outside its own definition",
     ),
     (
         "suppression",
@@ -450,4 +457,190 @@ pub fn wall_clock(ctx: &FileCtx, policy: &Policy, out: &mut Vec<Diagnostic>) {
             ),
         ));
     }
+}
+
+/// The item keywords whose `pub` definitions `dead-pub` checks.
+const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// Qualifiers that may sit between `pub` and the item keyword.
+const ITEM_QUALIFIERS: &[&str] = &["async", "unsafe", "extern", "default"];
+
+/// Rule `dead-pub` (workspace scope). Reports every `pub` item in the
+/// non-test code of `checked` whose name no identifier in the non-test
+/// code of `checked` or `references` mentions outside the item itself.
+/// `use` declarations and the self type of an `impl` header are not
+/// references; comments and strings never are. Files in `references`
+/// (`perfbench/src`) only supply references, and the file at
+/// `skip_rel` (the metrics schema, which `metrics-orphan` owns) is
+/// never checked.
+pub fn dead_pub(
+    checked: &[FileCtx],
+    references: &[FileCtx],
+    skip_rel: &str,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut mentions: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (fi, ctx) in checked.iter().chain(references).enumerate() {
+        let toks = &ctx.lx.tokens;
+        let skip = non_reference_tokens(toks);
+        for (i, t) in toks.iter().enumerate() {
+            if let TokKind::Ident(name) = &t.kind {
+                if !skip[i] && !ctx.is_test_line(t.line) {
+                    mentions.entry(name.as_str()).or_default().push((fi, i));
+                }
+            }
+        }
+    }
+    for (fi, ctx) in checked.iter().enumerate() {
+        if ctx.rel == skip_rel {
+            continue;
+        }
+        let toks = &ctx.lx.tokens;
+        for start in 0..toks.len() {
+            let Some((kind, name, end)) = pub_item_at(toks, start) else {
+                continue;
+            };
+            let tok = &toks[start];
+            if ctx.is_test_line(tok.line) {
+                continue;
+            }
+            let named_elsewhere = mentions
+                .get(name)
+                .is_some_and(|m| m.iter().any(|&(f, i)| f != fi || i < start || i > end));
+            if !named_elsewhere {
+                out.push(Diagnostic::new(
+                    "dead-pub",
+                    Severity::Warning,
+                    &ctx.rel,
+                    tok.line,
+                    tok.col,
+                    format!(
+                        "`pub {kind} {name}` is named nowhere in non-test code outside its own \
+                         definition; delete it, move it under #[cfg(test)], or justify it with \
+                         `// analyzer: allow(dead-pub) — reason`"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+/// If `toks[i]` is the `pub` of a checked item, returns the item
+/// keyword, its name, and the index of its last token.
+fn pub_item_at(toks: &[Tok], i: usize) -> Option<(&str, &str, usize)> {
+    if ident(&toks[i]) != Some("pub") {
+        return None;
+    }
+    let mut j = i + 1;
+    loop {
+        match &toks.get(j)?.kind {
+            TokKind::Ident(q) if ITEM_QUALIFIERS.contains(&q.as_str()) => j += 1,
+            TokKind::Str(_) => j += 1, // the ABI of `extern "C"`
+            // `const fn` is a function, `const X` a constant.
+            TokKind::Ident(q) if q == "const" => match toks.get(j + 1).and_then(ident) {
+                Some(next) if next == "fn" || ITEM_QUALIFIERS.contains(&next) => j += 1,
+                _ => break,
+            },
+            _ => break,
+        }
+    }
+    let kind = ident(toks.get(j)?)?;
+    if !PUB_ITEM_KINDS.contains(&kind) {
+        return None;
+    }
+    j += 1;
+    if kind == "static" && toks.get(j).and_then(ident) == Some("mut") {
+        j += 1;
+    }
+    let name = ident(toks.get(j)?)?;
+    let block_bodied = matches!(kind, "fn" | "struct" | "enum" | "trait");
+    let mut depth = 0usize;
+    let mut end = toks.len() - 1;
+    for (k, t) in toks.iter().enumerate().skip(j) {
+        match t.kind {
+            TokKind::Punct('(' | '[' | '{') => depth += 1,
+            TokKind::Punct(')' | ']') => depth = depth.saturating_sub(1),
+            TokKind::Punct('}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 && block_bodied {
+                    end = k;
+                    break;
+                }
+            }
+            TokKind::Punct(';') if depth == 0 => {
+                end = k;
+                break;
+            }
+            _ => {}
+        }
+    }
+    Some((kind, name, end))
+}
+
+/// Marks the identifier tokens that do not count as references: every
+/// token of a `use` declaration, and the self type named by each
+/// `impl` header (an `impl` block is part of its type's definition).
+fn non_reference_tokens(toks: &[Tok]) -> Vec<bool> {
+    let mut skip = vec![false; toks.len()];
+    let mut i = 0;
+    while i < toks.len() {
+        match ident(&toks[i]) {
+            Some("use") => {
+                while i < toks.len() && !is_punct(toks.get(i), ';') {
+                    skip[i] = true;
+                    i += 1;
+                }
+            }
+            Some("impl") if is_item_start(toks, i) => {
+                if let Some(self_ty) = impl_self_type(toks, i) {
+                    skip[self_ty] = true;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    skip
+}
+
+/// Is the token at `i` at item position (file start, or after `{`,
+/// `}`, `;`, an attribute's `]`, or `unsafe`)? Distinguishes `impl`
+/// blocks from `impl Trait` in argument and return types.
+fn is_item_start(toks: &[Tok], i: usize) -> bool {
+    let Some(prev) = i.checked_sub(1).map(|p| &toks[p]) else {
+        return true;
+    };
+    matches!(prev.kind, TokKind::Punct('{' | '}' | ';' | ']')) || ident(prev) == Some("unsafe")
+}
+
+/// The index of the self type's name in the `impl` header starting at
+/// `i`: the last path segment after `for`, or after the generics when
+/// there is no `for`.
+fn impl_self_type(toks: &[Tok], i: usize) -> Option<usize> {
+    let mut angle = 0usize;
+    let mut self_ty = None;
+    for (k, t) in toks.iter().enumerate().skip(i + 1) {
+        match &t.kind {
+            TokKind::Punct('<') => angle += 1,
+            // `->` inside a bound such as `F: Fn() -> T` is no close.
+            TokKind::Punct('>') if !is_punct(toks.get(k - 1), '-') => {
+                angle = angle.saturating_sub(1);
+            }
+            TokKind::Punct('{' | ';') if angle == 0 => break,
+            TokKind::Ident(s) if angle == 0 && s == "where" => break,
+            TokKind::Ident(s) if angle == 0 && s == "for" => self_ty = None,
+            // The first path after `impl<…>` (or after `for`) is the one
+            // whose last segment names the type.
+            TokKind::Ident(s)
+                if angle == 0
+                    && s != "dyn"
+                    && s != "mut"
+                    && (self_ty.is_none() || is_punct(toks.get(k - 1), ':')) =>
+            {
+                self_ty = Some(k);
+            }
+            _ => {}
+        }
+    }
+    self_ty
 }

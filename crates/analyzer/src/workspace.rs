@@ -6,6 +6,10 @@
 //! `crates/`. `vendor/` (offline dependency shims), `target/`, hidden
 //! directories, and anything under a `fixtures/` directory (the
 //! analyzer's own seeded-violation corpus) are skipped.
+//!
+//! `perfbench/src` is read too, but only as a source of references for
+//! `dead-pub`: `perfbench` is a workspace of its own whose use of the
+//! crates' API keeps that API alive, and no rule checks its files.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -33,6 +37,8 @@ pub struct Workspace {
     pub files: Vec<WorkspaceFile>,
     /// Declared Cargo features per crate name.
     pub features: BTreeMap<String, Vec<String>>,
+    /// Files read only for the references they make (`perfbench/src`).
+    pub references: Vec<WorkspaceFile>,
 }
 
 /// Directory names never descended into.
@@ -78,6 +84,13 @@ pub fn load(root: &Path) -> io::Result<Workspace> {
             }
         }
     }
+
+    collect(
+        root,
+        &root.join("perfbench/src"),
+        "perfbench",
+        &mut ws.references,
+    )?;
 
     ws.files.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(ws)
@@ -187,6 +200,11 @@ mod tests {
         assert!(ws.files.iter().any(|f| f.rel == "src/lib.rs"));
         assert!(!ws.files.iter().any(|f| f.rel.starts_with("vendor/")));
         assert!(!ws.files.iter().any(|f| f.rel.contains("/fixtures/")));
+        assert!(!ws.files.iter().any(|f| f.rel.starts_with("perfbench/")));
+        assert!(ws
+            .references
+            .iter()
+            .any(|f| f.rel == "perfbench/src/kv_tcp.rs"));
         let lib = ws
             .files
             .iter()

@@ -3,6 +3,6 @@
 #[cfg(feature = "fault-injection")] // line 3: feature-gate, undeclared
 pub fn inject() {}
 
-pub fn peek(v: &[u8]) -> u8 {
+fn peek(v: &[u8]) -> u8 {
     unsafe { *v.as_ptr() } // line 7: unsafe-comment, no SAFETY comment
 }

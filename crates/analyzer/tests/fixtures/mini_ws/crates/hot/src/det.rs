@@ -2,6 +2,6 @@
 
 use std::time::Instant;
 
-pub fn elapsed_ns(since: Instant) -> u128 {
+fn elapsed_ns(since: Instant) -> u128 {
     Instant::now().duration_since(since).as_nanos() // line 6: wall-clock
 }

@@ -13,7 +13,7 @@ impl Telemetry {
     pub fn counter(&self, _name: &str) {}
 }
 
-pub fn spin(stop: &AtomicU64) -> u64 {
+fn spin(stop: &AtomicU64) -> u64 {
     stop.load(Ordering::SeqCst) // line 17: atomics-order, no justification
 }
 
@@ -21,15 +21,15 @@ pub fn record(t: &Telemetry) {
     t.counter("app.mystery.total"); // line 21: metrics-schema, undeclared
 }
 
-pub fn brittle(x: Option<u8>) -> u8 {
+fn brittle(x: Option<u8>) -> u8 {
     x.unwrap() // line 25: panic-path in a hot crate
 }
 
 // analyzer: allow(panic-path) — nothing on the next line panics, so this is stale
-pub fn calm() {}
+fn calm() {}
 
 // analyzer: allow(panic-path)
-pub fn missing_reason() {}
+fn missing_reason() {}
 
 #[cfg(test)]
 mod tests {

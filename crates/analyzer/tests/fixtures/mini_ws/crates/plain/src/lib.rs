@@ -1,6 +1,6 @@
 //! Fixture unsafe-free crate that forgets `#![forbid(unsafe_code)]`
 //! (unsafe-forbid fires at line 1).
 
-pub fn id(x: u8) -> u8 {
+fn id(x: u8) -> u8 {
     x
 }

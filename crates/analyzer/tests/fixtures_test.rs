@@ -2,6 +2,10 @@
 //! `tests/fixtures/mini_ws/` — every rule family must fire at its exact
 //! span, and the clean fixture crate must stay silent — plus a
 //! self-check that the real workspace stays analyzer-clean.
+//!
+//! `mini_ws/perfbench/src` stands in for `perfbench`: it is read only for
+//! the references it makes, which keep `deadpub::used_by_perfbench` and
+//! the clean crate's `exercise` alive.
 
 use dcperf_analyzer::diag::Severity;
 use dcperf_analyzer::policy::{OrderingAllow, Policy};
@@ -47,6 +51,10 @@ fn every_rule_family_fires_at_its_seeded_span() {
         ("unsafe-forbid", "crates/gates/src/lib.rs", 1),
         ("unsafe-forbid", "crates/plain/src/lib.rs", 1),
         ("metrics-orphan", "crates/tele/src/metrics.rs", 5), // APP_UNUSED
+        ("dead-pub", "crates/deadpub/src/lib.rs", 9),        // only a `pub use` names it
+        ("dead-pub", "crates/deadpub/src/lib.rs", 12),       // only #[cfg(test)] calls it
+        ("dead-pub", "crates/deadpub/src/lib.rs", 16),       // only tests/it.rs calls it
+        ("dead-pub", "crates/deadpub/src/lib.rs", 20),       // only its own body calls it
     ];
     for want in expected {
         assert!(
@@ -73,8 +81,9 @@ fn clean_fixture_crate_is_silent_and_its_allow_counts_as_used() {
         "clean crate must produce no diagnostics: {:#?}",
         report.diagnostics
     );
-    // The clean crate's one allow suppressed its SeqCst finding.
-    assert_eq!(report.suppressed, 1);
+    // The clean crate's one allow suppressed its SeqCst finding, and the
+    // deadpub crate's allow kept its intended API.
+    assert_eq!(report.suppressed, 2);
 }
 
 #[test]

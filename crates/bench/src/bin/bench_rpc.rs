@@ -225,7 +225,7 @@ fn main() {
         requests_per_depth: args.requests,
         payload_bytes: args.payload,
         server_pipeline_max_inflight: pipeline.max_inflight,
-        server_pipeline_max_batch: pipeline.max_batch,
+        server_pipeline_max_batch: dcperf_rpc::server::MAX_BATCH,
         depths,
     };
     let json = serde_json::to_string_pretty(&output).expect("serialize bench output");

@@ -102,23 +102,9 @@ impl RunConfig {
         }
     }
 
-    /// A configuration closest to the paper's methodology.
-    pub fn production() -> Self {
-        Self {
-            scale: Scale::Production,
-            ..Self::new()
-        }
-    }
-
     /// Sets the master seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread override (builder style).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -297,7 +283,11 @@ mod tests {
     fn effective_threads_defaults_to_parallelism() {
         let cfg = RunConfig::smoke_test();
         assert!(cfg.effective_threads() >= 1);
-        assert_eq!(cfg.with_threads(3).effective_threads(), 3);
+        let pinned = RunConfig {
+            threads: Some(3),
+            ..cfg
+        };
+        assert_eq!(pinned.effective_threads(), 3);
     }
 
     #[test]

@@ -101,15 +101,6 @@ impl BenchmarkReport {
     pub fn to_json(&self) -> Result<String, crate::Error> {
         Ok(serde_json::to_string_pretty(self)?)
     }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `json` is not a valid report document.
-    pub fn from_json(json: &str) -> Result<Self, crate::Error> {
-        Ok(serde_json::from_str(json)?)
-    }
 }
 
 /// Incrementally assembles a [`BenchmarkReport`] while a benchmark runs.
@@ -210,7 +201,7 @@ mod tests {
         b.metric("total_requests", 1000u64);
         let report = b.finish(&mut ctx);
         let json = report.to_json().unwrap();
-        let parsed = BenchmarkReport::from_json(&json).unwrap();
+        let parsed = serde_json::from_str::<BenchmarkReport>(&json).unwrap();
         assert_eq!(parsed.benchmark, "roundtrip");
         assert_eq!(parsed.metric_f64("requests_per_second"), Some(99.5));
         assert_eq!(parsed.metric_f64("total_requests"), Some(1000.0));
@@ -238,10 +229,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         let report = b.finish(&mut ctx);
         assert!(report.duration_secs > 0.0);
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(BenchmarkReport::from_json("{not json").is_err());
     }
 }

@@ -29,21 +29,6 @@ impl SloSpec {
         }
     }
 
-    /// An unconstrained SLO (always satisfied).
-    pub fn unconstrained() -> Self {
-        Self {
-            p95_ms: None,
-            p99_ms: None,
-            max_error_rate: None,
-        }
-    }
-
-    /// Adds a P99 bound (builder style).
-    pub fn with_p99_ms(mut self, ms: f64) -> Self {
-        self.p99_ms = Some(ms);
-        self
-    }
-
     /// Adds an error-rate bound (builder style).
     pub fn with_max_error_rate(mut self, rate: f64) -> Self {
         self.max_error_rate = Some(rate);
@@ -120,6 +105,12 @@ impl SloOutcome {
 mod tests {
     use super::*;
 
+    const UNCONSTRAINED: SloSpec = SloSpec {
+        p95_ms: None,
+        p99_ms: None,
+        max_error_rate: None,
+    };
+
     fn hist_with_p95_ms(ms: u64) -> Histogram {
         let mut h = Histogram::new();
         // 94 fast samples and 6 at the target puts the p95 rank in the
@@ -135,7 +126,7 @@ mod tests {
 
     #[test]
     fn unconstrained_always_met() {
-        let slo = SloSpec::unconstrained();
+        let slo = UNCONSTRAINED;
         let h = hist_with_p95_ms(10_000);
         assert!(slo.evaluate(&h, 1.0).is_met());
     }
@@ -155,7 +146,7 @@ mod tests {
 
     #[test]
     fn error_rate_violation_detected() {
-        let slo = SloSpec::unconstrained().with_max_error_rate(0.01);
+        let slo = UNCONSTRAINED.with_max_error_rate(0.01);
         let h = hist_with_p95_ms(1);
         assert!(slo.evaluate(&h, 0.005).is_met());
         assert!(!slo.evaluate(&h, 0.02).is_met());
@@ -163,9 +154,10 @@ mod tests {
 
     #[test]
     fn multiple_violations_all_reported() {
-        let slo = SloSpec::p95_under_ms(1.0)
-            .with_p99_ms(1.0)
-            .with_max_error_rate(0.0);
+        let slo = SloSpec {
+            p99_ms: Some(1.0),
+            ..SloSpec::p95_under_ms(1.0).with_max_error_rate(0.0)
+        };
         let h = hist_with_p95_ms(1000);
         match slo.evaluate(&h, 0.5) {
             SloOutcome::Violated(v) => assert_eq!(v.len(), 3, "{v:?}"),
@@ -179,6 +171,6 @@ mod tests {
         let s = slo.to_string();
         assert!(s.contains("p95<=500ms"));
         assert!(s.contains("errors<=0.01"));
-        assert_eq!(SloSpec::unconstrained().to_string(), "unconstrained");
+        assert_eq!(UNCONSTRAINED.to_string(), "unconstrained");
     }
 }

@@ -332,9 +332,8 @@ mod tests {
         s.run_all(&config).unwrap();
         assert!(dir.join("fast.json").exists());
         assert!(dir.join("slow.json").exists());
-        let parsed =
-            BenchmarkReport::from_json(&std::fs::read_to_string(dir.join("fast.json")).unwrap())
-                .unwrap();
+        let json = std::fs::read_to_string(dir.join("fast.json")).unwrap();
+        let parsed = serde_json::from_str::<BenchmarkReport>(&json).unwrap();
         assert_eq!(parsed.benchmark, "fast");
         let _ = std::fs::remove_dir_all(&dir);
     }

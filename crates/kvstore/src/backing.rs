@@ -24,8 +24,6 @@ pub struct BackingStoreConfig {
     pub max_bytes: usize,
     /// Simulated lookup latency per request.
     pub lookup_latency: Duration,
-    /// Keys beyond this population report "not found".
-    pub population: u64,
 }
 
 impl BackingStoreConfig {
@@ -38,19 +36,12 @@ impl BackingStoreConfig {
             min_bytes: 16,
             max_bytes: 64 << 10,
             lookup_latency: Duration::from_micros(300),
-            population: u64::MAX,
         }
     }
 
     /// Disables simulated latency (builder style), for pure-CPU tests.
     pub fn without_latency(mut self) -> Self {
         self.lookup_latency = Duration::ZERO;
-        self
-    }
-
-    /// Bounds the key population (builder style); lookups past it miss.
-    pub fn with_population(mut self, population: u64) -> Self {
-        self.population = population;
         self
     }
 }
@@ -113,7 +104,8 @@ impl BackingStore {
     }
 
     /// Synthesizes the object for `key`, paying the configured lookup
-    /// latency. Returns `None` for keys outside the configured population.
+    /// latency. Returns `None` only when an attached fault plan fails the
+    /// lookup.
     pub fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
         self.pay_latency();
         #[cfg(feature = "fault-injection")]
@@ -122,16 +114,7 @@ impl BackingStore {
                 return None;
             }
         }
-        let id = self.key_id(key);
-        if self.config.population != u64::MAX {
-            // Map the hash onto the population range; out-of-population
-            // keys model deleted/never-created objects.
-            if id % 100 >= 98 && self.config.population < u64::MAX {
-                // ~2% permanent misses, as TAO sees for deleted objects.
-                return None;
-            }
-        }
-        Some(self.synthesize(id))
+        Some(self.synthesize(self.key_id(key)))
     }
 
     /// Synthesizes without latency (used by dataset builders).
@@ -224,21 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_population_produces_misses() {
-        let s = BackingStore::new(
-            BackingStoreConfig::tao_like()
-                .without_latency()
-                .with_population(1000),
-            7,
-        );
-        let misses = (0..2000u32)
-            .filter(|i| s.lookup(&i.to_le_bytes()).is_none())
-            .count();
-        assert!(misses > 0, "expected some permanent misses");
-        assert!(misses < 200, "misses={misses} (should be ~2%)");
-    }
-
-    #[test]
     fn latency_is_paid() {
         let s = BackingStore::new(
             BackingStoreConfig {
@@ -261,11 +229,11 @@ mod tests {
     #[cfg(feature = "fault-injection")]
     #[test]
     fn fault_plan_injects_misses_and_latency() {
-        use dcperf_resilience::{FaultPlan, LatencyFault};
+        use dcperf_resilience::FaultPlan;
         let plan = Arc::new(
             FaultPlan::new(11)
                 .with_error_rate(0.5)
-                .with_latency(1.0, LatencyFault::Fixed(Duration::from_micros(200))),
+                .with_latency(1.0, Duration::from_micros(200)),
         );
         let s = BackingStore::new(BackingStoreConfig::tao_like().without_latency(), 42)
             .with_fault_plan(Arc::clone(&plan));
@@ -284,7 +252,7 @@ mod tests {
             .with_fault_plan(Arc::new(
                 FaultPlan::new(11)
                     .with_error_rate(0.5)
-                    .with_latency(1.0, LatencyFault::Fixed(Duration::ZERO)),
+                    .with_latency(1.0, Duration::ZERO),
             ));
         let misses2 = (0..200u32)
             .filter(|i| s2.lookup(&i.to_le_bytes()).is_none())

@@ -23,7 +23,6 @@
 use crate::shard::{Shard, ENTRY_OVERHEAD};
 use crate::stats::CacheStats;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -182,9 +181,10 @@ pub struct Cache {
     default_ttl_ms: Option<u64>,
     single_flight: bool,
     epoch: Instant,
-    /// Test-only skew added to the millisecond clock; lets TTL tests run
+    /// Skew added to the millisecond clock; lets TTL tests run
     /// deterministically without sleeping.
-    clock_skew_ms: AtomicU64,
+    #[cfg(test)]
+    clock_skew_ms: std::sync::atomic::AtomicU64,
 }
 
 impl std::fmt::Debug for Cache {
@@ -233,22 +233,30 @@ impl Cache {
             default_ttl_ms: config.default_ttl_ms,
             single_flight: config.single_flight,
             epoch: Instant::now(),
-            clock_skew_ms: AtomicU64::new(0),
+            #[cfg(test)]
+            clock_skew_ms: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
     fn now_ms(&self) -> u64 {
+        #[cfg(not(test))]
+        let skew = 0;
+        #[cfg(test)]
         // ordering: test-only skew counter, monotonic, guards nothing
-        let skew = self.clock_skew_ms.load(Ordering::Relaxed);
+        let skew = self
+            .clock_skew_ms
+            .load(std::sync::atomic::Ordering::Relaxed);
         (self.epoch.elapsed().as_millis() as u64).saturating_add(skew)
     }
 
     /// Advances the cache's millisecond clock without sleeping — a
     /// deterministic-test hook for TTL behaviour (for example, simulating
     /// a loader that stalls for seconds under fault injection).
-    pub fn advance_clock_ms(&self, ms: u64) {
+    #[cfg(test)]
+    fn advance_clock_ms(&self, ms: u64) {
         // ordering: test-only skew counter, monotonic, guards nothing
-        self.clock_skew_ms.fetch_add(ms, Ordering::Relaxed);
+        self.clock_skew_ms
+            .fetch_add(ms, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Multiply-rotate hash over the key selects the shard — computed

@@ -13,8 +13,8 @@
 //!
 //! Each function reproduces the measured curve shape from a mechanistic
 //! mini-model (serialization bottlenecks, fixed timeout budgets, bounded
-//! parallelism). A *runnable* demonstration of the same pathologies lives
-//! in `dcperf-workloads::cloudsuite`.
+//! parallelism). This model is how the repository reproduces Figure 13;
+//! there is no runnable CloudSuite workload.
 
 /// One point of Figure 13a: Data Caching RPS at a CPU utilization level.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -71,18 +71,6 @@ impl Default for BreakerConfig {
 }
 
 impl BreakerConfig {
-    /// Overrides the cooldown (builder style).
-    pub fn with_cooldown(mut self, cooldown: Duration) -> Self {
-        self.cooldown = cooldown;
-        self
-    }
-
-    /// Overrides the trip ratio, clamped to `(0, 1]` (builder style).
-    pub fn with_failure_ratio(mut self, ratio: f64) -> Self {
-        self.failure_ratio = ratio.clamp(f64::MIN_POSITIVE, 1.0);
-        self
-    }
-
     /// Whether a window of `failures` out of `total` outcomes trips the
     /// breaker. Monotone in `failures` for fixed `total`. `min_calls` is
     /// clamped to the window length — a rolling window can never hold
@@ -420,7 +408,10 @@ mod tests {
     fn wrapper_counts_transitions_and_rejections() {
         let telemetry = Telemetry::new();
         let breaker = CircuitBreaker::with_telemetry(
-            cfg().with_cooldown(Duration::from_secs(3600)),
+            BreakerConfig {
+                cooldown: Duration::from_secs(3600),
+                ..cfg()
+            },
             &telemetry,
             metrics::PREFIX_RESILIENCE_BREAKER,
         );
@@ -440,7 +431,10 @@ mod tests {
 
     #[test]
     fn wrapper_half_opens_after_cooldown() {
-        let breaker = CircuitBreaker::new(cfg().with_cooldown(Duration::from_millis(5)));
+        let breaker = CircuitBreaker::new(BreakerConfig {
+            cooldown: Duration::from_millis(5),
+            ..cfg()
+        });
         for _ in 0..4 {
             breaker.record_failure();
         }

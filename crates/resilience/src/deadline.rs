@@ -29,11 +29,6 @@ impl Deadline {
         Self::after(Duration::from_micros(budget_us))
     }
 
-    /// The absolute expiry instant.
-    pub fn expires_at(&self) -> Instant {
-        self.expires
-    }
-
     /// Whether the deadline has passed.
     pub fn expired(&self) -> bool {
         Instant::now() >= self.expires

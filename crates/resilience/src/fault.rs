@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] describes the chaos a scenario wants — latency spikes,
-//! error rates, overload bursts, blackout windows — and produces a
+//! error rates, overload bursts — and produces a
 //! per-operation [`FaultDecision`]. Every stochastic choice is keyed on
 //! `(seed, operation index)` through a [`SplitMix64`] mix, so a plan
 //! replays identically for a given operation sequence: no wall-clock
@@ -12,45 +12,9 @@
 //! around any load-generator `Service`. The plan keeps its own injection
 //! counters so a report can state exactly how much chaos was dealt.
 
-use dcperf_util::{Pareto, Rng, SplitMix64};
+use dcperf_util::{Rng, SplitMix64};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// The latency shape of an injected slow-down.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencyFault {
-    /// A constant added delay.
-    Fixed(Duration),
-    /// A bounded-Pareto added delay (heavy-tailed, like real stragglers).
-    Pareto(Pareto),
-}
-
-impl LatencyFault {
-    /// A bounded-Pareto latency fault between `min` and `max` with shape
-    /// `alpha`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the distribution's validation error for degenerate bounds.
-    pub fn pareto(
-        min: Duration,
-        max: Duration,
-        alpha: f64,
-    ) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(Self::Pareto(Pareto::new(
-            min.as_secs_f64().max(1e-9),
-            max.as_secs_f64(),
-            alpha,
-        )?))
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        match self {
-            LatencyFault::Fixed(d) => *d,
-            LatencyFault::Pareto(p) => Duration::from_secs_f64(p.sample(rng)),
-        }
-    }
-}
 
 /// What happens to one operation, other than added latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +53,8 @@ impl FaultDecision {
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
-    latency: Option<(f64, LatencyFault)>,
+    latency: Option<(f64, Duration)>,
     error_rate: f64,
-    blackout: Option<(u64, u64)>,
     overload_burst: Option<(u64, u64)>,
     next_op: AtomicU64,
     injected_latency_ops: AtomicU64,
@@ -107,7 +70,6 @@ impl FaultPlan {
             seed,
             latency: None,
             error_rate: 0.0,
-            blackout: None,
             overload_burst: None,
             next_op: AtomicU64::new(0),
             injected_latency_ops: AtomicU64::new(0),
@@ -117,10 +79,10 @@ impl FaultPlan {
         }
     }
 
-    /// Adds `fault` latency to a `probability` fraction of operations
+    /// Adds `extra` latency to a `probability` fraction of operations
     /// (builder style).
-    pub fn with_latency(mut self, probability: f64, fault: LatencyFault) -> Self {
-        self.latency = Some((probability.clamp(0.0, 1.0), fault));
+    pub fn with_latency(mut self, probability: f64, extra: Duration) -> Self {
+        self.latency = Some((probability.clamp(0.0, 1.0), extra));
         self
     }
 
@@ -128,13 +90,6 @@ impl FaultPlan {
     /// (builder style).
     pub fn with_error_rate(mut self, rate: f64) -> Self {
         self.error_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Fails *every* operation whose index lies in
-    /// `[start, start + len)` — a full outage window (builder style).
-    pub fn with_blackout(mut self, start: u64, len: u64) -> Self {
-        self.blackout = Some((start, len));
         self
     }
 
@@ -148,16 +103,8 @@ impl FaultPlan {
     /// The pure decision for operation index `op`. Does not advance the
     /// plan or touch counters; [`FaultPlan::next`] is the counting form.
     pub fn decide(&self, op: u64) -> FaultDecision {
-        // Blackouts and bursts are positional and take precedence over
-        // the sampled faults.
-        if let Some((start, len)) = self.blackout {
-            if op >= start && op - start < len {
-                return FaultDecision {
-                    extra_latency: Duration::ZERO,
-                    outcome: FaultOutcome::Error,
-                };
-            }
-        }
+        // Bursts are positional and take precedence over the sampled
+        // faults.
         if let Some((period, len)) = self.overload_burst {
             if op % period < len {
                 return FaultDecision {
@@ -168,9 +115,9 @@ impl FaultPlan {
         }
         let mut rng = SplitMix64::new(self.seed ^ SplitMix64::mix(op.wrapping_add(1)));
         let mut decision = FaultDecision::pass();
-        if let Some((probability, fault)) = &self.latency {
-            if rng.next_f64() < *probability {
-                decision.extra_latency = fault.sample(&mut rng);
+        if let Some((probability, extra)) = self.latency {
+            if rng.next_f64() < probability {
+                decision.extra_latency = extra;
             }
         }
         if self.error_rate > 0.0 && rng.next_f64() < self.error_rate {
@@ -264,7 +211,7 @@ mod tests {
     fn decisions_are_deterministic() {
         let make = || {
             FaultPlan::new(9)
-                .with_latency(0.3, LatencyFault::Fixed(Duration::from_millis(5)))
+                .with_latency(0.3, Duration::from_millis(5))
                 .with_error_rate(0.2)
         };
         let a = make();
@@ -277,7 +224,7 @@ mod tests {
     #[test]
     fn rates_are_respected() {
         let plan = FaultPlan::new(3)
-            .with_latency(0.1, LatencyFault::Fixed(Duration::from_millis(50)))
+            .with_latency(0.1, Duration::from_millis(50))
             .with_error_rate(0.01);
         let n = 10_000u64;
         let mut slow = 0;
@@ -298,16 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn blackout_window_fails_everything_inside() {
-        let plan = FaultPlan::new(0).with_blackout(100, 50);
-        assert_eq!(plan.decide(99).outcome, FaultOutcome::Pass);
-        for op in 100..150 {
-            assert_eq!(plan.decide(op).outcome, FaultOutcome::Error);
-        }
-        assert_eq!(plan.decide(150).outcome, FaultOutcome::Pass);
-    }
-
-    #[test]
     fn overload_burst_sheds_periodically() {
         let plan = FaultPlan::new(0).with_overload_burst(10, 2);
         let shed: Vec<u64> = (0..30)
@@ -319,7 +256,7 @@ mod tests {
     #[test]
     fn next_advances_and_counts() {
         let plan = FaultPlan::new(1)
-            .with_latency(1.0, LatencyFault::Fixed(Duration::from_micros(10)))
+            .with_latency(1.0, Duration::from_micros(10))
             .with_error_rate(1.0);
         for _ in 0..5 {
             plan.next();
@@ -331,25 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn pareto_latency_stays_in_bounds() {
-        let fault = LatencyFault::pareto(Duration::from_millis(1), Duration::from_millis(100), 1.5)
-            .unwrap();
-        let plan = FaultPlan::new(4).with_latency(1.0, fault);
-        for op in 0..1000 {
-            let d = plan.decide(op);
-            assert!(
-                d.extra_latency >= Duration::from_micros(900)
-                    && d.extra_latency <= Duration::from_millis(101),
-                "latency {:?} out of bounds",
-                d.extra_latency
-            );
-        }
-    }
-
-    #[test]
     fn apply_pays_latency() {
-        let plan =
-            FaultPlan::new(0).with_latency(1.0, LatencyFault::Fixed(Duration::from_millis(3)));
+        let plan = FaultPlan::new(0).with_latency(1.0, Duration::from_millis(3));
         let start = Instant::now();
         assert_eq!(plan.apply(), FaultOutcome::Pass);
         assert!(start.elapsed() >= Duration::from_millis(3));

@@ -18,9 +18,9 @@
 //!   property-testable; the wrapper adds wall-clock time, thread safety,
 //!   and telemetry.
 //! * [`FaultPlan`] — seeded, deterministic injectors for added latency
-//!   (fixed or Pareto), error rates, overload bursts, and blackout
-//!   windows, installable on the RPC dispatch path and the kvstore
-//!   backing store.
+//!   (a fixed delay on a seeded fraction of operations), error rates
+//!   and overload bursts, installable on the RPC dispatch path and the
+//!   kvstore backing store.
 //!
 //! Nothing here uses wall-clock randomness: every stochastic decision is
 //! driven by a seeded [`dcperf_util::SplitMix64`], so chaos scenarios are
@@ -51,5 +51,5 @@ mod retry;
 
 pub use breaker::{BreakerConfig, BreakerCore, BreakerState, BreakerTransition, CircuitBreaker};
 pub use deadline::Deadline;
-pub use fault::{FaultDecision, FaultOutcome, FaultPlan, LatencyFault};
+pub use fault::{FaultDecision, FaultOutcome, FaultPlan};
 pub use retry::{BackoffSchedule, RetryBudget, RetryPolicy};

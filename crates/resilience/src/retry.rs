@@ -60,12 +60,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Overrides the jitter fraction, clamped to `[0, 1]` (builder style).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        self.jitter = jitter.clamp(0.0, 1.0);
-        self
-    }
-
     /// The delay before retry number `retry` (1-based), jittered through
     /// `rng`. Deterministic for a deterministic generator.
     pub fn backoff<R: Rng + ?Sized>(&self, retry: u32, rng: &mut R) -> Duration {
@@ -177,11 +171,6 @@ impl RetryBudget {
             }
         }
     }
-
-    /// Whole retry tokens currently available.
-    pub fn available(&self) -> u64 {
-        (self.tokens.load(Ordering::Relaxed).max(0) / Self::SCALE) as u64
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +200,10 @@ mod tests {
 
     #[test]
     fn zero_jitter_schedule_is_exactly_exponential() {
-        let policy = RetryPolicy::new(4, Duration::from_millis(10)).with_jitter(0.0);
+        let policy = RetryPolicy {
+            jitter: 0.0,
+            ..RetryPolicy::new(4, Duration::from_millis(10))
+        };
         let delays: Vec<_> = policy.schedule(99).collect();
         assert_eq!(
             delays,
@@ -246,7 +238,7 @@ mod tests {
         for _ in 0..100 {
             budget.deposit();
         }
-        assert_eq!(budget.available(), 1);
+        assert_eq!(budget.tokens.load(Ordering::Relaxed), budget.max_scaled);
         assert!(budget.try_spend());
         assert!(!budget.try_spend());
     }

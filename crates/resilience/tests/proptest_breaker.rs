@@ -139,7 +139,7 @@ proptest! {
 /// silently shifting every chaos scenario.
 #[test]
 fn backoff_schedule_matches_fixed_seed_snapshot() {
-    let policy = RetryPolicy::new(5, Duration::from_millis(10)).with_jitter(0.5);
+    let policy = RetryPolicy::new(5, Duration::from_millis(10));
     let micros: Vec<u128> = policy.schedule(0xDC_BEEF).map(|d| d.as_micros()).collect();
     assert_eq!(micros.len(), 4);
     // Delays are jittered downward from 10ms, 20ms, 40ms, 80ms: each

@@ -1,7 +1,7 @@
 //! Request/response messages and their stream framing.
 //!
 //! Frames are `[u32 length][payload]`. The payload is one fixed field
-//! order, written with the [`wire`](crate::wire) primitives: a request is
+//! order, written with the [`wire`] primitives: a request is
 //! `corr, method, body, deadline_us` and a response is `corr, status,
 //! body`. Every field is required, and a payload with bytes left after
 //! its last field is rejected. The TCP transport and the in-process

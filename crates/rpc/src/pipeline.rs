@@ -3,38 +3,26 @@
 //! A pipelined connection keeps a window of requests in flight and lets
 //! the server complete them out of order, so one connection replaces N
 //! pool slots. The module carries two pieces: [`PipelineConfig`], the
-//! knobs shared by clients and servers, and [`PipelineStats`], the
+//! read-ahead window, and [`PipelineStats`], the
 //! `rpc.pipeline.*` / `rpc.batch.*` telemetry handles with a leak-proof
 //! RAII guard for in-flight accounting.
 
 use dcperf_telemetry::{metrics, Counter, Gauge, Telemetry};
 use std::sync::Arc;
 
-/// Knobs for a pipelined connection.
+/// The read-ahead window of a pipelined connection. How many responses
+/// share one write is fixed by [`crate::server::MAX_BATCH`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Maximum requests in flight per connection before the reader stops
     /// reading ahead. 1 disables pipelining: the connection serves one
     /// request per turn and responses stay strictly in request order.
     pub max_inflight: usize,
-    /// Maximum responses coalesced into one buffered transport write.
-    pub max_batch: usize,
-}
-
-impl PipelineConfig {
-    /// Overrides the response-burst batch size (builder style).
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
-    }
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        Self {
-            max_inflight: 64,
-            max_batch: 16,
-        }
+        Self { max_inflight: 64 }
     }
 }
 
@@ -129,14 +117,7 @@ mod tests {
 
     #[test]
     fn config_defaults_are_pipelined() {
-        let cfg = PipelineConfig::default();
-        assert!(cfg.max_inflight > 1);
-        assert!(cfg.max_batch > 1);
-    }
-
-    #[test]
-    fn max_batch_clamps_to_at_least_one() {
-        assert_eq!(PipelineConfig::default().with_max_batch(0).max_batch, 1);
+        assert!(PipelineConfig::default().max_inflight > 1);
     }
 
     #[test]

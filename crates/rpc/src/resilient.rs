@@ -120,13 +120,6 @@ impl<C: ResilientTransport> ResilientClient<C> {
         }
     }
 
-    /// Replaces the retry budget (shared across clones via `Arc`).
-    #[must_use]
-    pub fn with_budget(mut self, budget: Arc<RetryBudget>) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Replaces the circuit breaker (share one `Arc` across the clients
     /// that target the same backend so they trip together).
     #[must_use]
@@ -385,8 +378,8 @@ mod tests {
         // drain it first so the retry has no token.
         let budget = Arc::new(RetryBudget::new(1, 0.0));
         assert!(budget.try_spend());
-        let client =
-            ResilientClient::new(transport, fast_policy(4), &telemetry).with_budget(budget);
+        let mut client = ResilientClient::new(transport, fast_policy(4), &telemetry);
+        client.budget = budget;
         match client.call("m", vec![]) {
             Err(RpcError::Timeout) => {}
             other => panic!("expected budget-blocked timeout, got {other:?}"),

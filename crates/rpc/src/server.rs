@@ -285,6 +285,10 @@ const CONN_JOIN_WAIT: Duration = Duration::from_secs(2);
 /// reading before the connection is dropped.
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Most responses coalesced into one transport write: a connection's
+/// outbox is written at once when it holds this many frames.
+pub const MAX_BATCH: usize = 16;
+
 thread_local! {
     /// Set on connection readers, which never block on a write (see
     /// [`Connection::flush`]).
@@ -323,7 +327,6 @@ struct Connection {
     /// parks once `max_inflight` are out; each reply takes one back.
     permits: BoundedQueue<()>,
     pipeline: Arc<PipelineStats>,
-    max_batch: usize,
     open: Open,
 }
 
@@ -350,7 +353,7 @@ impl Connection {
     /// Queues `resp` and releases its window slot. The frame is written at
     /// the end of the current batch — a pool worker's dequeue batch, or
     /// the reader's run of buffered frames — at once when the outbox holds
-    /// `max_batch` frames, and at once when the reply is made off a batch
+    /// [`MAX_BATCH`] frames, and at once when the reply is made off a batch
     /// context, where no batch end will come.
     ///
     /// A response too large to frame is answered with an error carrying
@@ -370,7 +373,7 @@ impl Connection {
         // the client may send its next request, and the window must
         // already have room for it.
         drop(slot);
-        if out.frames >= self.max_batch || !pool::defer_to_batch_end(self) {
+        if out.frames >= MAX_BATCH || !pool::defer_to_batch_end(self) {
             self.flush(out);
         }
     }
@@ -677,7 +680,7 @@ impl TcpServer {
     ///   the connection's outbox and writes the outbox out once per
     ///   dequeue batch.
     ///
-    /// Either side writes at once when the outbox holds `max_batch` frames
+    /// Either side writes at once when the outbox holds [`MAX_BATCH`] frames
     /// (see [`Connection::reply`]). Out-of-order completion is matched up
     /// client-side by correlation id.
     ///
@@ -705,7 +708,6 @@ impl TcpServer {
             outbox: Mutex::new(Outbox::default()),
             permits: BoundedQueue::new(cfg.max_inflight),
             pipeline: Arc::clone(&core.pipeline),
-            max_batch: cfg.max_batch,
             open,
         });
         {
@@ -1044,7 +1046,7 @@ mod tests {
 
     /// A connection whose peer end the test reads, with `permits` window
     /// slots already taken.
-    fn test_connection(max_batch: usize, permits: usize) -> (Arc<Connection>, TcpStream) {
+    fn test_connection(permits: usize) -> (Arc<Connection>, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1058,7 +1060,6 @@ mod tests {
             outbox: Mutex::new(Outbox::default()),
             permits: permit_queue,
             pipeline: Arc::new(PipelineStats::new()),
-            max_batch,
             open: Open::default(),
         });
         (conn, peer)
@@ -1089,7 +1090,7 @@ mod tests {
 
     #[test]
     fn reply_off_a_pool_worker_is_written_at_once() {
-        let (conn, peer) = test_connection(16, 1);
+        let (conn, peer) = test_connection(1);
         conn.reply(ok_with_corr(7), slot(&conn));
         // No batch end will come on this thread: the frame must already
         // be on the wire (the peer's read timeout turns a hang into a
@@ -1102,7 +1103,7 @@ mod tests {
 
     #[test]
     fn replies_in_one_worker_batch_share_one_write() {
-        let (conn, peer) = test_connection(16, 3);
+        let (conn, peer) = test_connection(3);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let c = Arc::clone(&conn);
         pool.spawn(move || {
@@ -1120,25 +1121,28 @@ mod tests {
 
     #[test]
     fn a_full_outbox_is_written_without_waiting_for_the_batch_end() {
-        let (conn, peer) = test_connection(2, 3);
+        let total = MAX_BATCH + 1;
+        let (conn, peer) = test_connection(total);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let c = Arc::clone(&conn);
         pool.spawn(move || {
-            c.reply(ok_with_corr(1), slot(&c));
-            c.reply(ok_with_corr(2), slot(&c));
-            assert_eq!(c.pipeline.flushes(), 1, "max_batch frames go out at once");
-            c.reply(ok_with_corr(3), slot(&c));
+            for corr in 1..=MAX_BATCH as u64 {
+                c.reply(ok_with_corr(corr), slot(&c));
+            }
+            assert_eq!(c.pipeline.flushes(), 1, "MAX_BATCH frames go out at once");
+            c.reply(ok_with_corr(total as u64), slot(&c));
         })
         .unwrap();
-        assert_eq!(read_corrs(&peer, 3), vec![1, 2, 3]);
+        let want: Vec<u64> = (1..=total as u64).collect();
+        assert_eq!(read_corrs(&peer, total), want);
         pool.shutdown();
         assert_eq!(conn.pipeline.flushes(), 2);
-        assert_eq!(conn.pipeline.batched_responses(), 3);
+        assert_eq!(conn.pipeline.batched_responses(), total as u64);
     }
 
     #[test]
     fn an_oversized_reply_is_answered_with_an_error() {
-        let (conn, peer) = test_connection(16, 2);
+        let (conn, peer) = test_connection(2);
         let pool = ThreadPool::new(PoolConfig::single_lane(1));
         let (tx, rx) = std::sync::mpsc::channel();
         let c = Arc::clone(&conn);
@@ -1253,29 +1257,22 @@ mod tests {
     fn tcp_inflight_peak_never_exceeds_the_client_window() {
         const WINDOW: usize = 16;
         // Only slow-lane work stays in flight, so the echo is routed to
-        // the slow lane. The default batch covers the batch-end write; a
-        // batch of one writes every reply at once, where a slot released
-        // after the write would let the client's next request in first.
-        for pipeline in [
+        // the slow lane.
+        let server = TcpServer::bind_full(
+            "127.0.0.1:0",
+            echo,
+            |_: &Request| Lane::Slow,
+            PoolConfig::single_lane(1),
             PipelineConfig::default(),
-            PipelineConfig::default().with_max_batch(1),
-        ] {
-            let server = TcpServer::bind_full(
-                "127.0.0.1:0",
-                echo,
-                |_: &Request| Lane::Slow,
-                PoolConfig::single_lane(1),
-                pipeline,
-            )
-            .unwrap();
-            let peak = pipelined_echo_peak(&server, WINDOW);
-            assert!(peak > 1, "the window must have been used, peak={peak}");
-            assert!(
-                peak <= WINDOW as i64,
-                "{pipeline:?}: in-flight peak {peak} exceeds the client window {WINDOW}"
-            );
-            server.shutdown();
-        }
+        )
+        .unwrap();
+        let peak = pipelined_echo_peak(&server, WINDOW);
+        assert!(peak > 1, "the window must have been used, peak={peak}");
+        assert!(
+            peak <= WINDOW as i64,
+            "in-flight peak {peak} exceeds the client window {WINDOW}"
+        );
+        server.shutdown();
     }
 
     #[test]

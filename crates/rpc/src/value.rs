@@ -215,30 +215,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Approximate encoded size in bytes without encoding.
-    pub fn encoded_size_hint(&self) -> usize {
-        match self {
-            Value::Bool(_) => 1,
-            Value::I64(_) => 6,
-            Value::F64(_) => 9,
-            Value::Str(s) => 6 + s.len(),
-            Value::Bin(b) => 6 + b.len(),
-            Value::List(items) => 6 + items.iter().map(Value::encoded_size_hint).sum::<usize>(),
-            Value::Map(map) => {
-                6 + map
-                    .iter()
-                    .map(|(k, v)| 6 + k.len() + v.encoded_size_hint())
-                    .sum::<usize>()
-            }
-            Value::Struct(fields) => {
-                6 + fields
-                    .iter()
-                    .map(|(_, v)| 3 + v.encoded_size_hint())
-                    .sum::<usize>()
-            }
-        }
-    }
 }
 
 fn checked_len(n: u64, r: &Reader<'_>) -> Result<usize, WireError> {
@@ -336,16 +312,6 @@ mod tests {
             Value::decode(&bytes),
             Err(WireError::InvalidLength(_))
         ));
-    }
-
-    #[test]
-    fn size_hint_is_an_upper_bound_for_typical_values() {
-        let v = Value::Struct(vec![
-            (1, Value::I64(123)),
-            (2, Value::Str("hello".into())),
-            (3, Value::List(vec![Value::F64(1.0); 10])),
-        ]);
-        assert!(v.encoded_size_hint() >= v.encode().len());
     }
 
     #[test]

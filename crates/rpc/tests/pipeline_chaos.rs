@@ -5,7 +5,7 @@
 //! trip the breaker a full burst early.
 #![cfg(feature = "fault-injection")]
 
-use dcperf_resilience::{BreakerConfig, CircuitBreaker, FaultPlan, LatencyFault, RetryPolicy};
+use dcperf_resilience::{BreakerConfig, CircuitBreaker, FaultPlan, RetryPolicy};
 use dcperf_rpc::{
     PipelineConfig, PoolConfig, Request, ResilientClient, Response, RpcError, TcpClient, TcpServer,
 };
@@ -30,7 +30,7 @@ fn pipelined_batch_honors_per_request_deadlines() {
     // 5ms, so the server must shed each one as deadline-exceeded instead
     // of serving it late.
     server.install_fault_plan(Some(Arc::new(
-        FaultPlan::new(11).with_latency(1.0, LatencyFault::Fixed(Duration::from_millis(30))),
+        FaultPlan::new(11).with_latency(1.0, Duration::from_millis(30)),
     )));
 
     let telemetry = Telemetry::new();
@@ -58,7 +58,7 @@ fn pipelined_batch_honors_per_request_deadlines() {
 fn breaker_counts_each_correlated_failure_once() {
     let server = start_server();
     server.install_fault_plan(Some(Arc::new(
-        FaultPlan::new(13).with_latency(1.0, LatencyFault::Fixed(Duration::from_millis(30))),
+        FaultPlan::new(13).with_latency(1.0, Duration::from_millis(30)),
     )));
 
     let telemetry = Telemetry::new();

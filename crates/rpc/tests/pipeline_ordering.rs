@@ -113,10 +113,7 @@ fn slow_head_does_not_block_fast_tail() {
 }
 
 /// A connection whose read-ahead window holds one request.
-const WINDOW_OF_ONE: PipelineConfig = PipelineConfig {
-    max_inflight: 1,
-    max_batch: 1,
-};
+const WINDOW_OF_ONE: PipelineConfig = PipelineConfig { max_inflight: 1 };
 
 #[test]
 fn window_of_one_serializes_the_connection() {
@@ -252,10 +249,7 @@ fn fast_response_is_written_before_the_reader_blocks() {
     // until the gate opens.
     let window_full = (
         PoolConfig::fast_slow(1, 1),
-        PipelineConfig {
-            max_inflight: 2,
-            ..PipelineConfig::default()
-        },
+        PipelineConfig { max_inflight: 2 },
     );
     let queue_full = (
         PoolConfig::fast_slow(1, 1).with_queue_depth(1),

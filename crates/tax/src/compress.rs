@@ -318,6 +318,7 @@ pub fn rle_compress(input: &[u8]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a [`CompressError`] on malformed input.
+// analyzer: allow(dead-pub) — the reference decoder of the round-trip proptest in tests/proptest_codecs.rs
 pub fn rle_decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
     let mut pos = 0usize;
     let expected = read_varint(input, &mut pos)? as usize;

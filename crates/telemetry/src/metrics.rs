@@ -74,8 +74,6 @@ pub const PREFIX_CACHE: &str = "kvstore.cache";
 pub const PREFIX_CHAOS_STORE: &str = "chaos.store";
 /// Injection tallies of the RPC-dispatch fault plan.
 pub const PREFIX_CHAOS_RPC: &str = "chaos.rpc";
-/// Injection tallies of the DjangoBench front-of-app fault plan.
-pub const PREFIX_CHAOS_DJANGO: &str = "chaos.django";
 
 /// The suffix vocabulary composable with any `PREFIX_*` namespace.
 pub mod suffix {
@@ -188,7 +186,6 @@ mod tests {
             PREFIX_CACHE,
             PREFIX_CHAOS_STORE,
             PREFIX_CHAOS_RPC,
-            PREFIX_CHAOS_DJANGO,
         ] {
             assert!(
                 name.chars()

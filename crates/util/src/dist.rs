@@ -4,7 +4,7 @@
 //! key popularity (TaoBench), log-normal request/response sizes, Poisson
 //! request arrivals for open-loop load generation, and empirical mixes for
 //! endpoint selection. Each distribution here samples through the
-//! [`Rng`](crate::Rng) trait so every draw is deterministic given a seed.
+//! [`Rng`] trait so every draw is deterministic given a seed.
 
 use crate::rng::Rng;
 
@@ -266,142 +266,6 @@ impl Exponential {
     }
 }
 
-/// Poisson distribution with mean `lambda`.
-///
-/// Used for RPC fan-out counts and batch sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// Creates a Poisson distribution with mean `lambda > 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `lambda` is finite and positive.
-    pub fn new(lambda: f64) -> Result<Self, InvalidDistributionError> {
-        if !(lambda.is_finite() && lambda > 0.0) {
-            return Err(InvalidDistributionError::new(
-                "poisson requires finite lambda > 0",
-            ));
-        }
-        Ok(Self { lambda })
-    }
-
-    /// Samples a count.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.lambda < 30.0 {
-            // Knuth's multiplication method for small lambda.
-            let l = (-self.lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= rng.next_f64();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            // Normal approximation for large lambda.
-            let x = self.lambda + self.lambda.sqrt() * sample_standard_normal(rng);
-            x.max(0.0).round() as u64
-        }
-    }
-}
-
-/// Bounded Pareto distribution, used for heavy-tailed object sizes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    xmin: f64,
-    xmax: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a bounded Pareto on `[xmin, xmax]` with shape `alpha > 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `0 < xmin < xmax` and `alpha > 0`.
-    pub fn new(xmin: f64, xmax: f64, alpha: f64) -> Result<Self, InvalidDistributionError> {
-        if !(xmin > 0.0 && xmax > xmin && alpha > 0.0 && alpha.is_finite()) {
-            return Err(InvalidDistributionError::new(
-                "pareto requires 0 < xmin < xmax and alpha > 0",
-            ));
-        }
-        Ok(Self { xmin, xmax, alpha })
-    }
-
-    /// Samples a value in `[xmin, xmax]`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u = rng.next_f64();
-        let la = self.xmin.powf(self.alpha);
-        let ha = self.xmax.powf(self.alpha);
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
-    }
-}
-
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution over `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `lo < hi` and both are finite.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, InvalidDistributionError> {
-        if !(lo.is_finite() && hi.is_finite() && lo < hi) {
-            return Err(InvalidDistributionError::new("uniform requires lo < hi"));
-        }
-        Ok(Self { lo, hi })
-    }
-
-    /// Samples a value in `[lo, hi)`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.lo + rng.next_f64() * (self.hi - self.lo)
-    }
-}
-
-/// Bernoulli distribution: `true` with probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution with success probability `p` in
-    /// `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `0 <= p <= 1`.
-    pub fn new(p: f64) -> Result<Self, InvalidDistributionError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(InvalidDistributionError::new(
-                "bernoulli requires p in [0, 1]",
-            ));
-        }
-        Ok(Self { p })
-    }
-
-    /// Samples a boolean.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.gen_bool(self.p)
-    }
-
-    /// The success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-}
-
 /// Empirical (categorical) distribution over weighted alternatives.
 ///
 /// Used for endpoint mixes ("feed 40%, timeline 30%, seen 20%, inbox 10%")
@@ -584,50 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_small_lambda_mean() {
-        let p = Poisson::new(3.0).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let sum: u64 = (0..n).map(|_| p.sample(&mut r)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean={mean}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_mean() {
-        let p = Poisson::new(200.0).unwrap();
-        let mut r = rng();
-        let n = 50_000;
-        let sum: u64 = (0..n).map(|_| p.sample(&mut r)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 200.0).abs() < 1.0, "mean={mean}");
-    }
-
-    #[test]
-    fn pareto_bounded() {
-        let p = Pareto::new(64.0, 1_048_576.0, 1.1).unwrap();
-        let mut r = rng();
-        for _ in 0..50_000 {
-            let v = p.sample(&mut r);
-            assert!((64.0..=1_048_576.0 + 1.0).contains(&v), "{v}");
-        }
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let u = Uniform::new(10.0, 20.0).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let mut sum = 0.0;
-        for _ in 0..n {
-            let v = u.sample(&mut r);
-            assert!((10.0..20.0).contains(&v));
-            sum += v;
-        }
-        assert!((sum / n as f64 - 15.0).abs() < 0.05);
-    }
-
-    #[test]
     fn empirical_respects_weights() {
         let e = Empirical::new(&[8.0, 1.0, 1.0]).unwrap();
         let mut r = rng();
@@ -655,17 +475,5 @@ mod tests {
         assert!(Empirical::new(&[0.0, 0.0]).is_err());
         assert!(Empirical::new(&[-1.0, 2.0]).is_err());
         assert!(Empirical::new(&[f64::INFINITY]).is_err());
-    }
-
-    #[test]
-    fn bernoulli_edge_probabilities() {
-        let mut r = rng();
-        let never = Bernoulli::new(0.0).unwrap();
-        let always = Bernoulli::new(1.0).unwrap();
-        for _ in 0..1000 {
-            assert!(!never.sample(&mut r));
-            assert!(always.sample(&mut r));
-        }
-        assert!(Bernoulli::new(1.5).is_err());
     }
 }

@@ -36,8 +36,8 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 
-pub use dist::{Bernoulli, Empirical, Exponential, LogNormal, Pareto, Poisson, Uniform, Zipf};
+pub use dist::{Empirical, Exponential, LogNormal, Zipf};
 pub use hist::{Histogram, NUM_BUCKETS};
 pub use queue::BoundedQueue;
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};
-pub use stats::{geometric_mean, percentile_of_sorted, weighted_geometric_mean, RunningStats};
+pub use stats::{geometric_mean, weighted_geometric_mean, RunningStats};

@@ -5,9 +5,8 @@
 //! * [`SplitMix64`] — a tiny, fast generator mainly used for seeding and for
 //!   cheap hash-like mixing.
 //! * [`Xoshiro256pp`] — the xoshiro256++ generator, the workhorse used by
-//!   the load generators and dataset builders. It has a 256-bit state,
-//!   passes BigCrush, and supports `jump()` for creating independent
-//!   parallel streams.
+//!   the load generators and dataset builders. It has a 256-bit state
+//!   and passes BigCrush.
 //!
 //! Both are fully deterministic given a seed, which is what makes DCPerf-RS
 //! runs reproducible.
@@ -148,17 +147,16 @@ impl Rng for SplitMix64 {
 
 /// The xoshiro256++ generator (Blackman & Vigna 2019).
 ///
-/// 256-bit state, `jump()` support for independent parallel sub-streams.
+/// 256-bit state.
 ///
 /// # Examples
 ///
 /// ```
 /// use dcperf_util::{Rng, Xoshiro256pp};
 ///
-/// let mut rng = Xoshiro256pp::seed_from_u64(123);
-/// let mut stream2 = rng.clone();
-/// stream2.jump(); // non-overlapping with `rng` for 2^128 draws
-/// assert_ne!(rng.next_u64(), stream2.next_u64());
+/// let mut a = Xoshiro256pp::seed_from_u64(123);
+/// let mut b = Xoshiro256pp::seed_from_u64(123);
+/// assert_eq!(a.next_u64(), b.next_u64()); // same seed, same stream
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256pp {
@@ -190,33 +188,6 @@ impl Xoshiro256pp {
         } else {
             Self { s }
         }
-    }
-
-    /// Advances the generator by 2^128 draws, producing an independent
-    /// sub-stream. Call once per worker thread, cloning in between.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut s0 = 0u64;
-        let mut s1 = 0u64;
-        let mut s2 = 0u64;
-        let mut s3 = 0u64;
-        for &jump in &JUMP {
-            for b in 0..64 {
-                if jump & (1u64 << b) != 0 {
-                    s0 ^= self.s[0];
-                    s1 ^= self.s[1];
-                    s2 ^= self.s[2];
-                    s3 ^= self.s[3];
-                }
-                self.next_u64();
-            }
-        }
-        self.s = [s0, s1, s2, s3];
     }
 }
 
@@ -278,17 +249,6 @@ mod tests {
         for &e in &expected {
             assert_eq!(rng.next_u64(), e);
         }
-    }
-
-    #[test]
-    fn xoshiro_jump_produces_disjoint_prefix() {
-        let base = Xoshiro256pp::seed_from_u64(99);
-        let mut a = base.clone();
-        let mut b = base;
-        b.jump();
-        let sa: Vec<u64> = (0..32).map(|_| a.next_u64()).collect();
-        let sb: Vec<u64> = (0..32).map(|_| b.next_u64()).collect();
-        assert_ne!(sa, sb);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Small statistical helpers: running moments, geometric means, and
-//! percentiles of sorted slices.
+//! Small statistical helpers: running moments and geometric means.
 //!
 //! DCPerf's suite-level score is "the geometric mean of all benchmark's
 //! scores" (§3.1), and hook time-series (CPU utilization, power samples)
-//! need streaming mean/stddev without storing every sample — both live here.
+//! need a streaming mean, min and max without storing every sample — both live here.
 
-/// Streaming mean/variance accumulator (Welford's algorithm).
+/// Streaming mean/min/max accumulator.
 ///
 /// # Examples
 ///
@@ -18,13 +17,12 @@
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.stddev() - 2.0).abs() < 1e-12); // population stddev
+/// assert_eq!((s.min(), s.max()), (2.0, 9.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     n: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -35,7 +33,6 @@ impl RunningStats {
         Self {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -44,9 +41,7 @@ impl RunningStats {
     /// Adds a sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.n as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -63,20 +58,6 @@ impl RunningStats {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance, or 0.0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest sample, or 0.0 when empty.
@@ -97,7 +78,7 @@ impl RunningStats {
         }
     }
 
-    /// Merges another accumulator into this one (parallel Welford).
+    /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &RunningStats) {
         if other.n == 0 {
             return;
@@ -106,12 +87,9 @@ impl RunningStats {
             *self = *other;
             return;
         }
-        let n1 = self.n as f64;
         let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+        let total = self.n as f64 + n2;
+        self.mean += (other.mean - self.mean) * n2 / total;
         self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -174,39 +152,6 @@ pub fn weighted_geometric_mean(values: &[f64], weights: &[f64]) -> Option<f64> {
     Some((log_sum / w_sum).exp())
 }
 
-/// Linear-interpolated percentile of an already-sorted slice.
-///
-/// # Panics
-///
-/// Panics if `pct` is outside `0.0..=100.0`.
-///
-/// # Examples
-///
-/// ```
-/// use dcperf_util::percentile_of_sorted;
-///
-/// let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-/// assert_eq!(percentile_of_sorted(&xs, 50.0), Some(3.0));
-/// assert_eq!(percentile_of_sorted(&[], 50.0), None);
-/// ```
-pub fn percentile_of_sorted(sorted: &[f64], pct: f64) -> Option<f64> {
-    assert!(
-        (0.0..=100.0).contains(&pct),
-        "percentile must be within 0..=100, got {pct}"
-    );
-    if sorted.is_empty() {
-        return None;
-    }
-    if sorted.len() == 1 {
-        return Some(sorted[0]);
-    }
-    let rank = pct / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +161,6 @@ mod tests {
         let s = RunningStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }
@@ -229,9 +173,7 @@ mod tests {
             s.push(x);
         }
         let mean: f64 = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var: f64 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.variance() - var).abs() < 1e-12);
         assert_eq!(s.min(), -1.0);
         assert_eq!(s.max(), 10.0);
     }
@@ -254,7 +196,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
         assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
+        assert_eq!((a.min(), a.max()), (whole.min(), whole.max()));
     }
 
     #[test]
@@ -306,20 +248,5 @@ mod tests {
         assert!(weighted_geometric_mean(&[1.0], &[]).is_none());
         assert!(weighted_geometric_mean(&[1.0], &[0.0]).is_none());
         assert!(weighted_geometric_mean(&[], &[]).is_none());
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let xs = [10.0, 20.0];
-        assert_eq!(percentile_of_sorted(&xs, 0.0), Some(10.0));
-        assert_eq!(percentile_of_sorted(&xs, 100.0), Some(20.0));
-        assert_eq!(percentile_of_sorted(&xs, 50.0), Some(15.0));
-        assert_eq!(percentile_of_sorted(&xs, 25.0), Some(12.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile must be within")]
-    fn percentile_rejects_out_of_range() {
-        let _ = percentile_of_sorted(&[1.0], -0.1);
     }
 }

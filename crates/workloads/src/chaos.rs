@@ -3,11 +3,10 @@
 //! DCPerf's methodology reports the peak throughput a service sustains
 //! *while meeting its SLO* (§3.2). Production services must hold that SLO
 //! through partial failure: slow database lookups, flaky dependencies,
-//! and overload bursts. The scenarios here run the TaoBench and
-//! DjangoBench stacks under deterministic
-//! [`FaultPlan`](dcperf_resilience::FaultPlan) injection, with the
-//! resilience layer (deadlines, retries with budgets, circuit breaking)
-//! active, and report SLO attainment plus shed/retried/deadline-exceeded
+//! and overload bursts. The scenarios here run the TaoBench stack under
+//! deterministic [`FaultPlan`](dcperf_resilience::FaultPlan) injection,
+//! with the resilience layer (deadlines, retries with budgets, circuit
+//! breaking) active, and report SLO attainment plus shed/retried/deadline-exceeded
 //! counts in one merged [`TelemetrySnapshot`].
 //!
 //! Everything is seeded: the fault schedule, the retry jitter, and the
@@ -17,50 +16,15 @@
 //! Only compiled with the `fault-injection` feature (`cargo chaos` in
 //! this repository's cargo aliases).
 
-use crate::django::DjangoApp;
 use dcperf_core::SloSpec;
 use dcperf_kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
 use dcperf_loadgen::{ClosedLoop, EndpointMix, LoadReport, OpenLoop, Service, ServiceError};
-use dcperf_resilience::{
-    BreakerConfig, CircuitBreaker, FaultOutcome, FaultPlan, LatencyFault, RetryPolicy,
-};
+use dcperf_resilience::{BreakerConfig, CircuitBreaker, FaultPlan, RetryPolicy};
 use dcperf_rpc::{InProcClient, PoolConfig, ResilientClient, RpcError};
 use dcperf_telemetry::{metrics, Telemetry, TelemetrySnapshot};
 use dcperf_util::{SplitMix64, Zipf};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// A [`Service`] wrapper injecting faults *in front of* any inner
-/// service: injected latency is paid on the calling worker, injected
-/// errors fail the call, injected overloads surface as rejections. This
-/// is the client-side injection point for services that are not
-/// RPC-backed (DjangoBench's in-process app).
-pub struct FaultyService<S> {
-    inner: S,
-    plan: Arc<FaultPlan>,
-}
-
-impl<S> FaultyService<S> {
-    /// Wraps `inner` under `plan`.
-    pub fn new(inner: S, plan: Arc<FaultPlan>) -> Self {
-        Self { inner, plan }
-    }
-
-    /// The shared fault plan (for reading injection counters).
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-}
-
-impl<S: Service> Service for FaultyService<S> {
-    fn call(&self, endpoint: usize, seq: u64) -> Result<usize, ServiceError> {
-        match self.plan.apply() {
-            FaultOutcome::Pass => self.inner.call(endpoint, seq),
-            FaultOutcome::Error => Err(ServiceError::new("injected fault")),
-            FaultOutcome::Overload => Err(ServiceError::rejected("injected overload")),
-        }
-    }
-}
 
 /// Configuration of a TaoBench chaos run.
 #[derive(Debug, Clone)]
@@ -238,8 +202,9 @@ pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
 fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u64) -> ChaosOutcome {
     // Backing tier, with the store-side fault plan attached.
     let store_plan = Arc::new(match config.store_latency_fault {
-        Some((probability, extra)) => FaultPlan::new(config.seed ^ 0x5707_ECAF)
-            .with_latency(probability, LatencyFault::Fixed(extra)),
+        Some((probability, extra)) => {
+            FaultPlan::new(config.seed ^ 0x5707_ECAF).with_latency(probability, extra)
+        }
         None => FaultPlan::new(config.seed ^ 0x5707_ECAF),
     });
     let store = Arc::new(
@@ -276,7 +241,7 @@ fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u6
     let mut rpc_plan =
         FaultPlan::new(config.seed ^ 0xD15_7A7C).with_error_rate(config.rpc_error_rate);
     if let Some((probability, extra)) = config.rpc_latency_fault {
-        rpc_plan = rpc_plan.with_latency(probability, LatencyFault::Fixed(extra));
+        rpc_plan = rpc_plan.with_latency(probability, extra);
     }
     if let Some((period, len)) = config.overload_burst {
         rpc_plan = rpc_plan.with_overload_burst(period, len);
@@ -334,82 +299,6 @@ fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u6
         slo_attained,
         snapshot,
     }
-}
-
-/// Configuration of a DjangoBench chaos run.
-#[derive(Debug, Clone)]
-pub struct DjangoChaosConfig {
-    /// Seed for fault schedules and load generation.
-    pub seed: u64,
-    /// Measurement duration.
-    pub duration: Duration,
-    /// Closed-loop client workers (also the app's worker count).
-    pub workers: usize,
-    /// Users per app worker.
-    pub users_per_worker: u64,
-    /// Error rate injected in front of the app.
-    pub error_rate: f64,
-    /// `(probability, extra latency)` injected in front of the app.
-    pub latency_fault: Option<(f64, Duration)>,
-    /// `(period, len)` overload burst in front of the app.
-    pub overload_burst: Option<(u64, u64)>,
-}
-
-impl Default for DjangoChaosConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0xD7A,
-            duration: Duration::from_millis(250),
-            workers: 4,
-            users_per_worker: 300,
-            error_rate: 0.02,
-            latency_fault: Some((0.05, Duration::from_millis(10))),
-            overload_burst: None,
-        }
-    }
-}
-
-/// Runs the DjangoBench app behind a [`FaultyService`] wrapper and
-/// judges the result against `slo`. The Django stack is in-process (no
-/// RPC hop), so injection happens client-side in front of the app.
-///
-/// # Errors
-///
-/// Returns a configuration error if the app cannot be built.
-pub fn run_django_chaos(
-    config: &DjangoChaosConfig,
-    slo: &SloSpec,
-) -> Result<ChaosOutcome, dcperf_core::Error> {
-    let app = DjangoApp::build(
-        &crate::django::DjangoBenchConfig::default(),
-        config.workers,
-        config.users_per_worker,
-        config.seed,
-    )?;
-    let mut plan = FaultPlan::new(config.seed ^ 0xD7A0).with_error_rate(config.error_rate);
-    if let Some((probability, extra)) = config.latency_fault {
-        plan = plan.with_latency(probability, LatencyFault::Fixed(extra));
-    }
-    if let Some((period, len)) = config.overload_burst {
-        plan = plan.with_overload_burst(period, len);
-    }
-    let service = FaultyService::new(app, Arc::new(plan));
-
-    let registry = Telemetry::new();
-    let load = ClosedLoop::new(DjangoApp::endpoint_mix()?)
-        .workers(config.workers)
-        .duration(config.duration)
-        .telemetry(&registry)
-        .run(&service, config.seed);
-
-    let slo_attained = slo.evaluate(&load.latency_ns, load.error_rate()).is_met();
-    let mut snapshot = registry.snapshot();
-    merge_plan_counters(&mut snapshot, metrics::PREFIX_CHAOS_DJANGO, service.plan());
-    Ok(ChaosOutcome {
-        load,
-        slo_attained,
-        snapshot,
-    })
 }
 
 #[cfg(test)]
@@ -517,7 +406,10 @@ mod tests {
             request_deadline: Some(Duration::from_millis(5)),
             retry_policy: RetryPolicy::new(2, Duration::from_micros(500))
                 .with_max_backoff(Duration::from_millis(2)),
-            breaker_config: Some(BreakerConfig::default().with_failure_ratio(1.0)),
+            breaker_config: Some(BreakerConfig {
+                failure_ratio: 1.0,
+                ..BreakerConfig::default()
+            }),
             ..TaoChaosConfig::default()
         });
         let outcome = run_tao_chaos(&config, &tight_slo());
@@ -650,23 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn django_chaos_runs_and_counts_injections() {
-        let slo = SloSpec::p95_under_ms(50.0).with_max_error_rate(0.001);
-        let outcome = run_django_chaos(&DjangoChaosConfig::default(), &slo).expect("app builds");
-        assert!(outcome.load.completed > 500);
-        assert!(outcome.load.errors > 0, "injected errors never surfaced");
-        assert!(
-            !outcome.slo_attained,
-            "2% injected errors must break the SLO"
-        );
-        assert!(outcome.snapshot.counter("chaos.django.injected_errors") > Some(0));
-        assert_eq!(
-            outcome.snapshot.counter("loadgen.errors"),
-            Some(outcome.load.errors)
-        );
-    }
-
-    #[test]
     fn chaos_fault_schedule_is_reproducible() {
         // Same seed → identical injection decisions (counter-for-counter),
         // even though thread timing differs between runs.
@@ -679,10 +554,10 @@ mod tests {
         // Operation counts differ (wall-clock cutoff), but the decision
         // for any given operation index is pure; spot-check via the plan
         // replay instead of end counters.
-        let plan_a = FaultPlan::new(config.seed ^ 0x5707_ECAF)
-            .with_latency(0.10, LatencyFault::Fixed(Duration::from_millis(50)));
-        let plan_b = FaultPlan::new(config.seed ^ 0x5707_ECAF)
-            .with_latency(0.10, LatencyFault::Fixed(Duration::from_millis(50)));
+        let plan_a =
+            FaultPlan::new(config.seed ^ 0x5707_ECAF).with_latency(0.10, Duration::from_millis(50));
+        let plan_b =
+            FaultPlan::new(config.seed ^ 0x5707_ECAF).with_latency(0.10, Duration::from_millis(50));
         for op in 0..2_000 {
             assert_eq!(plan_a.decide(op), plan_b.decide(op));
         }

@@ -10,7 +10,7 @@
 //!
 //! The architectural properties reproduced here:
 //!
-//! * **Share-nothing worker-per-core concurrency**: one [`WorkerState`]
+//! * **Share-nothing worker-per-core concurrency**: one `WorkerState`
 //!   per logical CPU, each owning its own partition of the wide-row store;
 //!   requests are routed by user id and serialize only within one worker,
 //!   exactly as UWSGI processes do. (Rust threads stand in for the
@@ -404,7 +404,13 @@ mod tests {
     #[test]
     fn smoke_run_serves_all_endpoints() {
         let bench = DjangoBench::with_config(smoke());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "django_bench");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "django_bench",
+        );
         let report = bench.run(&mut ctx).expect("django runs");
         let rps = report.metric_f64("requests_per_second").unwrap();
         assert!(rps > 500.0, "rps={rps}");
@@ -421,7 +427,13 @@ mod tests {
     #[test]
     fn feed_cache_gets_hits() {
         let bench = DjangoBench::with_config(smoke());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(2), "django_bench");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(2),
+                ..RunConfig::smoke_test()
+            },
+            "django_bench",
+        );
         let report = bench.run(&mut ctx).unwrap();
         let hit_rate = report.metric_f64("cache_hit_rate").unwrap();
         // Zipf user popularity means hot feeds are re-served from cache,

@@ -389,7 +389,13 @@ mod tests {
     #[test]
     fn smoke_run_finds_a_peak_under_slo() {
         let bench = FeedSim::with_config(smoke());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "feedsim");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "feedsim",
+        );
         let report = bench.run(&mut ctx).expect("feedsim finds a peak");
         let rps = report.metric_f64("requests_per_second").unwrap();
         assert!(rps > 10.0, "rps={rps}");
@@ -447,7 +453,13 @@ mod tests {
             start_rps: 1_000.0,
             ..smoke()
         });
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(2), "feedsim");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(2),
+                ..RunConfig::smoke_test()
+            },
+            "feedsim",
+        );
         match bench.run(&mut ctx) {
             Err(Error::SloUnattainable { .. }) => {}
             other => panic!("expected SloUnattainable, got {other:?}"),

@@ -17,12 +17,13 @@
 //! * [`video`] — parallel transcode: bilinear resize ladder plus an 8×8
 //!   block-transform encoder.
 //! * [`taxbench`] — the datacenter-tax microbenchmarks.
-//! * [`cloudsuite`] — runnable minis reproducing the Figure 13
-//!   scalability pathologies of CloudSuite.
 //! * [`kernelsim`] — the §5.3 kernel-counter contention demonstration.
 //! * `chaos` (feature `fault-injection`) — SLO-under-chaos scenarios:
-//!   TaoBench and DjangoBench under deterministic fault plans with the
-//!   resilience layer (deadlines, retries, circuit breaking) active.
+//!   TaoBench under deterministic fault plans with the resilience layer
+//!   (deadlines, retries, circuit breaking) active.
+//!
+//! Figure 13's CloudSuite pathologies are reproduced by the model in
+//! `dcperf_platform::cloudsuite`, not by a runnable workload.
 //!
 //! [`register_all`] wires every benchmark plus the baseline table into a
 //! [`Suite`], after which `suite.run_all(&config)` produces scored JSON
@@ -34,13 +35,11 @@
 pub mod ablation;
 #[cfg(feature = "fault-injection")]
 pub mod chaos;
-pub mod cloudsuite;
 pub mod django;
 pub mod feedsim;
 pub mod kernelsim;
 pub mod mediawiki;
 pub mod spark;
-pub mod specproxy;
 pub mod store;
 pub mod taobench;
 pub mod taxbench;

@@ -8,7 +8,7 @@
 //! Wikipedia, the edit page, the user login page, and the talk page."
 //! (§3.2)
 //!
-//! Mapping onto this repo's substrates: the [`wiki`](crate::wiki)
+//! Mapping onto this repo's substrates: the [`wiki`]
 //! template renderer is the HHVM/MediaWiki application logic (large
 //! instruction footprint, template recursion), [`PageStore`] is MySQL,
 //! [`dcperf_kvstore::Cache`] is Memcached in front of rendered pages, and
@@ -330,7 +330,13 @@ mod tests {
     #[test]
     fn smoke_run_serves_pages() {
         let bench = MediaWikiBench::with_config(smoke());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "mediawiki");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "mediawiki",
+        );
         let report = bench.run(&mut ctx).expect("mediawiki runs");
         let rps = report.metric_f64("requests_per_second").unwrap();
         assert!(rps > 200.0, "rps={rps}");
@@ -346,7 +352,13 @@ mod tests {
     #[test]
     fn hot_pages_are_served_from_cache() {
         let bench = MediaWikiBench::with_config(smoke());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(2), "mediawiki");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(2),
+                ..RunConfig::smoke_test()
+            },
+            "mediawiki",
+        );
         let report = bench.run(&mut ctx).unwrap();
         let hit_rate = report.metric_f64("page_cache_hit_rate").unwrap();
         assert!(
@@ -361,7 +373,13 @@ mod tests {
             pipeline_depth: 8,
             ..smoke()
         });
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "mediawiki");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "mediawiki",
+        );
         let report = bench.run(&mut ctx).expect("pipelined mediawiki runs");
         assert_eq!(report.metric_f64("error_rate"), Some(0.0));
         assert!(report.metric_f64("page_cache_hit_rate").unwrap() > 0.5);

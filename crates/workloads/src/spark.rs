@@ -437,7 +437,13 @@ mod tests {
     #[test]
     fn smoke_run_completes_all_stages() {
         let bench = SparkBench::with_config(smoke());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "spark_bench");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "spark_bench",
+        );
         let report = bench.run(&mut ctx).expect("spark runs");
         assert_eq!(report.metric_f64("scanned_rows"), Some(12_000.0));
         let surviving = report.metric_f64("surviving_rows").unwrap();
@@ -459,7 +465,13 @@ mod tests {
     fn results_are_deterministic_across_runs() {
         let bench = SparkBench::with_config(smoke());
         let run = || {
-            let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "spark_bench");
+            let mut ctx = RunContext::new(
+                RunConfig {
+                    threads: Some(4),
+                    ..RunConfig::smoke_test()
+                },
+                "spark_bench",
+            );
             bench.run(&mut ctx).unwrap()
         };
         let a = run();
@@ -479,7 +491,13 @@ mod tests {
     #[test]
     fn temp_files_are_cleaned_up() {
         let bench = SparkBench::with_config(smoke());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(2), "spark_bench");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(2),
+                ..RunConfig::smoke_test()
+            },
+            "spark_bench",
+        );
         let _ = bench.run(&mut ctx).unwrap();
         let leftovers = std::fs::read_dir(std::env::temp_dir())
             .unwrap()

@@ -31,7 +31,6 @@ pub type WideRow = BTreeMap<u64, Vec<u8>>;
 #[derive(Debug, Default)]
 pub struct WideRowStore {
     partitions: BTreeMap<u64, WideRow>,
-    writes: u64,
 }
 
 impl WideRowStore {
@@ -46,7 +45,6 @@ impl WideRowStore {
             .entry(partition)
             .or_default()
             .insert(clustering, value);
-        self.writes += 1;
     }
 
     /// Point read.
@@ -74,16 +72,6 @@ impl WideRowStore {
             .iter()
             .map(|&(partition, from, limit)| self.scan(partition, from, limit))
             .collect()
-    }
-
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Total writes performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// Populates `users` partitions with `columns` deterministic entries
@@ -222,7 +210,7 @@ mod tests {
         let mut b = WideRowStore::new();
         a.populate(5, 8, 42);
         b.populate(5, 8, 42);
-        assert_eq!(a.partition_count(), 5);
+        assert_eq!(a.partitions.len(), 5);
         for user in 0..5 {
             for col in 0..8 {
                 assert_eq!(a.get(user, col), b.get(user, col));
@@ -236,7 +224,7 @@ mod tests {
         s.insert(1, 1, vec![1]);
         s.insert(1, 1, vec![2]);
         assert_eq!(s.get(1, 1), Some(&[2u8][..]));
-        assert_eq!(s.write_count(), 2);
+        assert_eq!(s.partitions[&1].len(), 1);
     }
 
     #[test]

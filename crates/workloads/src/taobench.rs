@@ -415,7 +415,13 @@ mod tests {
     #[test]
     fn smoke_run_produces_sane_metrics() {
         let bench = TaoBench::with_config(smoke_config());
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "taobench");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "taobench",
+        );
         let report = bench.run(&mut ctx).expect("taobench runs");
         let rps = report.metric_f64("requests_per_second").unwrap();
         assert!(rps > 1_000.0, "rps={rps}");
@@ -436,7 +442,13 @@ mod tests {
             pipeline_depth: 8,
             ..smoke_config()
         });
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "taobench");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "taobench",
+        );
         let report = bench.run(&mut ctx).expect("pipelined taobench runs");
         assert_eq!(report.metric_f64("error_rate"), Some(0.0));
         let hit_rate = report.metric_f64("cache_hit_rate").unwrap();
@@ -456,7 +468,13 @@ mod tests {
             cache_fraction: 0.2,
             ..smoke_config()
         });
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "taobench");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
+            "taobench",
+        );
         let report = bench.run(&mut ctx).unwrap();
         let hit_rate = report.metric_f64("cache_hit_rate").unwrap();
         assert!(hit_rate > 0.35, "hit rate {hit_rate}");

@@ -95,7 +95,13 @@ mod tests {
     #[test]
     fn runs_every_kernel_and_scores() {
         let bench = TaxMicroBench::with_config(TaxMicroConfig { base_iters: 2 });
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(2), "tax_micro");
+        let mut ctx = RunContext::new(
+            RunConfig {
+                threads: Some(2),
+                ..RunConfig::smoke_test()
+            },
+            "tax_micro",
+        );
         let report = bench.run(&mut ctx).expect("tax micro runs");
         assert!(report.metric_f64("ops_per_second").unwrap() > 0.0);
         // Every registered kernel appears in the report.

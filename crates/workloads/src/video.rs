@@ -449,7 +449,10 @@ mod tests {
             quality: Quality::Balanced,
         });
         let mut ctx = RunContext::new(
-            RunConfig::smoke_test().with_threads(4),
+            RunConfig {
+                threads: Some(4),
+                ..RunConfig::smoke_test()
+            },
             "video_transcode_bench",
         );
         let report = bench.run(&mut ctx).expect("video runs");

@@ -39,7 +39,8 @@ fn full_suite_runs_and_scores() {
     for report in summary.reports() {
         let path = dir.join(format!("{}.json", report.benchmark));
         assert!(path.exists(), "missing {}", path.display());
-        let parsed = BenchmarkReport::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        let parsed = serde_json::from_str::<BenchmarkReport>(&json).unwrap();
         assert_eq!(parsed.benchmark, report.benchmark);
         assert!(!parsed.metrics.is_empty());
         // System info is stamped (§3.1's "key information about the
