@@ -23,8 +23,8 @@ pub enum TokKind {
     Lifetime,
     /// A character or byte literal.
     Char,
-    /// A numeric literal (value not interpreted).
-    Num,
+    /// A numeric literal, as written (value not interpreted).
+    Num(String),
 }
 
 /// A token with its 1-based source position.
@@ -224,9 +224,8 @@ pub fn lex(src: &str) -> Lexed {
                 });
             }
             _ if c.is_ascii_digit() => {
-                number_body(&mut cur);
                 out.tokens.push(Tok {
-                    kind: TokKind::Num,
+                    kind: TokKind::Num(number_body(&mut cur)),
                     line,
                     col,
                 });
@@ -315,13 +314,15 @@ fn char_body(cur: &mut Cursor) {
     }
 }
 
-fn number_body(cur: &mut Cursor) {
-    cur.eat_while(|c| c.is_ascii_alphanumeric() || c == '_');
+fn number_body(cur: &mut Cursor) -> String {
+    let mut s = cur.eat_while(|c| c.is_ascii_alphanumeric() || c == '_');
     // `1.5` continues the number; `0..2` and `1.method()` do not.
     if cur.peek(0) == Some('.') && cur.peek(1).is_some_and(|c| c.is_ascii_digit()) {
         cur.bump();
-        cur.eat_while(|c| c.is_ascii_alphanumeric() || c == '_');
+        s.push('.');
+        s.push_str(&cur.eat_while(|c| c.is_ascii_alphanumeric() || c == '_'));
     }
+    s
 }
 
 fn block_comment(cur: &mut Cursor) -> String {
@@ -441,8 +442,9 @@ mod tests {
     #[test]
     fn numbers_do_not_swallow_ranges() {
         let toks = lex("for i in 0..10 { f(1.5, 0xFF, 1e9); }").tokens;
-        let nums = toks.iter().filter(|t| t.kind == TokKind::Num).count();
-        assert_eq!(nums, 5); // 0, 10, 1.5, 0xFF, 1e9
+        let nums = toks.iter().filter(|t| matches!(t.kind, TokKind::Num(_)));
+        assert_eq!(nums.count(), 5); // 0, 10, 1.5, 0xFF, 1e9
+        assert!(toks.iter().any(|t| t.kind == TokKind::Num("1.5".into())));
         let dots = toks
             .iter()
             .filter(|t| t.kind == TokKind::Punct('.'))

@@ -23,7 +23,9 @@
 //!   crates declaring the feature, and no wall-clock reads in seeded
 //!   deterministic modules;
 //! * **dead API** — every `pub` item in non-test code must be named by
-//!   non-test code somewhere outside its own definition.
+//!   non-test code somewhere outside its own definition, every `pub`
+//!   field set to a second value besides its default, and every enum
+//!   variant constructed.
 //!
 //! Findings are structured diagnostics with `file:line:col` spans,
 //! severities, and stable rule ids, suppressible in source with
@@ -154,14 +156,17 @@ pub fn analyze_files(ws: &workspace::Workspace, policy: &Policy) -> AnalysisRepo
         rules::metrics_orphan(&schema, &policy.schema_path, &usage, &mut candidates);
     }
 
-    // Workspace pass: pub items nothing names. Allows and malformed
-    // comments in reference-only files are not this workspace's to report.
+    // Workspace pass: pub items nothing names, pub fields nothing sets
+    // and variants nothing builds. Allows and malformed comments in
+    // reference-only files are not this workspace's to report.
     let reference_ctxs: Vec<FileCtx> = ws
         .references
         .iter()
         .map(|f| FileCtx::new(&f.rel, &f.crate_name, &f.src, &mut Vec::new()))
         .collect();
-    rules::dead_pub(&ctxs, &reference_ctxs, &policy.schema_path, &mut candidates);
+    let index = rules::MentionIndex::new(&ctxs, &reference_ctxs);
+    rules::dead_pub(&ctxs, &index, &policy.schema_path, &mut candidates);
+    rules::dead_field(&ctxs, &index, &policy.schema_path, &mut candidates);
 
     // Workspace pass: per-crate unsafe hygiene.
     let mut per_crate: BTreeMap<&str, CrateUnsafeFacts> = BTreeMap::new();

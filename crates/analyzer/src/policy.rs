@@ -20,6 +20,7 @@ pub struct OrderingAllow {
 
 /// The full rule configuration for one workspace.
 #[derive(Debug, Clone)]
+// analyzer: allow(dead-field) — tests/fixtures_test.rs lints the fixture corpus under its own policy
 pub struct Policy {
     /// Crate directory names (under `crates/`) whose non-test code must
     /// be free of `unwrap`/`expect`/`panic!` and friends.

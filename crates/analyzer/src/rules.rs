@@ -16,6 +16,7 @@
 //! | `feature-gate`   | feature hygiene     | per file  |
 //! | `wall-clock`     | determinism         | per file  |
 //! | `dead-pub`       | dead API            | workspace |
+//! | `dead-field`     | dead API            | workspace |
 //! | `suppression`    | meta                | per file  |
 
 use crate::context::FileCtx;
@@ -23,7 +24,7 @@ use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Tok, TokKind};
 use crate::policy::Policy;
 use crate::schema::MetricsSchema;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Every rule id the analyzer can emit (used to validate allow comments).
 pub const RULE_IDS: &[&str] = &[
@@ -36,6 +37,7 @@ pub const RULE_IDS: &[&str] = &[
     "feature-gate",
     "wall-clock",
     "dead-pub",
+    "dead-field",
     "suppression",
 ];
 
@@ -76,6 +78,10 @@ pub const RULE_DOCS: &[(&str, &str)] = &[
     (
         "dead-pub",
         "every pub item in non-test code must be named by non-test code outside its own definition",
+    ),
+    (
+        "dead-field",
+        "every pub field must be set by non-test code to a second value besides its default, and every enum variant constructed",
     ),
     (
         "suppression",
@@ -465,32 +471,52 @@ const PUB_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "sta
 /// Qualifiers that may sit between `pub` and the item keyword.
 const ITEM_QUALIFIERS: &[&str] = &["async", "unsafe", "extern", "default"];
 
-/// Rule `dead-pub` (workspace scope). Reports every `pub` item in the
-/// non-test code of `checked` whose name no identifier in the non-test
-/// code of `checked` or `references` mentions outside the item itself.
-/// `use` declarations and the self type of an `impl` header are not
-/// references; comments and strings never are. Files in `references`
-/// (`perfbench/src`) only supply references, and the file at
-/// `skip_rel` (the metrics schema, which `metrics-orphan` owns) is
-/// never checked.
-pub fn dead_pub(
-    checked: &[FileCtx],
-    references: &[FileCtx],
-    skip_rel: &str,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut mentions: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
-    for (fi, ctx) in checked.iter().chain(references).enumerate() {
-        let toks = &ctx.lx.tokens;
-        let skip = non_reference_tokens(toks);
-        for (i, t) in toks.iter().enumerate() {
-            if let TokKind::Ident(name) = &t.kind {
-                if !skip[i] && !ctx.is_test_line(t.line) {
-                    mentions.entry(name.as_str()).or_default().push((fi, i));
+/// The non-test identifier mentions of the checked files, then the
+/// reference-only ones (`perfbench/src`), for `dead-pub` and
+/// `dead-field`. `use` declarations and `impl` self types are not
+/// mentions; comments and strings never are.
+pub struct MentionIndex<'a> {
+    files: Vec<&'a FileCtx>,
+    mentions: HashMap<&'a str, Vec<(usize, usize)>>,
+}
+
+impl<'a> MentionIndex<'a> {
+    /// Indexes `checked` followed by `references`.
+    pub fn new(checked: &'a [FileCtx], references: &'a [FileCtx]) -> Self {
+        let mut mentions: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+        for (fi, ctx) in checked.iter().chain(references).enumerate() {
+            let toks = &ctx.lx.tokens;
+            let skip = non_reference_tokens(toks);
+            for (i, t) in toks.iter().enumerate() {
+                if let TokKind::Ident(name) = &t.kind {
+                    if !skip[i] && !ctx.is_test_line(t.line) {
+                        mentions.entry(name.as_str()).or_default().push((fi, i));
+                    }
                 }
             }
         }
+        Self {
+            files: checked.iter().chain(references).collect(),
+            mentions,
+        }
     }
+
+    /// The non-test mentions of `name`, as `(file, token)` pairs.
+    fn of(&self, name: &str) -> &[(usize, usize)] {
+        self.mentions.get(name).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Rule `dead-pub` (workspace scope). Reports every `pub` item in the
+/// non-test code of `checked` whose name no mention in `index` makes
+/// outside the item itself. The file at `skip_rel` (the metrics schema,
+/// which `metrics-orphan` owns) is never checked.
+pub fn dead_pub(
+    checked: &[FileCtx],
+    index: &MentionIndex,
+    skip_rel: &str,
+    out: &mut Vec<Diagnostic>,
+) {
     for (fi, ctx) in checked.iter().enumerate() {
         if ctx.rel == skip_rel {
             continue;
@@ -504,9 +530,10 @@ pub fn dead_pub(
             if ctx.is_test_line(tok.line) {
                 continue;
             }
-            let named_elsewhere = mentions
-                .get(name)
-                .is_some_and(|m| m.iter().any(|&(f, i)| f != fi || i < start || i > end));
+            let named_elsewhere = index
+                .of(name)
+                .iter()
+                .any(|&(f, i)| f != fi || i < start || i > end);
             if !named_elsewhere {
                 out.push(Diagnostic::new(
                     "dead-pub",
@@ -643,4 +670,419 @@ fn impl_self_type(toks: &[Tok], i: usize) -> Option<usize> {
         }
     }
     self_ty
+}
+
+/// Rule `dead-field` (workspace scope). Reports each `pub` struct in
+/// `checked` whose `pub` fields non-test code never sets to a value
+/// besides their defaults (what its `Default` impl and constructors
+/// write from literals and constants), and each `pub` enum variant that
+/// non-test code never builds outside a pattern. DESIGN.md §10 lists
+/// what counts as a write.
+pub fn dead_field(
+    checked: &[FileCtx],
+    index: &MentionIndex,
+    skip_rel: &str,
+    out: &mut Vec<Diagnostic>,
+) {
+    let toks_of = |fi: usize| index.files[fi].lx.tokens.as_slice();
+    let (scopes, patterns): (Vec<Scopes>, Vec<Vec<bool>>) = (0..index.files.len())
+        .map(|f| (Scopes::of(toks_of(f)), patterns(toks_of(f))))
+        .unzip();
+    let self_ty = |fi: usize, k: usize| scopes[fi].at[k].0.map(|i| scopes[fi].impls[i].0.as_str());
+
+    // (file, `pub` token, name, is an enum, fields or variants).
+    type Members<'a> = Vec<(&'a str, usize)>;
+    let mut items: Vec<(usize, usize, &str, bool, Members)> = Vec::new();
+    for (fi, ctx) in checked.iter().enumerate() {
+        if ctx.rel == skip_rel {
+            continue;
+        }
+        let toks = &ctx.lx.tokens;
+        for start in 0..toks.len() {
+            let Some((kind @ ("struct" | "enum"), name, end)) = pub_item_at(toks, start) else {
+                continue;
+            };
+            let body =
+                (start..end).find(|&k| matches!(toks[k].kind, TokKind::Punct('{' | '(' | ';')));
+            let Some(open) = body.filter(|&k| is_punct(toks.get(k), '{')) else {
+                continue; // a tuple or unit struct
+            };
+            let is_enum = kind == "enum";
+            let members = entries(toks, open)
+                .into_iter()
+                .filter_map(|(k, _)| match is_enum {
+                    true => Some((ident(&toks[k])?, k)),
+                    false if ident(&toks[k]) == Some("pub") && is_field_colon(toks, k + 2) => {
+                        Some((ident(&toks[k + 1])?, k + 1))
+                    }
+                    false => None,
+                });
+            if !ctx.is_test_line(toks[start].line) {
+                items.push((fi, start, name, is_enum, members.collect()));
+            }
+        }
+    }
+
+    // Per struct and field: its defaults, and every other write (`None`
+    // when computed).
+    type Writes = (BTreeSet<String>, Vec<Option<String>>);
+    let mut writes: HashMap<&str, HashMap<&str, Writes>> = HashMap::new();
+    let mut owners: HashMap<&str, Vec<&str>> = HashMap::new();
+    for (_, _, name, _, fields) in items.iter().filter(|item| !item.3) {
+        for &(f, _) in fields {
+            writes.entry(name).or_default().entry(f).or_default();
+            owners.entry(f).or_default().push(name);
+        }
+    }
+    for (fi, ctx) in index.files.iter().enumerate() {
+        let (toks, scope) = (&ctx.lx.tokens, &scopes[fi]);
+        let mut record = |ty: &str, f: &str, k: usize, value: &[Tok], computed: bool| {
+            let Some((defaults, sets)) = writes.get_mut(ty).and_then(|w| w.get_mut(f)) else {
+                return;
+            };
+            let value = (!computed && !is_computed(value)).then(|| token_text(value));
+            let imp = scope.at[k].0.map(|i| &scope.impls[i]);
+            let imp = imp.filter(|(self_ty, ..)| self_ty == ty);
+            match (imp, scope.at[k].1.map(|f| &scope.fns[f])) {
+                // A method of the type, or a constructor computing the
+                // value: a write by each non-test caller.
+                (Some((_, false, _)), Some((name, has_self, at)))
+                    if *has_self || value.is_none() =>
+                {
+                    if index.of(name).iter().any(|&mention| mention != (fi, *at)) {
+                        sets.push(value);
+                    }
+                }
+                // A constructor's, `Default::default`'s or an associated
+                // constant's fixed value.
+                (Some((_, of_trait, of_default)), func)
+                    if value.is_some()
+                        && (!of_trait || *of_default && func.is_some_and(|f| f.0 == "default")) =>
+                {
+                    defaults.extend(value)
+                }
+                _ => sets.push(value),
+            }
+        };
+        for k in (0..toks.len()).filter(|&k| !ctx.is_test_line(toks[k].line) && !patterns[fi][k]) {
+            if let Some(name) = literal_head(toks, k) {
+                let ty = if name == "Self" {
+                    self_ty(fi, k)
+                } else {
+                    Some(name)
+                };
+                let ty = ty.unwrap_or_default();
+                for (f, value) in literal_entries(toks, k + 1) {
+                    record(ty, f, k, value, false);
+                }
+            }
+            let Some((f, value, computed)) = field_write_at(toks, k) else {
+                continue;
+            };
+            match self_ty(fi, k).filter(|_| k > 0 && ident(&toks[k - 1]) == Some("self")) {
+                Some(ty) => record(ty, f, k, value, computed),
+                None => {
+                    for ty in owners.get(f).into_iter().flatten() {
+                        record(ty, f, k, value, computed);
+                    }
+                }
+            }
+        }
+    }
+
+    for (fi, start, name, is_enum, members) in &items {
+        let (toks, rel) = (toks_of(*fi), &index.files[*fi].rel);
+        let mut report = |at: usize, message: String| {
+            let tok = &toks[at];
+            let d = Diagnostic::new(
+                "dead-field",
+                Severity::Warning,
+                rel,
+                tok.line,
+                tok.col,
+                message,
+            );
+            out.push(d);
+        };
+        if !is_enum {
+            let dead: Vec<String> = (members.iter())
+                .filter(|(f, _)| {
+                    let (defaults, sets) = &writes[name][f];
+                    let is_default =
+                        |v: &Option<String>| v.as_ref().is_some_and(|v| defaults.contains(v));
+                    defaults.len() < 2 && sets.iter().all(is_default)
+                })
+                .map(|(f, _)| format!("`{f}`"))
+                .collect();
+            if !dead.is_empty() {
+                let message = format!(
+                    "non-test code never sets pub field(s) {} of `{name}` to a value \
+                     besides the default; make each a constant or delete it, or name the \
+                     test that needs another value in `// analyzer: allow(dead-field) — test`",
+                    dead.join(", ")
+                );
+                report(*start, message);
+            }
+            continue;
+        }
+        for &(v, at) in members {
+            let built = index.of(v).iter().any(|&(mf, mi)| {
+                let qualifier = mi.checked_sub(3).and_then(|q| ident(&toks_of(mf)[q]));
+                !patterns[mf][mi]
+                    && is_punct(toks_of(mf).get(mi.wrapping_sub(1)), ':')
+                    && (qualifier == Some(name)
+                        || qualifier == Some("Self") && self_ty(mf, mi) == Some(name))
+            });
+            if !built {
+                let message = format!(
+                    "variant `{name}::{v}` is never constructed by non-test code (patterns \
+                     do not count); delete it, or justify it with \
+                     `// analyzer: allow(dead-field) — reason`"
+                );
+                report(at, message);
+            }
+        }
+    }
+}
+
+/// The innermost `impl` block and `fn` body around each token of a file.
+#[derive(Default)]
+struct Scopes {
+    /// Self type; implements a trait; implements `Default`.
+    impls: Vec<(String, bool, bool)>,
+    /// Name; takes `self`; index of the name token.
+    fns: Vec<(String, bool, usize)>,
+    /// Per token: indices into `impls` and `fns`.
+    at: Vec<(Option<usize>, Option<usize>)>,
+}
+
+impl Scopes {
+    fn of(toks: &[Tok]) -> Self {
+        let mut s = Self::default();
+        let mut stack = vec![(None, None)];
+        // The next impl or fn body: its `{` and the scope it opens.
+        let mut pending = None;
+        for (k, t) in toks.iter().enumerate() {
+            let cur = stack.last().copied().unwrap_or_default();
+            s.at.push(cur);
+            match (&t.kind, ident(t)) {
+                (_, Some("impl")) if is_item_start(toks, k) => {
+                    let Some(ty) = impl_self_type(toks, k) else {
+                        continue;
+                    };
+                    let header = |word| toks[k..ty].iter().any(|t| ident(t) == Some(word));
+                    let name = ident(&toks[ty]).unwrap_or_default().to_string();
+                    s.impls.push((name, header("for"), header("Default")));
+                    let open = (ty..toks.len()).find(|&j| is_punct(toks.get(j), '{'));
+                    pending = open.map(|open| (open, (Some(s.impls.len() - 1), None)));
+                }
+                (_, Some("fn")) => {
+                    let Some(name) = toks.get(k + 1).and_then(ident) else {
+                        continue; // a `fn(…)` pointer type
+                    };
+                    let params = (k..toks.len()).find(|&p| is_punct(toks.get(p), '('));
+                    let close = matching(toks, params.unwrap_or(k));
+                    let has_self = toks[k..close].iter().any(|t| ident(t) == Some("self"));
+                    s.fns.push((name.to_string(), has_self, k + 1));
+                    // The body follows the signature; a `;` first means none.
+                    let body = until(toks, close + 1, toks.len(), &|j| {
+                        matches!(toks[j].kind, TokKind::Punct('{' | ';'))
+                    });
+                    pending = Some((body, (cur.0, Some(s.fns.len() - 1))));
+                }
+                (TokKind::Punct('{'), _) => stack.push(
+                    pending
+                        .filter(|&(open, _)| open == k)
+                        .map_or(cur, |(_, s)| s),
+                ),
+                (TokKind::Punct('}'), _) if stack.len() > 1 => {
+                    stack.pop();
+                }
+                _ => {}
+            }
+        }
+        s
+    }
+}
+
+/// The index of the bracket closing the one at `open` (the last token
+/// when unbalanced).
+fn matching(toks: &[Tok], open: usize) -> usize {
+    let closes = |k: usize| matches!(toks[k].kind, TokKind::Punct(')' | ']' | '}'));
+    until(toks, open + 1, toks.len(), &closes).min(toks.len() - 1)
+}
+
+/// The first token from `k` on, at the depth of `k`, that `stop`
+/// accepts (or `limit`), stepping over bracketed groups.
+fn until(toks: &[Tok], mut k: usize, limit: usize, stop: &dyn Fn(usize) -> bool) -> usize {
+    while k < limit && !stop(k) {
+        if matches!(toks[k].kind, TokKind::Punct('(' | '[' | '{')) {
+            k = matching(toks, k);
+        }
+        k += 1;
+    }
+    k
+}
+
+/// Is `toks[k]` the `:` after a field name (not a `::` path)?
+fn is_field_colon(toks: &[Tok], k: usize) -> bool {
+    is_punct(toks.get(k), ':') && !is_punct(toks.get(k + 1), ':')
+}
+
+/// The top-level entries of the `{ … }` group at `open` as token ranges
+/// split at commas, leading attributes skipped: the fields of a struct
+/// or struct literal, the variants of an enum.
+fn entries(toks: &[Tok], open: usize) -> Vec<(usize, usize)> {
+    let (close, mut out, mut k) = (matching(toks, open), Vec::new(), open + 1);
+    while k < close {
+        if is_punct(toks.get(k), '#') {
+            k = matching(toks, k + 1) + 1;
+        } else {
+            out.push((k, expr_end(toks, k, close)));
+            k = out[out.len() - 1].1 + 1;
+        }
+    }
+    out
+}
+
+/// If `toks[k]` names the type of a struct literal (`T {` in expression
+/// position), returns the name.
+fn literal_head(toks: &[Tok], k: usize) -> Option<&str> {
+    let name = ident(&toks[k]).filter(|n| n.starts_with(|c: char| c.is_ascii_uppercase()))?;
+    let prev = k.checked_sub(1).map(|p| &toks[p]);
+    let keywords = "struct enum union impl for trait mod in dyn";
+    let after_keyword = prev
+        .and_then(ident)
+        .is_some_and(|p| keywords.split(' ').any(|w| w == p));
+    let after_arrow = is_punct(prev, '>') && is_punct(toks.get(k.wrapping_sub(2)), '-');
+    (is_punct(toks.get(k + 1), '{') && !after_keyword && !after_arrow).then_some(name)
+}
+
+/// The `(field, value)` entries of the struct literal whose `{` is at
+/// `open`; a shorthand `f` is its own value, and `..base` ends them.
+fn literal_entries(toks: &[Tok], open: usize) -> Vec<(&str, &[Tok])> {
+    let fields = entries(toks, open).into_iter().map_while(|(k, end)| {
+        let start = if is_field_colon(toks, k + 1) {
+            k + 2
+        } else {
+            k
+        };
+        Some((ident(&toks[k])?, &toks[start..end]))
+    });
+    fields.collect()
+}
+
+/// One past the expression starting at `start`: the next `,` or `;` at
+/// its depth, or the bracket closing around it, but at most `limit`.
+fn expr_end(toks: &[Tok], start: usize, limit: usize) -> usize {
+    let closes = |k: usize| matches!(toks[k].kind, TokKind::Punct(')' | ']' | '}' | ',' | ';'));
+    until(toks, start, limit.min(toks.len()), &closes)
+}
+
+/// Methods that change the collection they are called on.
+const MUTATORS: &str = "push push_str push_back insert extend extend_from_slice append clear \
+                        retain remove pop truncate drain sort sort_by sort_by_key sort_unstable \
+                        dedup entry get_mut iter_mut resize fill";
+
+/// If `toks[k]` is the `.` before field `f` in a write of it, returns
+/// `f`, the value, and whether the write computes from the old value:
+/// `x.f = v`; and, computing, `x.f += v`, `x.f[i] = v`, `&mut x.f` and
+/// `x.f.push(…)` (any of [`MUTATORS`]).
+fn field_write_at(toks: &[Tok], k: usize) -> Option<(&str, &[Tok], bool)> {
+    let is_dot = is_punct(toks.get(k), '.') && !is_punct(toks.get(k.wrapping_sub(1)), '.');
+    let field = ident(toks.get(k + 1)?).filter(|_| is_dot)?;
+    let op = if is_punct(toks.get(k + 2), '[') {
+        matching(toks, k + 2) + 1
+    } else {
+        k + 2
+    };
+    let borrowed = k >= 3 && ident(&toks[k - 2]) == Some("mut") && is_punct(toks.get(k - 3), '&');
+    let method = toks
+        .get(op + 1)
+        .and_then(ident)
+        .filter(|_| is_punct(toks.get(op + 2), '('));
+    let mutated = is_punct(toks.get(op), '.')
+        && method.is_some_and(|m| MUTATORS.split_whitespace().any(|x| x == m));
+    let start = match (&toks.get(op)?.kind, &toks.get(op + 1)?.kind) {
+        _ if borrowed || mutated => return Some((field, &[], true)),
+        (TokKind::Punct('='), TokKind::Punct('=' | '>')) => return None,
+        (TokKind::Punct('='), _) => op + 1,
+        (TokKind::Punct('+' | '-' | '*' | '/' | '%' | '&' | '|' | '^'), TokKind::Punct('=')) => {
+            op + 2
+        }
+        _ => return None,
+    };
+    let value = &toks[start..expr_end(toks, start, toks.len())];
+    Some((field, value, start > op + 1 || op > k + 2))
+}
+
+/// Marks the tokens of patterns, which bind values rather than build
+/// them: `match` arms up to their `=>`, `let` patterns up to their `=`,
+/// and the second argument of `matches!`.
+fn patterns(toks: &[Tok]) -> Vec<bool> {
+    let mut pat = vec![false; toks.len()];
+    let is_arrow = |k: usize| is_punct(toks.get(k), '=') && is_punct(toks.get(k + 1), '>');
+    let is_let_end = |k: usize| {
+        let assign = is_punct(toks.get(k), '=') && !is_arrow(k) && !is_punct(toks.get(k + 1), '=');
+        assign || is_punct(toks.get(k), ';')
+    };
+    for i in 0..toks.len() {
+        let (from, to) = match ident(&toks[i]) {
+            Some("match") => {
+                let Some(open) = (i..toks.len()).find(|&k| is_punct(toks.get(k), '{')) else {
+                    continue;
+                };
+                let (close, mut k) = (matching(toks, open), open + 1);
+                while k < close {
+                    let arrow = until(toks, k, close, &is_arrow);
+                    pat[k..arrow].iter_mut().for_each(|p| *p = true);
+                    k = expr_end(toks, arrow + 2, close) + 1;
+                }
+                continue;
+            }
+            Some("let") => (i, until(toks, i + 1, toks.len(), &is_let_end)),
+            Some("matches") if is_punct(toks.get(i + 2), '(') => {
+                let close = matching(toks, i + 2);
+                (expr_end(toks, i + 3, close), close)
+            }
+            _ => continue,
+        };
+        pat[from..to].iter_mut().for_each(|p| *p = true);
+    }
+    pat
+}
+
+/// Identifiers that are neither variables nor part of a path.
+const NON_VARIABLES: &str = "true false as if else match in return move ref mut dyn u8 u16 u32 \
+                             u64 u128 usize i8 i16 i32 i64 i128 isize f32 f64 bool char str";
+
+/// Is `value` computed rather than written from literals and constants?
+/// It is when it reads a variable (a lower-case name that is not a
+/// method, macro, path segment or keyword) or calls a function not
+/// associated with a type (`Duration::from_millis(1)`, `Vec::new()` and
+/// `Some(1)` are constant; `probe()` is not).
+fn is_computed(value: &[Tok]) -> bool {
+    (0..value.len()).any(|i| {
+        let Some(name) = ident(&value[i]) else {
+            return false;
+        };
+        let (prev, next) = (i.checked_sub(1).map(|p| &value[p]), value.get(i + 1));
+        let is_type = |n: &str| n.starts_with(|c: char| c.is_ascii_uppercase());
+        if is_type(name)
+            || NON_VARIABLES.split_whitespace().any(|x| x == name)
+            || is_punct(prev, '.')
+            || is_punct(next, '!')
+            || is_punct(next, ':')
+        {
+            return false;
+        }
+        // A path member computes only when it calls a module's function.
+        let type_qualified = i >= 3 && ident(&value[i - 3]).is_some_and(is_type);
+        !is_punct(prev, ':') || is_punct(next, '(') && !type_qualified
+    })
+}
+
+/// A value's tokens as comparable text.
+fn token_text(value: &[Tok]) -> String {
+    format!("{:?}", value.iter().map(|t| &t.kind).collect::<Vec<_>>())
 }

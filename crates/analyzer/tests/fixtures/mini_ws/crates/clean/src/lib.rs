@@ -41,5 +41,8 @@ pub fn exercise(t: &Telemetry, stop: &AtomicU64) -> u64 {
     #[cfg(feature = "fault-injection")]
     inject();
     deadpub::used_by_other_crate();
-    justified(stop) + u64::from(suppressed(None))
+    // Sets a `deadfield` knob by struct literal from another crate.
+    let wide = deadfield::Knobs { width: 5, ..deadfield::Knobs::default() };
+    let knobs = wide.width + deadfield::exercise();
+    justified(stop) + knobs as u64 + u64::from(suppressed(None))
 }

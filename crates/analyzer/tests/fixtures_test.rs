@@ -4,8 +4,9 @@
 //! self-check that the real workspace stays analyzer-clean.
 //!
 //! `mini_ws/perfbench/src` stands in for `perfbench`: it is read only for
-//! the references it makes, which keep `deadpub::used_by_perfbench` and
-//! the clean crate's `exercise` alive.
+//! the references and writes it makes, which keep
+//! `deadpub::used_by_perfbench`, the clean crate's `exercise` and
+//! `deadfield::Knobs::tag` alive.
 
 use dcperf_analyzer::diag::Severity;
 use dcperf_analyzer::policy::{OrderingAllow, Policy};
@@ -55,6 +56,10 @@ fn every_rule_family_fires_at_its_seeded_span() {
         ("dead-pub", "crates/deadpub/src/lib.rs", 12),       // only #[cfg(test)] calls it
         ("dead-pub", "crates/deadpub/src/lib.rs", 16),       // only tests/it.rs calls it
         ("dead-pub", "crates/deadpub/src/lib.rs", 20),       // only its own body calls it
+        ("dead-field", "crates/deadfield/src/lib.rs", 6),    // set only in Default and a test
+        ("dead-field", "crates/deadfield/src/lib.rs", 11),   // set only from a literal in `new`
+        ("dead-field", "crates/deadfield/src/lib.rs", 19),   // variant built only in a test
+        ("dead-field", "crates/deadfield/src/lib.rs", 20),   // variant only matched
     ];
     for want in expected {
         assert!(
@@ -81,9 +86,10 @@ fn clean_fixture_crate_is_silent_and_its_allow_counts_as_used() {
         "clean crate must produce no diagnostics: {:#?}",
         report.diagnostics
     );
-    // The clean crate's one allow suppressed its SeqCst finding, and the
-    // deadpub crate's allow kept its intended API.
-    assert_eq!(report.suppressed, 2);
+    // The clean crate's one allow suppressed its SeqCst finding, the
+    // deadpub crate's allow kept its intended API, and the deadfield
+    // crate's allow kept a field a test sets.
+    assert_eq!(report.suppressed, 3);
 }
 
 #[test]

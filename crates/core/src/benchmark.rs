@@ -21,8 +21,6 @@ pub enum WorkloadCategory {
     MediaProcessing,
     /// Datacenter-tax microbenchmarks.
     Microbenchmark,
-    /// Comparison baselines from other suites (CloudSuite minis, …).
-    Baseline,
 }
 
 impl std::fmt::Display for WorkloadCategory {
@@ -34,7 +32,6 @@ impl std::fmt::Display for WorkloadCategory {
             WorkloadCategory::BigData => "big-data",
             WorkloadCategory::MediaProcessing => "media-processing",
             WorkloadCategory::Microbenchmark => "microbenchmark",
-            WorkloadCategory::Baseline => "baseline",
         };
         f.write_str(s)
     }
@@ -69,6 +66,7 @@ impl Scale {
 
 /// Configuration shared by every benchmark in a suite run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// analyzer: allow(dead-field) — suite_reports_include_hook_series samples every 25 ms to get hook series from a smoke run
 pub struct RunConfig {
     /// Run scale (dataset sizes, durations).
     pub scale: Scale,

@@ -11,10 +11,8 @@ use serde::{Deserialize, Serialize};
 /// throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SloSpec {
-    /// Maximum 95th-percentile latency in milliseconds, if constrained.
-    pub p95_ms: Option<f64>,
-    /// Maximum 99th-percentile latency in milliseconds, if constrained.
-    pub p99_ms: Option<f64>,
+    /// Maximum 95th-percentile latency in milliseconds.
+    pub p95_ms: f64,
     /// Maximum fraction of failed requests, if constrained.
     pub max_error_rate: Option<f64>,
 }
@@ -23,8 +21,7 @@ impl SloSpec {
     /// An SLO bounding only P95 latency (FeedSim's form).
     pub fn p95_under_ms(ms: f64) -> Self {
         Self {
-            p95_ms: Some(ms),
-            p99_ms: None,
+            p95_ms: ms,
             max_error_rate: None,
         }
     }
@@ -40,17 +37,9 @@ impl SloSpec {
     pub fn evaluate(&self, latency_ns: &Histogram, error_rate: f64) -> SloOutcome {
         let mut violations = Vec::new();
         let to_ms = |ns: u64| ns as f64 / 1e6;
-        if let Some(limit) = self.p95_ms {
-            let got = to_ms(latency_ns.p95());
-            if got > limit {
-                violations.push(format!("p95 {got:.2}ms > {limit:.2}ms"));
-            }
-        }
-        if let Some(limit) = self.p99_ms {
-            let got = to_ms(latency_ns.p99());
-            if got > limit {
-                violations.push(format!("p99 {got:.2}ms > {limit:.2}ms"));
-            }
+        let (got, limit) = (to_ms(latency_ns.p95()), self.p95_ms);
+        if got > limit {
+            violations.push(format!("p95 {got:.2}ms > {limit:.2}ms"));
         }
         if let Some(limit) = self.max_error_rate {
             if error_rate > limit {
@@ -67,20 +56,10 @@ impl SloSpec {
 
 impl std::fmt::Display for SloSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut parts = Vec::new();
-        if let Some(ms) = self.p95_ms {
-            parts.push(format!("p95<={ms}ms"));
-        }
-        if let Some(ms) = self.p99_ms {
-            parts.push(format!("p99<={ms}ms"));
-        }
-        if let Some(r) = self.max_error_rate {
-            parts.push(format!("errors<={r}"));
-        }
-        if parts.is_empty() {
-            f.write_str("unconstrained")
-        } else {
-            f.write_str(&parts.join(", "))
+        write!(f, "p95<={}ms", self.p95_ms)?;
+        match self.max_error_rate {
+            Some(r) => write!(f, ", errors<={r}"),
+            None => Ok(()),
         }
     }
 }
@@ -105,12 +84,6 @@ impl SloOutcome {
 mod tests {
     use super::*;
 
-    const UNCONSTRAINED: SloSpec = SloSpec {
-        p95_ms: None,
-        p99_ms: None,
-        max_error_rate: None,
-    };
-
     fn hist_with_p95_ms(ms: u64) -> Histogram {
         let mut h = Histogram::new();
         // 94 fast samples and 6 at the target puts the p95 rank in the
@@ -122,13 +95,6 @@ mod tests {
             h.record(ms * 1_000_000);
         }
         h
-    }
-
-    #[test]
-    fn unconstrained_always_met() {
-        let slo = UNCONSTRAINED;
-        let h = hist_with_p95_ms(10_000);
-        assert!(slo.evaluate(&h, 1.0).is_met());
     }
 
     #[test]
@@ -146,7 +112,7 @@ mod tests {
 
     #[test]
     fn error_rate_violation_detected() {
-        let slo = UNCONSTRAINED.with_max_error_rate(0.01);
+        let slo = SloSpec::p95_under_ms(500.0).with_max_error_rate(0.01);
         let h = hist_with_p95_ms(1);
         assert!(slo.evaluate(&h, 0.005).is_met());
         assert!(!slo.evaluate(&h, 0.02).is_met());
@@ -154,13 +120,10 @@ mod tests {
 
     #[test]
     fn multiple_violations_all_reported() {
-        let slo = SloSpec {
-            p99_ms: Some(1.0),
-            ..SloSpec::p95_under_ms(1.0).with_max_error_rate(0.0)
-        };
+        let slo = SloSpec::p95_under_ms(1.0).with_max_error_rate(0.0);
         let h = hist_with_p95_ms(1000);
         match slo.evaluate(&h, 0.5) {
-            SloOutcome::Violated(v) => assert_eq!(v.len(), 3, "{v:?}"),
+            SloOutcome::Violated(v) => assert_eq!(v.len(), 2, "{v:?}"),
             SloOutcome::Met => panic!("expected violations"),
         }
     }
@@ -168,9 +131,7 @@ mod tests {
     #[test]
     fn display_summarizes_constraints() {
         let slo = SloSpec::p95_under_ms(500.0).with_max_error_rate(0.01);
-        let s = slo.to_string();
-        assert!(s.contains("p95<=500ms"));
-        assert!(s.contains("errors<=0.01"));
-        assert_eq!(UNCONSTRAINED.to_string(), "unconstrained");
+        assert_eq!(slo.to_string(), "p95<=500ms, errors<=0.01");
+        assert_eq!(SloSpec::p95_under_ms(60.0).to_string(), "p95<=60ms");
     }
 }

@@ -11,17 +11,20 @@ use dcperf_util::{LogNormal, Rng, SplitMix64};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of the simulated database tier.
+/// Median object size in bytes: TAO's small social-graph objects.
+const VALUE_MEDIAN_BYTES: f64 = 300.0;
+/// Log-normal sigma of the object-size distribution (its heavy tail).
+const VALUE_SIGMA: f64 = 1.0;
+/// Smallest object size.
+const MIN_BYTES: usize = 16;
+/// Largest object size.
+const MAX_BYTES: usize = 64 << 10;
+
+/// Configuration of the simulated database tier. Objects are always
+/// TAO-shaped: log-normal sizes around `VALUE_MEDIAN_BYTES`, clamped
+/// to `[MIN_BYTES, MAX_BYTES]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackingStoreConfig {
-    /// Median object size in bytes.
-    pub value_median_bytes: f64,
-    /// Log-normal sigma of the size distribution.
-    pub value_sigma: f64,
-    /// Smallest object size.
-    pub min_bytes: usize,
-    /// Largest object size.
-    pub max_bytes: usize,
     /// Simulated lookup latency per request.
     pub lookup_latency: Duration,
 }
@@ -31,10 +34,6 @@ impl BackingStoreConfig {
     /// tail, sub-millisecond lookups.
     pub fn tao_like() -> Self {
         Self {
-            value_median_bytes: 300.0,
-            value_sigma: 1.0,
-            min_bytes: 16,
-            max_bytes: 64 << 10,
             lookup_latency: Duration::from_micros(300),
         }
     }
@@ -59,14 +58,9 @@ pub struct BackingStore {
 
 impl BackingStore {
     /// Creates a store; `seed` perturbs all synthesized content.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured size distribution is invalid
-    /// (non-positive median or negative sigma).
     pub fn new(config: BackingStoreConfig, seed: u64) -> Self {
-        let sizes = LogNormal::from_median(config.value_median_bytes, config.value_sigma)
-            // analyzer: allow(panic-path) — construction-time config validation, documented above
+        let sizes = LogNormal::from_median(VALUE_MEDIAN_BYTES, VALUE_SIGMA)
+            // analyzer: allow(panic-path) — the distribution's parameters are valid constants
             .expect("backing store size distribution must be valid");
         Self {
             config,
@@ -87,11 +81,6 @@ impl BackingStore {
     pub fn with_fault_plan(mut self, plan: Arc<dcperf_resilience::FaultPlan>) -> Self {
         self.fault_plan = Some(plan);
         self
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &BackingStoreConfig {
-        &self.config
     }
 
     /// Numeric id for a key (stable hash).
@@ -124,8 +113,7 @@ impl BackingStore {
 
     fn synthesize(&self, id: u64) -> Vec<u8> {
         let mut rng = SplitMix64::new(id);
-        let size = (self.sizes.sample(&mut rng) as usize)
-            .clamp(self.config.min_bytes, self.config.max_bytes);
+        let size = (self.sizes.sample(&mut rng) as usize).clamp(MIN_BYTES, MAX_BYTES);
         // Produce semi-compressible content: runs of structured bytes with
         // random breaks, shaped like serialized objects rather than noise.
         let mut value = Vec::with_capacity(size);
@@ -211,7 +199,6 @@ mod tests {
         let s = BackingStore::new(
             BackingStoreConfig {
                 lookup_latency: Duration::from_micros(500),
-                ..BackingStoreConfig::tao_like()
             },
             0,
         );

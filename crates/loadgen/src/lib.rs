@@ -59,8 +59,8 @@ pub enum ServiceErrorKind {
     Other,
     /// The request's deadline expired before a useful reply arrived.
     DeadlineExceeded,
-    /// A client-side guard (circuit breaker, retry budget) rejected the
-    /// call without issuing it.
+    /// A client-side guard (an open circuit breaker) rejected the call
+    /// without issuing it.
     Rejected,
 }
 

@@ -122,8 +122,6 @@ pub enum ProfileKind {
     Spec2017,
     /// A SPEC CPU 2006 rate benchmark (the paper's selected subset).
     Spec2006,
-    /// A CloudSuite benchmark.
-    CloudSuite,
 }
 
 /// A complete workload description: anchor + structural parameters.

@@ -5,32 +5,20 @@
 //! MediaWiki in the vendor's lab and on the Facebook web application in
 //! production. This module reproduces that what-if through
 //! [`Model::evaluate_adjusted`]: the optimization is expressed as miss
-//! multipliers, and application performance, GIPS, IPC, and bandwidth
-//! deltas fall out of the model.
+//! multipliers ([`L1I_MISS_MULT`], [`L2_MISS_MULT`]), and application
+//! performance, GIPS, IPC, and bandwidth deltas fall out of the model.
 
 use crate::model::{Adjustments, Model, OsConfig};
 use crate::profile::{profiles, WorkloadProfile};
 use crate::sku::{SkuSpec, SKU2};
 
-/// A vendor microarchitecture optimization, expressed as relative miss
-/// changes (the quantities a cache-replacement microcode change moves).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VendorOptimization {
-    /// L1-I miss multiplier (Figure 15: 0.64 ⇒ −36%).
-    pub l1i_miss_mult: f64,
-    /// L2 miss multiplier (0.72 ⇒ −28%).
-    pub l2_miss_mult: f64,
-}
+/// The §5.2 cache-replacement optimization's L1-I miss multiplier
+/// (Figure 15: 0.64 ⇒ −36%).
+pub const L1I_MISS_MULT: f64 = 0.64;
 
-impl VendorOptimization {
-    /// The cache-replacement optimization of §5.2.
-    pub fn cache_replacement_2023() -> Self {
-        Self {
-            l1i_miss_mult: 0.64,
-            l2_miss_mult: 0.72,
-        }
-    }
-}
+/// The §5.2 cache-replacement optimization's L2 miss multiplier
+/// (0.72 ⇒ −28%).
+pub const L2_MISS_MULT: f64 = 0.72;
 
 /// Figure 15's metric deltas for one workload, in percent
 /// (positive = higher after the optimization).
@@ -54,12 +42,12 @@ pub struct OptimizationImpact {
     pub mem_bw: f64,
 }
 
-/// Projects the impact of `opt` on `workload` running on `sku`.
+/// Projects the impact of the §5.2 optimization on `workload` running
+/// on `sku`.
 pub fn project_impact(
     model: &Model,
     workload: &WorkloadProfile,
     sku: &SkuSpec,
-    opt: &VendorOptimization,
 ) -> OptimizationImpact {
     let os = OsConfig::default();
     let base = model.evaluate(workload, sku, &os);
@@ -68,8 +56,8 @@ pub fn project_impact(
     // capacity change (see Model::frontend_beta); 0.055 calibrates the
     // MediaWiki IPC delta to the vendor's measured ~+1.9%.
     let adj = Adjustments {
-        l1i_mpki_mult: opt.l1i_miss_mult,
-        l2_miss_mult: opt.l2_miss_mult,
+        l1i_mpki_mult: L1I_MISS_MULT,
+        l2_miss_mult: L2_MISS_MULT,
         frontend_beta: Some(0.055),
     };
     let tuned = model.evaluate_adjusted(workload, sku, &os, &adj);
@@ -77,7 +65,7 @@ pub fn project_impact(
     let pct = |after: f64, before: f64| (after / before - 1.0) * 100.0;
     // LLC misses fall roughly with the square root of the L2 reduction
     // (only some of the removed L2 misses would have missed LLC too).
-    let llc_miss = (opt.l2_miss_mult.sqrt() - 1.0) * 100.0;
+    let llc_miss = (L2_MISS_MULT.sqrt() - 1.0) * 100.0;
     OptimizationImpact {
         workload: workload.name,
         app_perf: pct(tuned.throughput, base.throughput),
@@ -87,7 +75,7 @@ pub fn project_impact(
         ),
         ipc: pct(tuned.ipc, base.ipc),
         l1i_miss: pct(tuned.l1i_mpki, base.l1i_mpki),
-        l2_miss: (opt.l2_miss_mult - 1.0) * 100.0,
+        l2_miss: (L2_MISS_MULT - 1.0) * 100.0,
         llc_miss,
         mem_bw: pct(tuned.mem_bw_gbs, base.mem_bw_gbs),
     }
@@ -96,10 +84,9 @@ pub fn project_impact(
 /// Figure 15: the 2023 cache-replacement optimization projected for
 /// MediaWiki (vendor lab) and FB Web production.
 pub fn figure15(model: &Model) -> Vec<OptimizationImpact> {
-    let opt = VendorOptimization::cache_replacement_2023();
     vec![
-        project_impact(model, &profiles::fbweb_prod(), &SKU2, &opt),
-        project_impact(model, &profiles::mediawiki(), &SKU2, &opt),
+        project_impact(model, &profiles::fbweb_prod(), &SKU2),
+        project_impact(model, &profiles::mediawiki(), &SKU2),
     ]
 }
 
@@ -135,10 +122,9 @@ mod tests {
         // changes" — SPEC's tiny instruction footprint leaves nothing for
         // an I-cache replacement optimization to recover.
         let model = Model::new();
-        let opt = VendorOptimization::cache_replacement_2023();
         let spec = profiles::spec2017_suite();
         for p in &spec {
-            let impact = project_impact(&model, p, &SKU2, &opt);
+            let impact = project_impact(&model, p, &SKU2);
             assert!(
                 impact.app_perf < 1.0,
                 "{}: {}% should be negligible",

@@ -42,6 +42,7 @@ pub enum BreakerTransition {
 
 /// Thresholds and windows for a breaker.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// analyzer: allow(dead-field) — tests/proptest_breaker.rs quantifies over the whole configuration space
 pub struct BreakerConfig {
     /// Rolling outcome window length (count-based, deterministic).
     pub window: usize,

@@ -9,9 +9,9 @@
 //! * [`Deadline`] — an absolute expiry carried per request, checked at
 //!   queue dequeue and handler entry so expired work is shed instead of
 //!   burning a worker.
-//! * [`RetryPolicy`] / [`RetryBudget`] — capped exponential backoff with
-//!   deterministic seeded jitter, plus a token-bucket budget so retry
-//!   storms cannot amplify overload.
+//! * [`RetryPolicy`] — capped exponential backoff with deterministic
+//!   seeded jitter and an attempt cap, so retry storms cannot amplify
+//!   overload without bound.
 //! * [`BreakerCore`] / [`CircuitBreaker`] — a closed → open → half-open
 //!   state machine over a rolling outcome window. The core is pure (time
 //!   is an explicit nanosecond argument) and therefore exhaustively
@@ -52,4 +52,4 @@ mod retry;
 pub use breaker::{BreakerConfig, BreakerCore, BreakerState, BreakerTransition, CircuitBreaker};
 pub use deadline::Deadline;
 pub use fault::{FaultDecision, FaultOutcome, FaultPlan};
-pub use retry::{BackoffSchedule, RetryBudget, RetryPolicy};
+pub use retry::{BackoffSchedule, RetryPolicy};

@@ -1,24 +1,24 @@
 //! Client-side retry policy: capped exponential backoff with
-//! deterministic seeded jitter, and retry budgets.
+//! deterministic seeded jitter.
 //!
 //! Retries convert transient faults into latency instead of errors — but
 //! unbounded retries amplify overload (every shed request comes back as
-//! two). Two mechanisms bound that amplification:
-//!
-//! * [`RetryPolicy`] caps attempts and spaces them out exponentially with
-//!   jitter, so synchronized retry waves decohere.
-//! * [`RetryBudget`] is a token bucket earned by successes: each success
-//!   deposits a fraction of a token, each retry withdraws a whole one.
-//!   When the ambient failure rate exceeds the deposit ratio the budget
-//!   drains and retries stop, which is exactly the storm-suppression
-//!   behavior production RPC stacks (Finagle, gRPC) implement.
+//! two). [`RetryPolicy`] bounds that amplification: it caps attempts and
+//! spaces them out exponentially with jitter, so synchronized retry
+//! waves decohere.
 //!
 //! All jitter comes from a seeded [`SplitMix64`]; given a seed, the
 //! backoff schedule is a pure function. No wall-clock randomness.
 
 use dcperf_util::{Rng, SplitMix64};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
+
+/// Geometric growth factor between retries.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Jitter fraction: each delay is scaled by a factor drawn uniformly
+/// from `[1 - JITTER, 1]`.
+const JITTER: f64 = 0.5;
 
 /// Attempt cap and backoff curve for retried calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,11 +29,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper bound on any single backoff.
     pub max_backoff: Duration,
-    /// Geometric growth factor between retries.
-    pub multiplier: f64,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a factor
-    /// drawn uniformly from `[1 - jitter, 1]`.
-    pub jitter: f64,
 }
 
 impl RetryPolicy {
@@ -44,8 +39,6 @@ impl RetryPolicy {
             max_attempts: max_attempts.max(1),
             base_backoff,
             max_backoff: base_backoff.saturating_mul(100),
-            multiplier: 2.0,
-            jitter: 0.5,
         }
     }
 
@@ -66,10 +59,10 @@ impl RetryPolicy {
         if self.base_backoff.is_zero() {
             return Duration::ZERO;
         }
-        let exp = self.multiplier.powi(retry.saturating_sub(1) as i32);
+        let exp = BACKOFF_MULTIPLIER.powi(retry.saturating_sub(1) as i32);
         let raw = self.base_backoff.as_secs_f64() * exp;
         let capped = raw.min(self.max_backoff.as_secs_f64());
-        let scale = 1.0 - self.jitter * rng.next_f64();
+        let scale = 1.0 - JITTER * rng.next_f64();
         Duration::from_secs_f64(capped * scale)
     }
 
@@ -105,74 +98,6 @@ impl Iterator for BackoffSchedule {
     }
 }
 
-/// Token-bucket retry budget: successes earn fractional tokens, each
-/// retry spends a whole one.
-///
-/// Thread-safe and wait-free (a single atomic), so one budget can be
-/// shared by every client handle talking to a backend.
-#[derive(Debug)]
-pub struct RetryBudget {
-    /// Tokens scaled by [`RetryBudget::SCALE`].
-    tokens: AtomicI64,
-    max_scaled: i64,
-    deposit_scaled: i64,
-}
-
-impl RetryBudget {
-    const SCALE: i64 = 1000;
-
-    /// A budget holding at most `max_tokens` retries, earning
-    /// `deposit_ratio` of a token per success (0.1 ⇒ one retry per ten
-    /// successes once drained). Starts full so cold-start failures can
-    /// still retry.
-    pub fn new(max_tokens: u32, deposit_ratio: f64) -> Self {
-        let max_scaled = i64::from(max_tokens.max(1)) * Self::SCALE;
-        Self {
-            tokens: AtomicI64::new(max_scaled),
-            max_scaled,
-            deposit_scaled: (deposit_ratio.clamp(0.0, 1.0) * Self::SCALE as f64) as i64,
-        }
-    }
-
-    /// An effectively unlimited budget (for scenarios isolating other
-    /// mechanisms).
-    pub fn unlimited() -> Self {
-        Self::new(u32::MAX / 2000, 1.0)
-    }
-
-    /// Records a success, growing the budget toward its cap.
-    pub fn deposit(&self) {
-        let prev = self
-            .tokens
-            .fetch_add(self.deposit_scaled, Ordering::Relaxed);
-        // Clamp overshoot; a lost race only delays the clamp by one call.
-        if prev + self.deposit_scaled > self.max_scaled {
-            self.tokens.store(self.max_scaled, Ordering::Relaxed);
-        }
-    }
-
-    /// Attempts to spend one retry token. Returns `false` (and leaves the
-    /// budget untouched) when drained — the caller must give up instead
-    /// of retrying.
-    pub fn try_spend(&self) -> bool {
-        let mut current = self.tokens.load(Ordering::Relaxed);
-        loop {
-            if current < Self::SCALE {
-                return false;
-            }
-            match self.tokens.compare_exchange_weak(
-                current,
-                current - Self::SCALE,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(seen) => current = seen,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,47 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_jitter_schedule_is_exactly_exponential() {
-        let policy = RetryPolicy {
-            jitter: 0.0,
-            ..RetryPolicy::new(4, Duration::from_millis(10))
-        };
-        let delays: Vec<_> = policy.schedule(99).collect();
-        assert_eq!(
-            delays,
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(40),
-            ]
-        );
-    }
-
-    #[test]
     fn no_retries_policy_yields_empty_schedule() {
         assert_eq!(RetryPolicy::no_retries().schedule(0).count(), 0);
-    }
-
-    #[test]
-    fn budget_drains_and_refills() {
-        let budget = RetryBudget::new(2, 0.5);
-        assert!(budget.try_spend());
-        assert!(budget.try_spend());
-        assert!(!budget.try_spend(), "drained budget must refuse");
-        budget.deposit();
-        assert!(!budget.try_spend(), "half a token is not enough");
-        budget.deposit();
-        assert!(budget.try_spend(), "two deposits at 0.5 earn one retry");
-    }
-
-    #[test]
-    fn budget_caps_at_max() {
-        let budget = RetryBudget::new(1, 1.0);
-        for _ in 0..100 {
-            budget.deposit();
-        }
-        assert_eq!(budget.tokens.load(Ordering::Relaxed), budget.max_scaled);
-        assert!(budget.try_spend());
-        assert!(!budget.try_spend());
     }
 }

@@ -22,8 +22,8 @@
 //! * [`server`] / [`client`] — in-process and TCP transports. Each
 //!   client's one request path is the pipelined `call_many` burst; a
 //!   synchronous `call` is a burst of one.
-//! * [`resilient`] — a client wrapper adding deadlines, retries with
-//!   deterministic backoff, retry budgets, and circuit breaking from
+//! * [`resilient`] — a client wrapper adding deadlines, capped retries
+//!   with deterministic backoff, and circuit breaking from
 //!   [`dcperf_resilience`].
 //!
 //! # Examples

@@ -13,6 +13,7 @@ use std::sync::Arc;
 /// The read-ahead window of a pipelined connection. How many responses
 /// share one write is fixed by [`crate::server::MAX_BATCH`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// analyzer: allow(dead-field) — tests/pipeline_ordering.rs serves through windows of one and two
 pub struct PipelineConfig {
     /// Maximum requests in flight per connection before the reader stops
     /// reading ahead. 1 disables pipelining: the connection serves one

@@ -1,6 +1,5 @@
 //! A resilient client wrapper: retries with deterministic backoff, a
-//! retry budget against retry storms, a circuit breaker, and per-attempt
-//! deadlines.
+//! circuit breaker, and per-attempt deadlines.
 //!
 //! The wrapper composes the [`dcperf_resilience`] primitives around any
 //! transport that can issue one attempt per body ([`ResilientTransport`]).
@@ -10,7 +9,7 @@
 //! same retry schedule — chaos benchmarks stay reproducible.
 
 use crate::frame::{Response, RpcError};
-use dcperf_resilience::{BreakerConfig, CircuitBreaker, RetryBudget, RetryPolicy};
+use dcperf_resilience::{BreakerConfig, CircuitBreaker, RetryPolicy};
 use dcperf_telemetry::{metrics, Counter, Telemetry};
 use dcperf_util::SplitMix64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,13 +63,13 @@ impl ResilientTransport for std::sync::Mutex<crate::client::TcpClient> {
     }
 }
 
-/// Retries, budget, breaker, and deadlines around a transport.
+/// Retries, breaker, and deadlines around a transport.
 ///
 /// Failure handling per attempt:
 ///
 /// * breaker open → [`RpcError::CircuitOpen`] without touching the wire;
 /// * retryable errors (overload, timeout, I/O, expired deadline,
-///   disconnect) consume a retry-budget token and back off;
+///   disconnect) back off and retry, up to the policy's attempt cap;
 /// * non-retryable errors (application errors, malformed frames,
 ///   correlation mismatches) return immediately;
 /// * transport-level failures count against the breaker; application
@@ -78,13 +77,11 @@ impl ResilientTransport for std::sync::Mutex<crate::client::TcpClient> {
 pub struct ResilientClient<C> {
     inner: C,
     policy: RetryPolicy,
-    budget: Arc<RetryBudget>,
-    breaker: Arc<CircuitBreaker>,
+    breaker: CircuitBreaker,
     attempt_deadline: Option<Duration>,
     seed: u64,
     calls: AtomicU64,
     retries: Arc<Counter>,
-    budget_exhausted: Arc<Counter>,
 }
 
 impl<C> std::fmt::Debug for ResilientClient<C> {
@@ -100,32 +97,22 @@ impl<C: ResilientTransport> ResilientClient<C> {
     /// Wraps `inner` with `policy`, registering resilience counters
     /// (`rpc.resilient.*`, `rpc.breaker.*`) in `telemetry`.
     ///
-    /// Defaults: unlimited retry budget, default [`BreakerConfig`], no
-    /// per-attempt deadline, seed `0`.
+    /// Defaults: default [`BreakerConfig`], no per-attempt deadline,
+    /// seed `0`.
     pub fn new(inner: C, policy: RetryPolicy, telemetry: &Telemetry) -> Self {
         Self {
             inner,
             policy,
-            budget: Arc::new(RetryBudget::unlimited()),
-            breaker: Arc::new(CircuitBreaker::with_telemetry(
+            breaker: CircuitBreaker::with_telemetry(
                 BreakerConfig::default(),
                 telemetry,
                 metrics::PREFIX_RPC_BREAKER,
-            )),
+            ),
             attempt_deadline: None,
             seed: 0,
             calls: AtomicU64::new(0),
             retries: telemetry.counter(metrics::RPC_RESILIENT_RETRIES),
-            budget_exhausted: telemetry.counter(metrics::RPC_RESILIENT_BUDGET_EXHAUSTED),
         }
-    }
-
-    /// Replaces the circuit breaker (share one `Arc` across the clients
-    /// that target the same backend so they trip together).
-    #[must_use]
-    pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
-        self.breaker = breaker;
-        self
     }
 
     /// Sets the per-attempt deadline carried in each request frame.
@@ -159,11 +146,9 @@ impl<C: ResilientTransport> ResilientClient<C> {
     ///
     /// Per element: each outcome is recorded against the breaker exactly
     /// once per attempt (a burst of N failures is N breaker outcomes, not
-    /// N × attempts, and never double-counted within a round), each
-    /// element deposits into the retry budget as its own logical call,
-    /// and each retried element spends its own budget token. The backoff
-    /// schedule is drawn once per batch from `(seed, call index)`, so a
-    /// retry round sleeps once, not once per element.
+    /// N × attempts, and never double-counted within a round). The
+    /// backoff schedule is drawn once per batch from `(seed, call
+    /// index)`, so a retry round sleeps once, not once per element.
     pub fn call_many(&self, method: &str, bodies: Vec<Vec<u8>>) -> Vec<Result<Response, RpcError>> {
         let n = bodies.len();
         // ordering: call index only seeds jitter; uniqueness is all that matters
@@ -171,9 +156,6 @@ impl<C: ResilientTransport> ResilientClient<C> {
         let attempt_seed = self.seed ^ SplitMix64::mix(call_index.wrapping_add(1));
         let mut delays = self.policy.schedule(attempt_seed);
         let mut results: Vec<Option<Result<Response, RpcError>>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            self.budget.deposit();
-        }
         let mut outstanding: Vec<(usize, Vec<u8>)> = bodies.into_iter().enumerate().collect();
         while !outstanding.is_empty() {
             if !self.breaker.allow() {
@@ -219,14 +201,9 @@ impl<C: ResilientTransport> ResilientClient<C> {
                 }
                 break;
             };
-            for (idx, body, err) in retryable {
-                if self.budget.try_spend() {
-                    self.retries.inc();
-                    outstanding.push((idx, body));
-                } else {
-                    self.budget_exhausted.inc();
-                    results[idx] = Some(Err(err));
-                }
+            for (idx, body, _) in retryable {
+                self.retries.inc();
+                outstanding.push((idx, body));
             }
             if !outstanding.is_empty() && !delay.is_zero() {
                 std::thread::sleep(delay);
@@ -241,11 +218,6 @@ impl<C: ResilientTransport> ResilientClient<C> {
     /// Retries issued across all calls.
     pub fn retries(&self) -> u64 {
         self.retries.get()
-    }
-
-    /// Calls abandoned because the retry budget was empty.
-    pub fn budget_exhausted(&self) -> u64 {
-        self.budget_exhausted.get()
     }
 
     /// The breaker guarding this client.
@@ -371,24 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_retry_budget_blocks_retries() {
-        let telemetry = Telemetry::new();
-        let transport = Scripted::new(vec![Err(RpcError::Timeout), Ok(Response::ok(vec![]))]);
-        // deposit_ratio 0: the budget never refills, and it starts full —
-        // drain it first so the retry has no token.
-        let budget = Arc::new(RetryBudget::new(1, 0.0));
-        assert!(budget.try_spend());
-        let mut client = ResilientClient::new(transport, fast_policy(4), &telemetry);
-        client.budget = budget;
-        match client.call("m", vec![]) {
-            Err(RpcError::Timeout) => {}
-            other => panic!("expected budget-blocked timeout, got {other:?}"),
-        }
-        assert_eq!(client.budget_exhausted(), 1);
-        assert_eq!(client.retries(), 0);
-    }
-
-    #[test]
     fn open_breaker_rejects_without_touching_transport() {
         let telemetry = Telemetry::new();
         let transport = Scripted::new(vec![]);
@@ -397,20 +351,16 @@ mod tests {
             cooldown: Duration::from_secs(3600),
             ..BreakerConfig::default()
         };
-        let breaker = Arc::new(CircuitBreaker::with_telemetry(
-            config,
-            &telemetry,
-            metrics::PREFIX_RPC_BREAKER,
-        ));
-        breaker.record_failure(); // trips at min_calls=1
-        let client = ResilientClient::new(transport, RetryPolicy::no_retries(), &telemetry)
-            .with_breaker(Arc::clone(&breaker));
+        let mut client = ResilientClient::new(transport, RetryPolicy::no_retries(), &telemetry);
+        client.breaker =
+            CircuitBreaker::with_telemetry(config, &telemetry, metrics::PREFIX_RPC_BREAKER);
+        client.breaker().record_failure(); // trips at min_calls=1
         match client.call("m", vec![]) {
             Err(RpcError::CircuitOpen) => {}
             other => panic!("expected CircuitOpen, got {other:?}"),
         }
         assert_eq!(client.inner().attempts.load(Ordering::Relaxed), 0);
-        assert_eq!(breaker.rejected(), 1);
+        assert_eq!(client.breaker().rejected(), 1);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("rpc.breaker.open_transitions"), Some(1));
         assert_eq!(snap.counter("rpc.breaker.rejected"), Some(1));
@@ -427,13 +377,9 @@ mod tests {
             cooldown: Duration::from_secs(3600),
             ..BreakerConfig::default()
         };
-        let breaker = Arc::new(CircuitBreaker::with_telemetry(
-            config,
-            &telemetry,
-            metrics::PREFIX_RPC_BREAKER,
-        ));
-        let client = ResilientClient::new(transport, RetryPolicy::no_retries(), &telemetry)
-            .with_breaker(Arc::clone(&breaker));
+        let mut client = ResilientClient::new(transport, RetryPolicy::no_retries(), &telemetry);
+        client.breaker =
+            CircuitBreaker::with_telemetry(config, &telemetry, metrics::PREFIX_RPC_BREAKER);
         let mut saw_circuit_open = false;
         for _ in 0..8 {
             if matches!(client.call("m", vec![]), Err(RpcError::CircuitOpen)) {
@@ -442,7 +388,7 @@ mod tests {
             }
         }
         assert!(saw_circuit_open, "breaker never opened");
-        assert_eq!(breaker.open_transitions(), 1);
+        assert_eq!(client.breaker().open_transitions(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! trip the breaker a full burst early.
 #![cfg(feature = "fault-injection")]
 
-use dcperf_resilience::{BreakerConfig, CircuitBreaker, FaultPlan, RetryPolicy};
+use dcperf_resilience::{BreakerConfig, FaultPlan, RetryPolicy};
 use dcperf_rpc::{
     PipelineConfig, PoolConfig, Request, ResilientClient, Response, RpcError, TcpClient, TcpServer,
 };
@@ -62,46 +62,45 @@ fn breaker_counts_each_correlated_failure_once() {
     )));
 
     let telemetry = Telemetry::new();
-    let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-        min_calls: 8,
-        ..BreakerConfig::default()
-    }));
     let inner = Mutex::new(
         TcpClient::connect(server.local_addr())
             .expect("connect")
-            .with_window(4),
+            .with_window(5),
     );
     let client = ResilientClient::new(inner, RetryPolicy::no_retries(), &telemetry)
-        .with_attempt_deadline(Duration::from_millis(5))
-        .with_breaker(Arc::clone(&breaker));
+        .with_attempt_deadline(Duration::from_millis(5));
+    // The client's own breaker, at its defaults.
+    let breaker = client.breaker();
+    let min_calls = BreakerConfig::default().min_calls;
+    assert_eq!(min_calls, 10, "bursts below are sized to half of min_calls");
 
     let burst = |tag: u64| -> Vec<Vec<u8>> {
-        (0..4u64)
+        (0..5u64)
             .map(|i| (tag << 8 | i).to_le_bytes().to_vec())
             .collect()
     };
 
-    // Burst 1: four deadline failures. With exactly-once accounting the
-    // window holds 4 outcomes — below min_calls, so the breaker must
-    // still be closed. Double-counting would put 8 in the window and
+    // Burst 1: five deadline failures. With exactly-once accounting the
+    // window holds 5 outcomes — below min_calls, so the breaker must
+    // still be closed. Double-counting would put 10 in the window and
     // trip it right here.
     let first = client.call_many("echo", burst(1));
     assert!(first.iter().all(Result::is_err), "all injected calls fail");
     assert_eq!(
         breaker.open_transitions(),
         0,
-        "4 failures < min_calls(8): a trip here means the burst was double-counted"
+        "5 failures < min_calls(10): a trip here means the burst was double-counted"
     );
     assert!(breaker.allow(), "breaker must still admit traffic");
 
-    // Burst 2: four more. Now the window holds exactly 8 failures and
+    // Burst 2: five more. Now the window holds exactly 10 failures and
     // the breaker opens — once.
     let second = client.call_many("echo", burst(2));
     assert!(second.iter().all(Result::is_err));
     assert_eq!(
         breaker.open_transitions(),
         1,
-        "8 failures at ratio 1.0 must open the breaker exactly once"
+        "10 failures at ratio 1.0 must open the breaker exactly once"
     );
     server.shutdown();
 }

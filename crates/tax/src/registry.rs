@@ -138,19 +138,22 @@ impl Registry {
             data
         }
 
-        self.add("compress/lz", TaxCategory::Compression, |iters| {
-            let data = corpus(16 << 10, 1);
-            let mut bytes = 0u64;
-            for _ in 0..iters {
-                let packed = compress::lz_compress(&data);
-                bytes += data.len() as u64;
-                std::hint::black_box(&packed);
+        // Every kernel's input is built here, outside its timed closure.
+        // `over(data, kernel)` runs `kernel(data, i)` as iteration `i` and
+        // counts `data.len()` bytes per iteration.
+        fn over<T>(data: Vec<u8>, kernel: fn(&[u8], u64) -> T) -> impl Fn(u64) -> u64 {
+            move |iters| {
+                (0..iters).for_each(|i| drop(std::hint::black_box(kernel(&data, i))));
+                iters * data.len() as u64
             }
-            bytes
-        });
+        }
 
-        // The decode kernels time decoding only: their input is encoded
-        // once, here, not inside the timed closure.
+        self.add(
+            "compress/lz",
+            TaxCategory::Compression,
+            over(corpus(16 << 10, 1), |d, _| compress::lz_compress(d)),
+        );
+
         let packed = compress::lz_compress(&corpus(16 << 10, 2));
         self.add(
             "compress/lz_decompress",
@@ -166,41 +169,28 @@ impl Registry {
             },
         );
 
-        self.add("compress/rle", TaxCategory::Compression, |iters| {
-            let data = corpus(16 << 10, 3);
-            let mut bytes = 0u64;
-            for _ in 0..iters {
-                let packed = compress::rle_compress(&data);
-                bytes += data.len() as u64;
-                std::hint::black_box(&packed);
-            }
-            bytes
-        });
+        self.add(
+            "compress/rle",
+            TaxCategory::Compression,
+            over(corpus(16 << 10, 3), |d, _| compress::rle_compress(d)),
+        );
+        self.add(
+            "crypto/sha256",
+            TaxCategory::Crypto,
+            over(corpus(4 << 10, 4), |d, _| crypto::Sha256::digest(d)),
+        );
+        self.add(
+            "crypto/hmac",
+            TaxCategory::Crypto,
+            over(corpus(1 << 10, 5), |d, i| {
+                crypto::hmac_sha256(&i.to_le_bytes(), d)
+            }),
+        );
 
-        self.add("crypto/sha256", TaxCategory::Crypto, |iters| {
-            let data = corpus(4 << 10, 4);
-            let mut bytes = 0u64;
-            for _ in 0..iters {
-                let digest = crypto::Sha256::digest(&data);
-                bytes += data.len() as u64;
-                std::hint::black_box(&digest);
-            }
-            bytes
-        });
-
-        self.add("crypto/hmac", TaxCategory::Crypto, |iters| {
-            let data = corpus(1 << 10, 5);
-            let mut bytes = 0u64;
-            for i in 0..iters {
-                let mac = crypto::hmac_sha256(&i.to_le_bytes(), &data);
-                bytes += data.len() as u64;
-                std::hint::black_box(&mac);
-            }
-            bytes
-        });
-
-        self.add("crypto/chacha20", TaxCategory::Crypto, |iters| {
-            let mut data = corpus(8 << 10, 6);
+        let plaintext = corpus(8 << 10, 6);
+        self.add("crypto/chacha20", TaxCategory::Crypto, move |iters| {
+            // The cipher runs in place: one copy per run, none per iteration.
+            let mut data = plaintext.clone();
             let key = [0x42u8; 32];
             let nonce = [0x24u8; 12];
             let mut bytes = 0u64;
@@ -212,10 +202,10 @@ impl Registry {
             bytes
         });
 
-        self.add("hash/fnv1a", TaxCategory::Hashing, |iters| {
-            let keys: Vec<Vec<u8>> = (0..256u64)
-                .map(|i| format!("object:{i}:fbid").into_bytes())
-                .collect();
+        let keys: Vec<Vec<u8>> = (0..256u64)
+            .map(|i| format!("object:{i}:fbid").into_bytes())
+            .collect();
+        self.add("hash/fnv1a", TaxCategory::Hashing, move |iters| {
             let mut ops = 0u64;
             for _ in 0..iters {
                 for key in &keys {
@@ -226,46 +216,41 @@ impl Registry {
             ops
         });
 
-        self.add("hash/dcx64", TaxCategory::Hashing, |iters| {
-            let data = corpus(4 << 10, 7);
-            let mut bytes = 0u64;
-            for i in 0..iters {
-                std::hint::black_box(hash::dcx64(&data, i));
-                bytes += data.len() as u64;
-            }
-            bytes
-        });
+        self.add(
+            "hash/dcx64",
+            TaxCategory::Hashing,
+            over(corpus(4 << 10, 7), hash::dcx64),
+        );
+        self.add(
+            "hash/crc32",
+            TaxCategory::Hashing,
+            over(corpus(4 << 10, 8), |d, _| hash::crc32(d)),
+        );
 
-        self.add("hash/crc32", TaxCategory::Hashing, |iters| {
-            let data = corpus(4 << 10, 8);
-            let mut bytes = 0u64;
-            for _ in 0..iters {
-                std::hint::black_box(hash::crc32(&data));
-                bytes += data.len() as u64;
-            }
-            bytes
-        });
-
-        self.add("serialize/encode", TaxCategory::Serialization, |iters| {
-            let records: Vec<serialize::Record> = (0..64i64)
-                .map(|i| {
-                    vec![
-                        serialize::FieldValue::I64(i * 31337),
-                        serialize::FieldValue::F64(i as f64 * 0.5),
-                        serialize::FieldValue::Str(format!("row-{i}-payload")),
-                    ]
-                })
-                .collect();
-            let mut ops = 0u64;
-            let mut buf = Vec::new();
-            for _ in 0..iters {
-                buf.clear();
-                serialize::encode_batch(&records, &mut buf);
-                std::hint::black_box(&buf);
-                ops += records.len() as u64;
-            }
-            ops
-        });
+        let records: Vec<serialize::Record> = (0..64i64)
+            .map(|i| {
+                vec![
+                    serialize::FieldValue::I64(i * 31337),
+                    serialize::FieldValue::F64(i as f64 * 0.5),
+                    serialize::FieldValue::Str(format!("row-{i}-payload")),
+                ]
+            })
+            .collect();
+        self.add(
+            "serialize/encode",
+            TaxCategory::Serialization,
+            move |iters| {
+                let mut ops = 0u64;
+                let mut buf = Vec::new();
+                for _ in 0..iters {
+                    buf.clear();
+                    serialize::encode_batch(&records, &mut buf);
+                    std::hint::black_box(&buf);
+                    ops += records.len() as u64;
+                }
+                ops
+            },
+        );
 
         let records: Vec<serialize::Record> = (0..64i64)
             .map(|i| {
@@ -291,15 +276,15 @@ impl Registry {
             },
         );
 
-        self.add("memory/copy", TaxCategory::Memory, |iters| {
-            let src = corpus(64 << 10, 9);
+        let src = corpus(64 << 10, 9);
+        self.add("memory/copy", TaxCategory::Memory, move |iters| {
             let mut dst = vec![0u8; src.len()];
             std::hint::black_box(memops::copy_sequential(&src, &mut dst, iters as usize));
             iters * src.len() as u64
         });
 
-        self.add("memory/gather", TaxCategory::Memory, |iters| {
-            let src = corpus(1 << 20, 10);
+        let src = corpus(1 << 20, 10);
+        self.add("memory/gather", TaxCategory::Memory, move |iters| {
             let count = 4096usize;
             let mut acc = 0u64;
             for i in 0..iters {

@@ -53,8 +53,6 @@ pub const PREFIX_RPC_PIPELINE: &str = "rpc.pipeline";
 pub const PREFIX_RPC_BATCH: &str = "rpc.batch";
 /// Retries performed by the resilient client.
 pub const RPC_RESILIENT_RETRIES: &str = "rpc.resilient.retries";
-/// Calls abandoned because the retry budget was exhausted.
-pub const RPC_RESILIENT_BUDGET_EXHAUSTED: &str = "rpc.resilient.budget_exhausted";
 
 // --- resilience ----------------------------------------------------------
 
@@ -181,7 +179,6 @@ mod tests {
             PREFIX_RPC_PIPELINE,
             PREFIX_RPC_BATCH,
             RPC_RESILIENT_RETRIES,
-            RPC_RESILIENT_BUDGET_EXHAUSTED,
             PREFIX_RESILIENCE_BREAKER,
             PREFIX_CACHE,
             PREFIX_CHAOS_STORE,

@@ -135,7 +135,6 @@ pub fn compare_cache_architectures(
         let store = Arc::new(BackingStore::new(
             BackingStoreConfig {
                 lookup_latency: Duration::from_micros(100),
-                ..BackingStoreConfig::tao_like()
             },
             seed,
         ));

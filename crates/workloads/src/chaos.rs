@@ -5,7 +5,7 @@
 //! through partial failure: slow database lookups, flaky dependencies,
 //! and overload bursts. The scenarios here run the TaoBench stack under
 //! deterministic [`FaultPlan`](dcperf_resilience::FaultPlan) injection,
-//! with the resilience layer (deadlines, retries with budgets, circuit
+//! with the resilience layer (deadlines, capped retries, circuit
 //! breaking) active, and report SLO attainment plus shed/retried/deadline-exceeded
 //! counts in one merged [`TelemetrySnapshot`].
 //!
@@ -19,22 +19,24 @@
 use dcperf_core::SloSpec;
 use dcperf_kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
 use dcperf_loadgen::{ClosedLoop, EndpointMix, LoadReport, OpenLoop, Service, ServiceError};
-use dcperf_resilience::{BreakerConfig, CircuitBreaker, FaultPlan, RetryPolicy};
+use dcperf_resilience::{FaultPlan, RetryPolicy};
 use dcperf_rpc::{InProcClient, PoolConfig, ResilientClient, RpcError};
 use dcperf_telemetry::{metrics, Telemetry, TelemetrySnapshot};
 use dcperf_util::{SplitMix64, Zipf};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Load-generator workers driving a chaos run.
+const CLIENT_WORKERS: usize = 8;
+
 /// Configuration of a TaoBench chaos run.
 #[derive(Debug, Clone)]
+// analyzer: allow(dead-field) — faulted_run_completes_and_degrades_goodput's 60 s `duration` guard; store_stall_coalesces_fills_instead_of_stampeding's 200-key `key_space`
 pub struct TaoChaosConfig {
     /// Seed for fault schedules, retry jitter, and key generation.
     pub seed: u64,
     /// Measurement duration.
     pub duration: Duration,
-    /// Closed-loop client workers.
-    pub client_workers: usize,
     /// Distinct keys in the working set.
     pub key_space: u64,
     /// `(probability, extra latency)` injected on backing-store lookups —
@@ -52,8 +54,6 @@ pub struct TaoChaosConfig {
     pub request_deadline: Option<Duration>,
     /// Client retry policy ([`RetryPolicy::no_retries`] to disable).
     pub retry_policy: RetryPolicy,
-    /// Circuit-breaker tuning; `None` keeps the client's default breaker.
-    pub breaker_config: Option<BreakerConfig>,
     /// `Some(rate)` drives the stack open-loop at a fixed offered load
     /// (the goodput-vs-offered-load axis); `None` runs closed-loop.
     pub offered_rps: Option<f64>,
@@ -64,7 +64,6 @@ impl Default for TaoChaosConfig {
         Self {
             seed: 0xDC,
             duration: Duration::from_millis(300),
-            client_workers: 8,
             key_space: 20_000,
             store_latency_fault: Some((0.10, Duration::from_millis(50))),
             rpc_latency_fault: None,
@@ -73,7 +72,6 @@ impl Default for TaoChaosConfig {
             request_deadline: Some(Duration::from_millis(25)),
             retry_policy: RetryPolicy::new(3, Duration::from_millis(1))
                 .with_max_backoff(Duration::from_millis(8)),
-            breaker_config: None,
             offered_rps: None,
         }
     }
@@ -190,9 +188,9 @@ fn merge_plan_counters(snapshot: &mut TelemetrySnapshot, prefix: &str, plan: &Fa
 /// under the configured fault plan and judges the result against `slo`.
 ///
 /// The full resilience layer is active: per-request deadlines shed
-/// expired work server-side, the client retries transient failures under
-/// a retry budget, and a circuit breaker rejects calls while the backend
-/// is shedding.
+/// expired work server-side, the client retries transient failures up
+/// to its policy's attempt cap, and a circuit breaker rejects calls
+/// while the backend is shedding.
 pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
     run_tao_chaos_capped(config, slo, u64::MAX)
 }
@@ -211,7 +209,6 @@ fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u6
         BackingStore::new(
             BackingStoreConfig {
                 lookup_latency: Duration::from_micros(150),
-                ..BackingStoreConfig::tao_like()
             },
             config.seed,
         )
@@ -258,13 +255,6 @@ fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u6
     if let Some(budget) = config.request_deadline {
         resilient = resilient.with_attempt_deadline(budget);
     }
-    if let Some(breaker) = config.breaker_config {
-        resilient = resilient.with_breaker(Arc::new(CircuitBreaker::with_telemetry(
-            breaker,
-            &registry,
-            metrics::PREFIX_RPC_BREAKER,
-        )));
-    }
     let service = ChaosTaoService {
         client: resilient,
         zipf: Zipf::new(config.key_space, 0.99).expect("key space is positive"),
@@ -276,12 +266,12 @@ fn run_tao_chaos_capped(config: &TaoChaosConfig, slo: &SloSpec, max_requests: u6
     let mix = EndpointMix::new(&["get", "set"], &[0.95, 0.05]).expect("static mix is valid");
     let load = match config.offered_rps {
         Some(rate) => OpenLoop::new(mix, rate)
-            .workers(config.client_workers)
+            .workers(CLIENT_WORKERS)
             .duration(config.duration)
             .telemetry(&registry)
             .run(&service, config.seed),
         None => ClosedLoop::new(mix)
-            .workers(config.client_workers)
+            .workers(CLIENT_WORKERS)
             .duration(config.duration)
             .max_requests(max_requests)
             .telemetry(&registry)
@@ -309,14 +299,6 @@ mod tests {
         SloSpec::p95_under_ms(5.0).with_max_error_rate(0.01)
     }
 
-    fn quick(config: TaoChaosConfig) -> TaoChaosConfig {
-        TaoChaosConfig {
-            duration: Duration::from_millis(250),
-            key_space: 5_000,
-            ..config
-        }
-    }
-
     #[test]
     fn faulted_run_completes_and_degrades_goodput() {
         // Fixed work, as `perfbench` runs: both runs issue exactly
@@ -325,7 +307,7 @@ mod tests {
         const REQUESTS: u64 = 1_000;
         let fixed = |config| TaoChaosConfig {
             duration: Duration::from_secs(60),
-            ..quick(config)
+            ..config
         };
         // The SLO margin. Fault-free, hits are served on the caller's
         // thread and misses pay a 150 µs backing lookup on the slow lane:
@@ -393,25 +375,22 @@ mod tests {
 
     #[test]
     fn deadline_pressure_surfaces_in_counters() {
-        // 40% of RPC dispatches stall 20 ms against a 5 ms budget: the
+        // 20% of RPC dispatches stall 20 ms against a 5 ms budget: the
         // server re-checks the deadline after the injected stall and
         // sheds, the client sees `DeadlineExceeded` (retryable), and
-        // calls that exhaust both attempts (16% of them) land in the
-        // loadgen `deadline_exceeded` outcome class. The breaker is made
-        // maximally lenient so this run isolates the deadline machinery.
-        let config = quick(TaoChaosConfig {
+        // calls that exhaust both attempts (4% of them) land in the
+        // loadgen `deadline_exceeded` outcome class. A 20% failure rate
+        // stays far below the default breaker's 50% trip ratio, so this
+        // run isolates the deadline machinery.
+        let config = TaoChaosConfig {
             store_latency_fault: None,
             rpc_error_rate: 0.0,
-            rpc_latency_fault: Some((0.4, Duration::from_millis(20))),
+            rpc_latency_fault: Some((0.2, Duration::from_millis(20))),
             request_deadline: Some(Duration::from_millis(5)),
             retry_policy: RetryPolicy::new(2, Duration::from_micros(500))
                 .with_max_backoff(Duration::from_millis(2)),
-            breaker_config: Some(BreakerConfig {
-                failure_ratio: 1.0,
-                ..BreakerConfig::default()
-            }),
             ..TaoChaosConfig::default()
-        });
+        };
         let outcome = run_tao_chaos(&config, &tight_slo());
         let snap = &outcome.snapshot;
 
@@ -441,13 +420,13 @@ mod tests {
         // 50% trip ratio, so it opens, rejections flow back as
         // `CircuitOpen`, and the loadgen reports them in the `rejected`
         // outcome class (not as generic errors).
-        let config = quick(TaoChaosConfig {
+        let config = TaoChaosConfig {
             store_latency_fault: None,
             rpc_error_rate: 0.0,
             request_deadline: None,
             overload_burst: Some((20, 14)),
             ..TaoChaosConfig::default()
-        });
+        };
         let outcome = run_tao_chaos(&config, &tight_slo());
         let snap = &outcome.snapshot;
 
@@ -484,8 +463,8 @@ mod tests {
                 .with_max_backoff(Duration::from_millis(1)),
             ..TaoChaosConfig::default()
         };
-        let with_retries = run_tao_chaos(&quick(base.clone()), &tight_slo());
-        let without_retries = run_tao_chaos(&quick(base).without_retries(), &tight_slo());
+        let with_retries = run_tao_chaos(&base, &tight_slo());
+        let without_retries = run_tao_chaos(&base.without_retries(), &tight_slo());
 
         let with_rate = with_retries.load.error_rate();
         let without_rate = without_retries.load.error_rate();
@@ -510,12 +489,12 @@ mod tests {
         // single-flight table must park the latecomers behind the one
         // in-flight load rather than letting the stall multiply into N
         // concurrent backing-store lookups per key.
-        let mut config = quick(TaoChaosConfig {
+        let mut config = TaoChaosConfig {
             store_latency_fault: Some((1.0, Duration::from_millis(5))),
             rpc_error_rate: 0.0,
             request_deadline: None,
             ..TaoChaosConfig::default()
-        });
+        };
         config.key_space = 200;
         let outcome = run_tao_chaos(&config, &tight_slo());
         let snap = &outcome.snapshot;
@@ -545,10 +524,10 @@ mod tests {
     fn chaos_fault_schedule_is_reproducible() {
         // Same seed → identical injection decisions (counter-for-counter),
         // even though thread timing differs between runs.
-        let config = quick(TaoChaosConfig {
+        let config = TaoChaosConfig {
             duration: Duration::from_millis(120),
             ..TaoChaosConfig::default()
-        });
+        };
         let a = run_tao_chaos(&config, &tight_slo());
         let b = run_tao_chaos(&config, &tight_slo());
         // Operation counts differ (wall-clock cutoff), but the decision

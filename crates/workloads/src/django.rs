@@ -31,33 +31,17 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Tunable parameters.
-#[derive(Debug, Clone)]
-pub struct DjangoBenchConfig {
-    /// Users per worker (scaled by run scale).
-    pub base_users_per_worker: u64,
-    /// Timeline entries per user at install time.
-    pub columns_per_user: u64,
-    /// Zipf skew of user popularity.
-    pub zipf_exponent: f64,
-    /// Base measurement duration (scaled by run scale).
-    pub base_duration: Duration,
-    /// Requests each load-generator worker keeps in flight per turn; 1 is
-    /// the classic one-request-per-turn mode.
-    pub pipeline_depth: usize,
-}
-
-impl Default for DjangoBenchConfig {
-    fn default() -> Self {
-        Self {
-            base_users_per_worker: 2_000,
-            columns_per_user: 64,
-            zipf_exponent: 0.9,
-            base_duration: Duration::from_millis(400),
-            pipeline_depth: 1,
-        }
-    }
-}
+/// Users per worker at smoke scale (scaled by the run scale, up to 16×).
+const BASE_USERS_PER_WORKER: u64 = 2_000;
+/// Timeline entries per user at install time.
+const COLUMNS_PER_USER: u64 = 64;
+/// Zipf skew of user popularity.
+const ZIPF_EXPONENT: f64 = 0.9;
+/// Measurement duration at smoke scale (scaled by the run scale).
+const BASE_DURATION: Duration = Duration::from_millis(400);
+/// Requests each load-generator worker keeps in flight per turn: the
+/// classic one-request-per-turn mode.
+const PIPELINE_DEPTH: usize = 1;
 
 /// One UWSGI-style worker: private store, private session state.
 struct WorkerState {
@@ -67,16 +51,7 @@ struct WorkerState {
 
 /// The DjangoBench benchmark. See the [module docs](self).
 #[derive(Debug, Default)]
-pub struct DjangoBench {
-    config: DjangoBenchConfig,
-}
-
-impl DjangoBench {
-    /// Creates the benchmark with an explicit configuration.
-    pub fn with_config(config: DjangoBenchConfig) -> Self {
-        Self { config }
-    }
-}
+pub struct DjangoBench;
 
 pub(crate) struct DjangoApp {
     workers: Vec<Mutex<WorkerState>>,
@@ -88,21 +63,12 @@ pub(crate) struct DjangoApp {
 
 impl DjangoApp {
     /// Builds a standalone app instance (workers populated, private
-    /// cache); used by the benchmark run and by the chaos scenarios.
-    pub(crate) fn build(
-        config: &DjangoBenchConfig,
-        threads: usize,
-        users_per_worker: u64,
-        seed: u64,
-    ) -> Result<Self, Error> {
+    /// cache); used by the benchmark run and its tests.
+    pub(crate) fn build(threads: usize, users_per_worker: u64, seed: u64) -> Result<Self, Error> {
         let workers: Vec<Mutex<WorkerState>> = (0..threads)
             .map(|w| {
                 let mut store = WideRowStore::new();
-                store.populate(
-                    users_per_worker,
-                    config.columns_per_user,
-                    seed ^ (w as u64) << 40,
-                );
+                store.populate(users_per_worker, COLUMNS_PER_USER, seed ^ (w as u64) << 40);
                 Mutex::new(WorkerState {
                     store,
                     seen_writes: 0,
@@ -113,7 +79,7 @@ impl DjangoApp {
             workers,
             cache: Cache::new(CacheConfig::with_capacity_bytes(64 << 20).with_shards(threads * 2)),
             users_per_worker,
-            zipf: Zipf::new(users_per_worker * threads as u64, config.zipf_exponent)
+            zipf: Zipf::new(users_per_worker * threads as u64, ZIPF_EXPONENT)
                 .map_err(|e| Error::Config(e.to_string()))?,
             seed,
         })
@@ -341,11 +307,11 @@ impl Benchmark for DjangoBench {
         let scale = ctx.config().scale.factor();
         let threads = ctx.config().effective_threads();
         let seed = ctx.seed();
-        let users_per_worker = self.config.base_users_per_worker * scale.min(16);
+        let users_per_worker = BASE_USERS_PER_WORKER * scale.min(16);
 
         // One share-nothing worker per logical core, as UWSGI spawns one
         // process per core.
-        let mut app = DjangoApp::build(&self.config, threads, users_per_worker, seed)?;
+        let mut app = DjangoApp::build(threads, users_per_worker, seed)?;
         // The benchmark run records cache traffic onto the run registry.
         app.cache = Cache::with_telemetry(
             CacheConfig::with_capacity_bytes(64 << 20).with_shards(threads * 2),
@@ -355,10 +321,10 @@ impl Benchmark for DjangoBench {
         // The production endpoint mix.
         let mix = DjangoApp::endpoint_mix()?;
 
-        let duration = self.config.base_duration * scale.min(16) as u32;
+        let duration = BASE_DURATION * scale.min(16) as u32;
         let load = ClosedLoop::new(mix)
             .workers(threads)
-            .pipeline_depth(self.config.pipeline_depth)
+            .pipeline_depth(PIPELINE_DEPTH)
             .duration(duration)
             .telemetry(ctx.telemetry())
             .run(&app, seed);
@@ -366,8 +332,8 @@ impl Benchmark for DjangoBench {
         let mut report = ReportBuilder::new(self.name());
         report.param("workers", threads as u64);
         report.param("users_per_worker", users_per_worker);
-        report.param("columns_per_user", self.config.columns_per_user);
-        report.param("pipeline_depth", self.config.pipeline_depth as u64);
+        report.param("columns_per_user", COLUMNS_PER_USER);
+        report.param("pipeline_depth", PIPELINE_DEPTH as u64);
         report.metric("requests_per_second", load.throughput_rps());
         report.metric("total_requests", load.completed);
         report.metric("error_rate", load.error_rate());
@@ -392,18 +358,9 @@ mod tests {
     use super::*;
     use dcperf_core::RunConfig;
 
-    fn smoke() -> DjangoBenchConfig {
-        DjangoBenchConfig {
-            base_users_per_worker: 300,
-            columns_per_user: 24,
-            base_duration: Duration::from_millis(150),
-            ..DjangoBenchConfig::default()
-        }
-    }
-
     #[test]
     fn smoke_run_serves_all_endpoints() {
-        let bench = DjangoBench::with_config(smoke());
+        let bench = DjangoBench;
         let mut ctx = RunContext::new(
             RunConfig {
                 threads: Some(4),
@@ -422,28 +379,15 @@ mod tests {
         }
         assert!(report.metric_f64("seen_writes").unwrap() > 0.0);
         assert_eq!(report.metric_f64("error_rate"), Some(0.0));
-    }
-
-    #[test]
-    fn feed_cache_gets_hits() {
-        let bench = DjangoBench::with_config(smoke());
-        let mut ctx = RunContext::new(
-            RunConfig {
-                threads: Some(2),
-                ..RunConfig::smoke_test()
-            },
-            "django_bench",
-        );
-        let report = bench.run(&mut ctx).unwrap();
-        let hit_rate = report.metric_f64("cache_hit_rate").unwrap();
         // Zipf user popularity means hot feeds are re-served from cache,
         // though `seen` writes keep invalidating them.
+        let hit_rate = report.metric_f64("cache_hit_rate").unwrap();
         assert!(hit_rate > 0.2, "hit rate {hit_rate}");
     }
 
     #[test]
     fn batched_feed_matches_scalar_feed() {
-        let app = DjangoApp::build(&smoke(), 2, 100, 11).expect("app builds");
+        let app = DjangoApp::build(2, 100, 11).expect("app builds");
         // A burst mixing feeds (runs), a seen invalidation, and other
         // endpoints; the batched schedule must return element-for-element
         // what the scalar schedule returns on a fresh identical app.
@@ -458,7 +402,7 @@ mod tests {
             (0, 6),
         ];
         let batched = app.call_many(&batch);
-        let scalar_app = DjangoApp::build(&smoke(), 2, 100, 11).expect("app builds");
+        let scalar_app = DjangoApp::build(2, 100, 11).expect("app builds");
         let scalar: Vec<_> = batch
             .iter()
             .map(|&(endpoint, seq)| scalar_app.call(endpoint, seq))

@@ -40,40 +40,38 @@ const LEAF_SHARDS: usize = 8;
 /// Feature-vector dimensionality.
 const FEATURES: usize = 128;
 
+/// Stories per leaf shard at smoke scale (scaled by the run scale, up
+/// to 16×).
+const BASE_STORIES_PER_LEAF: u64 = 2_000;
+/// Candidates fetched per request.
+const CANDIDATES: usize = 96;
+/// Stories returned to the client.
+const TOP_K: usize = 24;
+/// Key of the response cipher and MAC.
+const CRYPT_KEY: [u8; 32] = [0x42; 32];
+/// Duration of each load-search trial.
+const TRIAL_DURATION: Duration = Duration::from_millis(350);
+/// Starting offered load for the peak search.
+const START_RPS: f64 = 40.0;
+/// Upper bound on offered load.
+const MAX_RPS: f64 = 200_000.0;
+/// Queued arrivals each open-loop worker drains into one pipelined
+/// burst: the classic one-request-per-turn mode.
+const PIPELINE_DEPTH: usize = 1;
+
 /// Tunable parameters.
 #[derive(Debug, Clone)]
+// analyzer: allow(dead-field) — impossible_slo_is_reported sets an unattainable `slo_p95_ms`
 pub struct FeedSimConfig {
-    /// Stories per leaf shard (scaled by run scale).
-    pub base_stories_per_leaf: u64,
-    /// Candidates fetched per request.
-    pub candidates: usize,
-    /// Stories returned to the client.
-    pub top_k: usize,
-    /// The latency SLO: maximum P95 in milliseconds.
+    /// The latency SLO: maximum P95 in milliseconds (§2.2: "maintaining
+    /// the 95th-percentile latency under 500ms for our newsfeed
+    /// benchmark").
     pub slo_p95_ms: f64,
-    /// Duration of each load-search trial.
-    pub trial_duration: Duration,
-    /// Starting offered load for the peak search.
-    pub start_rps: f64,
-    /// Upper bound on offered load.
-    pub max_rps: f64,
-    /// Queued arrivals each open-loop worker drains into one pipelined
-    /// burst; 1 is the classic one-request-per-turn mode.
-    pub pipeline_depth: usize,
 }
 
 impl Default for FeedSimConfig {
     fn default() -> Self {
-        Self {
-            base_stories_per_leaf: 2_000,
-            candidates: 96,
-            top_k: 24,
-            slo_p95_ms: 500.0,
-            trial_duration: Duration::from_millis(350),
-            start_rps: 40.0,
-            max_rps: 200_000.0,
-            pipeline_depth: 1,
-        }
+        Self { slo_p95_ms: 500.0 }
     }
 }
 
@@ -177,10 +175,7 @@ struct Aggregator {
     stories_per_leaf: u64,
     zipf: Zipf,
     weights: [f32; FEATURES],
-    candidates: usize,
-    top_k: usize,
     seed: u64,
-    crypt_key: [u8; 32],
 }
 
 impl Aggregator {
@@ -189,13 +184,13 @@ impl Aggregator {
     /// in one pipelined burst. Payloads come back in shard order.
     fn fetch(&self, rng: &mut SplitMix64) -> Result<Vec<Vec<u8>>, ServiceError> {
         let mut per_leaf: Vec<Vec<u8>> = vec![Vec::new(); LEAF_SHARDS];
-        for _ in 0..self.candidates {
+        for _ in 0..CANDIDATES {
             let story = self.zipf.sample(rng) % self.stories_per_leaf;
             per_leaf[shard_of(story)].extend_from_slice(&story.to_le_bytes());
         }
         per_leaf.retain(|ids| !ids.is_empty());
 
-        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(self.candidates);
+        let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(CANDIDATES);
         for result in self.leaf.call_many("fetch", per_leaf) {
             let resp = result.map_err(|e| ServiceError::new(e.to_string()))?;
             // Leaf responses are length-prefixed story payloads.
@@ -232,7 +227,7 @@ impl Aggregator {
             scored.push((score, payload));
         }
         scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        scored.truncate(self.top_k);
+        scored.truncate(TOP_K);
 
         // 4. Response composition: serialize, compress, encrypt, MAC.
         let response = Value::List(
@@ -249,8 +244,8 @@ impl Aggregator {
         .encode();
         let mut packed = compress::lz_compress(&response);
         let nonce = [0u8; 12];
-        crypto::ChaCha20::new(&self.crypt_key, &nonce, seq as u32).apply(&mut packed);
-        let mac = crypto::hmac_sha256(&self.crypt_key, &packed);
+        crypto::ChaCha20::new(&CRYPT_KEY, &nonce, seq as u32).apply(&mut packed);
+        let mac = crypto::hmac_sha256(&CRYPT_KEY, &packed);
         packed.extend_from_slice(&mac);
         Ok(packed.len())
     }
@@ -283,7 +278,7 @@ impl Benchmark for FeedSim {
         let scale = ctx.config().scale.factor();
         let threads = ctx.config().effective_threads();
         let seed = ctx.seed();
-        let stories_per_leaf = self.config.base_stories_per_leaf * scale.min(16);
+        let stories_per_leaf = BASE_STORIES_PER_LEAF * scale.min(16);
 
         // One leaf server owns every shard's stories and serves "fetch"
         // on the fast lane: inline, on the aggregator thread that calls
@@ -298,28 +293,23 @@ impl Benchmark for FeedSim {
             stories_per_leaf,
             zipf: Zipf::new(stories_per_leaf, 0.9).map_err(|e| Error::Config(e.to_string()))?,
             weights: model_weights(seed),
-            candidates: self.config.candidates,
-            top_k: self.config.top_k,
             seed,
-            crypt_key: [0x42; 32],
         });
 
         let mix = EndpointMix::uniform(&["rank"]).map_err(|e| Error::Config(e.to_string()))?;
         let slo = self.config.slo_p95_ms;
-        let trial_duration = self.config.trial_duration;
         let agg = Arc::clone(&aggregator);
         let mut trial_seed = seed;
-        let pipeline_depth = self.config.pipeline_depth;
         let search = find_peak_load(
-            self.config.start_rps,
-            self.config.max_rps,
+            START_RPS,
+            MAX_RPS,
             6,
             move |rate| {
                 trial_seed = trial_seed.wrapping_add(0x9E37);
                 OpenLoop::new(mix.clone(), rate)
                     .workers(threads)
-                    .pipeline_depth(pipeline_depth)
-                    .duration(trial_duration)
+                    .pipeline_depth(PIPELINE_DEPTH)
+                    .duration(TRIAL_DURATION)
                     .queue_depth(4096)
                     .run(agg.as_ref(), trial_seed)
             },
@@ -329,9 +319,9 @@ impl Benchmark for FeedSim {
         let mut report = ReportBuilder::new(self.name());
         report.param("stories_per_leaf", stories_per_leaf);
         report.param("leaf_shards", LEAF_SHARDS as u64);
-        report.param("candidates", self.config.candidates as u64);
+        report.param("candidates", CANDIDATES as u64);
         report.param("slo_p95_ms", slo);
-        report.param("pipeline_depth", self.config.pipeline_depth as u64);
+        report.param("pipeline_depth", PIPELINE_DEPTH as u64);
         report.param("search_trials", search.trials.len() as u64);
 
         let (peak, best) = match (search.peak_rps, search.best_report) {
@@ -340,7 +330,7 @@ impl Benchmark for FeedSim {
                 leaf_server.shutdown();
                 return Err(Error::SloUnattainable {
                     name: self.name().to_owned(),
-                    slo: format!("p95 <= {slo}ms at >= {} rps", self.config.start_rps),
+                    slo: format!("p95 <= {slo}ms at >= {START_RPS} rps"),
                 });
             }
         };
@@ -359,18 +349,6 @@ mod tests {
     use super::*;
     use dcperf_core::RunConfig;
 
-    fn smoke() -> FeedSimConfig {
-        FeedSimConfig {
-            base_stories_per_leaf: 400,
-            candidates: 32,
-            top_k: 8,
-            trial_duration: Duration::from_millis(120),
-            start_rps: 30.0,
-            max_rps: 50_000.0,
-            ..FeedSimConfig::default()
-        }
-    }
-
     #[test]
     fn stories_are_deterministic_and_decodable() {
         let a = build_story(42, 7);
@@ -388,7 +366,7 @@ mod tests {
 
     #[test]
     fn smoke_run_finds_a_peak_under_slo() {
-        let bench = FeedSim::with_config(smoke());
+        let bench = FeedSim::default();
         let mut ctx = RunContext::new(
             RunConfig {
                 threads: Some(4),
@@ -410,8 +388,7 @@ mod tests {
         // shard in shard order, each from its shard's seed; and the leaf
         // sees exactly one request per non-empty shard.
         let seed = 11;
-        let config = smoke();
-        let stories = config.base_stories_per_leaf;
+        let stories = BASE_STORIES_PER_LEAF;
         let server = InProcServer::start(
             move |req: &Request| fetch_stories(seed, req),
             PoolConfig::single_lane(2),
@@ -421,16 +398,13 @@ mod tests {
             stories_per_leaf: stories,
             zipf: Zipf::new(stories, 0.9).unwrap(),
             weights: model_weights(seed),
-            candidates: config.candidates,
-            top_k: config.top_k,
             seed,
-            crypt_key: [0x42; 32],
         };
         for seq in 0..64u64 {
             let mut rng = SplitMix64::new(seed ^ seq);
             let mut oracle_rng = rng.clone();
             let mut by_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); LEAF_SHARDS];
-            for _ in 0..config.candidates {
+            for _ in 0..CANDIDATES {
                 let id = agg.zipf.sample(&mut oracle_rng) % stories;
                 let shard = SplitMix64::mix(id) % LEAF_SHARDS as u64;
                 by_shard[shard as usize].push(build_story(id, seed ^ shard << 48));
@@ -448,11 +422,7 @@ mod tests {
 
     #[test]
     fn impossible_slo_is_reported() {
-        let bench = FeedSim::with_config(FeedSimConfig {
-            slo_p95_ms: 0.0001,
-            start_rps: 1_000.0,
-            ..smoke()
-        });
+        let bench = FeedSim::with_config(FeedSimConfig { slo_p95_ms: 0.0001 });
         let mut ctx = RunContext::new(
             RunConfig {
                 threads: Some(2),

@@ -56,11 +56,11 @@ use dcperf_core::Suite;
 pub fn register_all(suite: &mut Suite) {
     suite.register(Box::new(taobench::TaoBench::default()));
     suite.register(Box::new(feedsim::FeedSim::default()));
-    suite.register(Box::new(django::DjangoBench::default()));
+    suite.register(Box::new(django::DjangoBench));
     suite.register(Box::new(mediawiki::MediaWikiBench::default()));
-    suite.register(Box::new(spark::SparkBench::default()));
-    suite.register(Box::new(video::VideoTranscodeBench::default()));
-    suite.register(Box::new(taxbench::TaxMicroBench::default()));
+    suite.register(Box::new(spark::SparkBench));
+    suite.register(Box::new(video::VideoTranscodeBench));
+    suite.register(Box::new(taxbench::TaxMicroBench));
     for (name, metric, value) in default_baselines() {
         suite.set_baseline(name, metric, value);
     }

@@ -28,6 +28,7 @@ use dcperf_util::{Rng, SplitMix64, Xoshiro256pp, Zipf};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -35,45 +36,24 @@ use std::time::Instant;
 /// and row count for that group.
 type GroupAgg = HashMap<(i64, String), (f64, u64)>;
 
-/// Tunable parameters.
-#[derive(Debug, Clone)]
-pub struct SparkBenchConfig {
-    /// Fact-table rows (scaled by run scale).
-    pub base_fact_rows: u64,
-    /// Dimension-table rows (scaled by run scale).
-    pub base_dim_rows: u64,
-    /// Rows per part file.
-    pub rows_per_part: u64,
-    /// Shuffle partitions.
-    pub partitions: usize,
-    /// Filter selectivity knob: rows with `amount > threshold` survive.
-    pub amount_threshold: f64,
-}
+/// Fact-table rows at smoke scale (scaled by the run scale).
+const BASE_FACT_ROWS: u64 = 120_000;
+/// Dimension-table rows at smoke scale (scaled by the run scale).
+const BASE_DIM_ROWS: u64 = 8_000;
+/// Rows per part file.
+const ROWS_PER_PART: u64 = 20_000;
+/// Shuffle partitions.
+const PARTITIONS: usize = 16;
+/// Filter selectivity: fact rows with `amount > AMOUNT_THRESHOLD` survive.
+const AMOUNT_THRESHOLD: f64 = 25.0;
 
-impl Default for SparkBenchConfig {
-    fn default() -> Self {
-        Self {
-            base_fact_rows: 120_000,
-            base_dim_rows: 8_000,
-            rows_per_part: 20_000,
-            partitions: 16,
-            amount_threshold: 25.0,
-        }
-    }
-}
+/// Numbers the runs of this process, so concurrent runs with one seed
+/// never share a scratch directory.
+static RUN_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The SparkBench benchmark. See the [module docs](self).
 #[derive(Debug, Default)]
-pub struct SparkBench {
-    config: SparkBenchConfig,
-}
-
-impl SparkBench {
-    /// Creates the benchmark with an explicit configuration.
-    pub fn with_config(config: SparkBenchConfig) -> Self {
-        Self { config }
-    }
-}
+pub struct SparkBench;
 
 const COUNTRIES: [&str; 12] = [
     "US", "IN", "BR", "ID", "MX", "PH", "VN", "TH", "GB", "DE", "FR", "JP",
@@ -204,52 +184,52 @@ impl Benchmark for SparkBench {
         let scale = ctx.config().scale.factor();
         let threads = ctx.config().effective_threads();
         let seed = ctx.seed();
-        let fact_rows = self.config.base_fact_rows * scale;
-        let dim_rows = self.config.base_dim_rows * scale;
-        let partitions = self.config.partitions;
+        let fact_rows = BASE_FACT_ROWS * scale;
+        let dim_rows = BASE_DIM_ROWS * scale;
 
-        let dir =
-            std::env::temp_dir().join(format!("dcperf-spark-{}-{seed:x}", std::process::id()));
+        // ordering: the id only has to be unique; nothing is published through it
+        let run = RUN_ID.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "dcperf-spark-{}-{seed:x}-{run}",
+            std::process::id()
+        ));
         std::fs::create_dir_all(&dir)?;
         // Ensure cleanup even on early error.
-        let result = self.run_in(ctx, &dir, fact_rows, dim_rows, partitions, threads, seed);
+        let result = self.run_in(ctx, &dir, fact_rows, dim_rows, threads, seed);
         let _ = std::fs::remove_dir_all(&dir);
         result
     }
 }
 
 impl SparkBench {
-    #[allow(clippy::too_many_arguments)]
     fn run_in(
         &self,
         ctx: &mut RunContext,
         dir: &Path,
         fact_rows: u64,
         dim_rows: u64,
-        partitions: usize,
         threads: usize,
         seed: u64,
     ) -> Result<BenchmarkReport, Error> {
         let mut report = ReportBuilder::new(self.name());
         report.param("fact_rows", fact_rows);
         report.param("dim_rows", dim_rows);
-        report.param("partitions", partitions as u64);
+        report.param("partitions", PARTITIONS as u64);
         report.param("threads", threads as u64);
 
         // ------ Table build (like loading the Spark table) -------------
         let build_started = Instant::now();
         let users = Zipf::new(dim_rows.max(1), 0.8).map_err(|e| Error::Config(e.to_string()))?;
-        let n_fact_parts = fact_rows.div_ceil(self.config.rows_per_part).max(1);
+        let n_fact_parts = fact_rows.div_ceil(ROWS_PER_PART).max(1);
         let fact_parts: Vec<PathBuf> = (0..n_fact_parts)
             .map(|p| dir.join(format!("fact-{p}.part")))
             .collect();
-        let rows_per_part = self.config.rows_per_part;
         let bytes_written: usize = run_tasks(
             fact_parts.iter().cloned().enumerate().collect(),
             threads,
             |(p, path)| {
                 let mut rng = Xoshiro256pp::seed_from_u64(seed ^ (p as u64) << 32);
-                let count = rows_per_part.min(fact_rows - (p as u64) * rows_per_part);
+                let count = ROWS_PER_PART.min(fact_rows - (p as u64) * ROWS_PER_PART);
                 let records: Vec<Record> = (0..count)
                     .map(|_| fact_row(&mut rng, &users, dim_rows.max(1)))
                     .collect();
@@ -268,14 +248,13 @@ impl SparkBench {
 
         // ------ Stage 1: scan + filter fact, shuffle by user ----------
         let stage1_started = Instant::now();
-        let threshold = self.config.amount_threshold;
         let stage1_results = run_tasks(
             fact_parts.iter().cloned().enumerate().collect(),
             threads,
             |(p, path)| -> Result<(u64, u64), Error> {
                 let records = read_part(&path)?;
                 let scanned = records.len() as u64;
-                let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); partitions];
+                let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); PARTITIONS];
                 for record in records {
                     let Some(user) = record_i64(&record, 0) else {
                         continue;
@@ -283,8 +262,8 @@ impl SparkBench {
                     let Some(amount) = record_f64(&record, 3) else {
                         continue;
                     };
-                    if amount > threshold {
-                        buckets[(user as u64 % partitions as u64) as usize].push(record);
+                    if amount > AMOUNT_THRESHOLD {
+                        buckets[(user as u64 % PARTITIONS as u64) as usize].push(record);
                     }
                 }
                 let mut kept = 0u64;
@@ -312,10 +291,10 @@ impl SparkBench {
         let stage2_started = Instant::now();
         {
             let records = read_part(&dim_part)?;
-            let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); partitions];
+            let mut buckets: Vec<Vec<Record>> = vec![Vec::new(); PARTITIONS];
             for record in records {
                 if let Some(user) = record_i64(&record, 0) {
-                    buckets[(user as u64 % partitions as u64) as usize].push(record);
+                    buckets[(user as u64 % PARTITIONS as u64) as usize].push(record);
                 }
             }
             let tasks: Vec<(usize, Vec<Record>)> = buckets.into_iter().enumerate().collect();
@@ -333,7 +312,7 @@ impl SparkBench {
         // ------ Stage 3: per-partition hash join + aggregate -----------
         let stage3_started = Instant::now();
         let partial_results = run_tasks(
-            (0..partitions).collect::<Vec<_>>(),
+            (0..PARTITIONS).collect::<Vec<_>>(),
             threads,
             |b| -> Result<GroupAgg, Error> {
                 // Build side: dimension rows for this partition.
@@ -424,19 +403,8 @@ mod tests {
     use super::*;
     use dcperf_core::RunConfig;
 
-    fn smoke() -> SparkBenchConfig {
-        SparkBenchConfig {
-            base_fact_rows: 12_000,
-            base_dim_rows: 800,
-            rows_per_part: 4_000,
-            partitions: 8,
-            ..SparkBenchConfig::default()
-        }
-    }
-
     #[test]
     fn smoke_run_completes_all_stages() {
-        let bench = SparkBench::with_config(smoke());
         let mut ctx = RunContext::new(
             RunConfig {
                 threads: Some(4),
@@ -444,11 +412,12 @@ mod tests {
             },
             "spark_bench",
         );
-        let report = bench.run(&mut ctx).expect("spark runs");
-        assert_eq!(report.metric_f64("scanned_rows"), Some(12_000.0));
+        let report = SparkBench.run(&mut ctx).expect("spark runs");
+        let fact_rows = BASE_FACT_ROWS as f64;
+        assert_eq!(report.metric_f64("scanned_rows"), Some(fact_rows));
         let surviving = report.metric_f64("surviving_rows").unwrap();
         assert!(
-            surviving > 0.0 && surviving < 12_000.0,
+            surviving > 0.0 && surviving < fact_rows,
             "filter must be selective"
         );
         assert!(report.metric_f64("joined_rows").unwrap() > 0.0);
@@ -462,20 +431,25 @@ mod tests {
     }
 
     #[test]
-    fn results_are_deterministic_across_runs() {
-        let bench = SparkBench::with_config(smoke());
-        let run = || {
-            let mut ctx = RunContext::new(
-                RunConfig {
-                    threads: Some(4),
-                    ..RunConfig::smoke_test()
-                },
-                "spark_bench",
-            );
-            bench.run(&mut ctx).unwrap()
-        };
-        let a = run();
-        let b = run();
+    fn concurrent_runs_with_one_seed_agree() {
+        // Two runs in one process with one seed must not share scratch
+        // files: one run's cleanup would delete the other's parts. The
+        // runs use different thread counts, so one finishes while the
+        // other is still reading, and their results must still agree.
+        let runs = std::thread::scope(|s| {
+            [1, 2]
+                .map(|threads| {
+                    s.spawn(move || {
+                        let config = RunConfig {
+                            threads: Some(threads),
+                            ..RunConfig::smoke_test()
+                        };
+                        SparkBench.run(&mut RunContext::new(config, "spark_bench"))
+                    })
+                })
+                .map(|h| h.join().unwrap())
+        });
+        let [a, b] = runs.each_ref().map(|r| r.as_ref().expect("spark runs"));
         assert_eq!(
             a.metric_f64("surviving_rows"),
             b.metric_f64("surviving_rows")
@@ -490,23 +464,23 @@ mod tests {
 
     #[test]
     fn temp_files_are_cleaned_up() {
-        let bench = SparkBench::with_config(smoke());
+        // A seed no other test uses, so a concurrent test's scratch
+        // directory is never counted here.
+        let seed = 0x5BA2C1EA;
         let mut ctx = RunContext::new(
             RunConfig {
                 threads: Some(2),
+                seed,
                 ..RunConfig::smoke_test()
             },
             "spark_bench",
         );
-        let _ = bench.run(&mut ctx).unwrap();
+        let _ = SparkBench.run(&mut ctx).unwrap();
+        let prefix = format!("dcperf-spark-{}-{seed:x}-", std::process::id());
         let leftovers = std::fs::read_dir(std::env::temp_dir())
             .unwrap()
             .filter_map(Result::ok)
-            .filter(|e| {
-                e.file_name()
-                    .to_string_lossy()
-                    .starts_with(&format!("dcperf-spark-{}", std::process::id()))
-            })
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
             .count();
         assert_eq!(leftovers, 0, "spark temp dirs must be removed");
     }

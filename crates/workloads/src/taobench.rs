@@ -26,19 +26,22 @@ use dcperf_util::{SplitMix64, Zipf};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Zipf skew of key popularity: TAO's heavy head.
+const ZIPF_EXPONENT: f64 = 0.99;
+/// GET share of the operation mix (the remainder are SETs): TAO is
+/// read-dominated.
+const GET_FRACTION: f64 = 0.95;
+
 /// Tunable parameters; `Default` matches the production-shaped TAO
 /// configuration scaled by the run's [`Scale`](dcperf_core::Scale).
 #[derive(Debug, Clone)]
+// analyzer: allow(dead-field) — pipelined_run_matches_classic_semantics runs `pipeline_depth` 8
 pub struct TaoBenchConfig {
     /// Distinct keys in the working set (scaled by the run scale).
     pub base_key_space: u64,
-    /// Zipf skew of key popularity.
-    pub zipf_exponent: f64,
     /// Cache capacity as a fraction of the expected working-set bytes;
     /// below 1.0 forces a production-like miss rate.
     pub cache_fraction: f64,
-    /// GET share of the operation mix (the remainder are SETs).
-    pub get_fraction: f64,
     /// Simulated DB latency on the miss path.
     pub db_latency: Duration,
     /// Base measurement duration (scaled by the run scale).
@@ -53,9 +56,7 @@ impl Default for TaoBenchConfig {
     fn default() -> Self {
         Self {
             base_key_space: 200_000,
-            zipf_exponent: 0.99,
             cache_fraction: 0.35,
-            get_fraction: 0.95,
             db_latency: Duration::from_micros(150),
             base_duration: Duration::from_millis(400),
             pipeline_depth: 1,
@@ -312,7 +313,6 @@ impl Benchmark for TaoBench {
         let store = Arc::new(BackingStore::new(
             BackingStoreConfig {
                 lookup_latency: self.config.db_latency,
-                ..BackingStoreConfig::tao_like()
             },
             seed,
         ));
@@ -336,19 +336,15 @@ impl Benchmark for TaoBench {
 
         let client = TaoClient {
             rpc: server.client(),
-            zipf: Zipf::new(key_space, self.config.zipf_exponent)
-                .map_err(|e| Error::Config(e.to_string()))?,
+            zipf: Zipf::new(key_space, ZIPF_EXPONENT).map_err(|e| Error::Config(e.to_string()))?,
             key_space,
             seed,
             store: Arc::clone(&store),
         };
 
         // Warm the cache briefly so the measured phase sees steady state.
-        let mix = EndpointMix::new(
-            &["get", "set"],
-            &[self.config.get_fraction, 1.0 - self.config.get_fraction],
-        )
-        .map_err(|e| Error::Config(e.to_string()))?;
+        let mix = EndpointMix::new(&["get", "set"], &[GET_FRACTION, 1.0 - GET_FRACTION])
+            .map_err(|e| Error::Config(e.to_string()))?;
         ClosedLoop::new(mix.clone())
             .workers(threads)
             .pipeline_depth(self.config.pipeline_depth)
@@ -363,7 +359,7 @@ impl Benchmark for TaoBench {
         report.param("slow_threads", slow_threads as u64);
         report.param("client_threads", threads as u64);
         report.param("pipeline_depth", self.config.pipeline_depth as u64);
-        report.param("zipf_exponent", self.config.zipf_exponent);
+        report.param("zipf_exponent", ZIPF_EXPONENT);
 
         let duration = self.config.base_duration * scale.min(16) as u32;
         // The measured run records onto the run registry (the warmup above

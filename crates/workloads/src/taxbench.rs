@@ -16,32 +16,12 @@ use dcperf_tax::{crypto, Registry};
 use dcperf_util::geometric_mean;
 use std::time::Instant;
 
-/// Tunable parameters.
-#[derive(Debug, Clone)]
-pub struct TaxMicroConfig {
-    /// Iterations per kernel at smoke scale (multiplied by the run
-    /// scale).
-    pub base_iters: u64,
-}
-
-impl Default for TaxMicroConfig {
-    fn default() -> Self {
-        Self { base_iters: 8 }
-    }
-}
+/// Iterations per kernel at smoke scale (multiplied by the run scale).
+const BASE_ITERS: u64 = 8;
 
 /// The tax microbenchmark. See the [module docs](self).
 #[derive(Debug, Default)]
-pub struct TaxMicroBench {
-    config: TaxMicroConfig,
-}
-
-impl TaxMicroBench {
-    /// Creates the benchmark with an explicit configuration.
-    pub fn with_config(config: TaxMicroConfig) -> Self {
-        Self { config }
-    }
-}
+pub struct TaxMicroBench;
 
 impl Benchmark for TaxMicroBench {
     fn name(&self) -> &str {
@@ -61,7 +41,7 @@ impl Benchmark for TaxMicroBench {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<BenchmarkReport, Error> {
-        let iters = self.config.base_iters * ctx.config().scale.factor();
+        let iters = BASE_ITERS * ctx.config().scale.factor();
         let registry = Registry::with_builtin();
         let mut report = ReportBuilder::new(self.name());
         report.param("iterations_per_kernel", iters);
@@ -94,7 +74,6 @@ mod tests {
 
     #[test]
     fn runs_every_kernel_and_scores() {
-        let bench = TaxMicroBench::with_config(TaxMicroConfig { base_iters: 2 });
         let mut ctx = RunContext::new(
             RunConfig {
                 threads: Some(2),
@@ -102,7 +81,7 @@ mod tests {
             },
             "tax_micro",
         );
-        let report = bench.run(&mut ctx).expect("tax micro runs");
+        let report = TaxMicroBench.run(&mut ctx).expect("tax micro runs");
         assert!(report.metric_f64("ops_per_second").unwrap() > 0.0);
         // Every registered kernel appears in the report.
         let kernel_metrics = report

@@ -162,32 +162,14 @@ fn zigzag_order() -> [usize; 64] {
     order
 }
 
-/// Encoder quality settings, matching the three VideoBench configurations
-/// of Figure 10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Quality {
-    /// Fast / low quality (coarse quantization).
-    Fast,
-    /// Balanced.
-    Balanced,
-    /// High quality (fine quantization, more entropy-coding work).
-    High,
-}
-
-impl Quality {
-    fn quant_scale(self) -> i32 {
-        match self {
-            Quality::Fast => 4,
-            Quality::Balanced => 2,
-            Quality::High => 1,
-        }
-    }
-}
+/// The quantizer scale: the balanced configuration of Figure 10's three
+/// VideoBench settings (fast quantizes 4× coarser than the base table,
+/// high quality 1×).
+const QUANT_SCALE: i32 = 2;
 
 /// Encodes one frame; returns the compressed bitstream.
-pub fn encode_frame(frame: &Frame, quality: Quality) -> Vec<u8> {
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let zigzag = zigzag_order();
-    let scale = quality.quant_scale();
     let blocks_x = frame.width / 8;
     let blocks_y = frame.height / 8;
     let mut coefficients = Vec::with_capacity(blocks_x * blocks_y * 24);
@@ -204,7 +186,7 @@ pub fn encode_frame(frame: &Frame, quality: Quality) -> Vec<u8> {
             // Quantize and zigzag; RLE the zero runs.
             let mut zero_run = 0u32;
             for &idx in &zigzag {
-                let q = (freq[idx] / (QUANT_BASE[idx] * scale) as f64).round() as i32;
+                let q = (freq[idx] / (QUANT_BASE[idx] * QUANT_SCALE) as f64).round() as i32;
                 if q == 0 {
                     zero_run += 1;
                 } else {
@@ -222,45 +204,19 @@ pub fn encode_frame(frame: &Frame, quality: Quality) -> Vec<u8> {
     compress::lz_compress(&coefficients)
 }
 
-/// Tunable parameters.
-#[derive(Debug, Clone)]
-pub struct VideoConfig {
-    /// Source resolution.
-    pub width: usize,
-    /// Source resolution.
-    pub height: usize,
-    /// Frames per instance (scaled by run scale).
-    pub base_frames: u64,
-    /// Encoder quality.
-    pub quality: Quality,
-    /// Output resolutions of the resize ladder.
-    pub ladder: Vec<(usize, usize)>,
-}
-
-impl Default for VideoConfig {
-    fn default() -> Self {
-        Self {
-            width: 320,
-            height: 180,
-            base_frames: 3,
-            quality: Quality::Balanced,
-            ladder: vec![(240, 136), (160, 88)],
-        }
-    }
-}
+/// Source resolution, width.
+const WIDTH: usize = 320;
+/// Source resolution, height.
+const HEIGHT: usize = 180;
+/// Frames per instance at smoke scale (scaled by the run scale, up to
+/// 16×).
+const BASE_FRAMES: u64 = 3;
+/// Output resolutions of the resize ladder.
+const LADDER: [(usize, usize); 2] = [(240, 136), (160, 88)];
 
 /// The VideoTranscodeBench benchmark. See the [module docs](self).
 #[derive(Debug, Default)]
-pub struct VideoTranscodeBench {
-    config: VideoConfig,
-}
-
-impl VideoTranscodeBench {
-    /// Creates the benchmark with an explicit configuration.
-    pub fn with_config(config: VideoConfig) -> Self {
-        Self { config }
-    }
-}
+pub struct VideoTranscodeBench;
 
 impl Benchmark for VideoTranscodeBench {
     fn name(&self) -> &str {
@@ -283,7 +239,7 @@ impl Benchmark for VideoTranscodeBench {
         let scale = ctx.config().scale.factor();
         let instances = ctx.config().effective_threads();
         let seed = ctx.seed();
-        let frames_per_instance = self.config.base_frames * scale.min(16);
+        let frames_per_instance = BASE_FRAMES * scale.min(16);
 
         let pixels_done = AtomicU64::new(0);
         let bytes_out = AtomicU64::new(0);
@@ -292,20 +248,19 @@ impl Benchmark for VideoTranscodeBench {
 
         std::thread::scope(|scope| {
             for instance in 0..instances {
-                let config = &self.config;
                 let pixels_done = &pixels_done;
                 let bytes_out = &bytes_out;
                 let bytes_in = &bytes_in;
                 scope.spawn(move || {
                     let instance_seed = seed ^ (instance as u64) << 32;
                     for f in 0..frames_per_instance {
-                        let frame = Frame::synthetic(config.width, config.height, f, instance_seed);
+                        let frame = Frame::synthetic(WIDTH, HEIGHT, f, instance_seed);
                         bytes_in.fetch_add(frame.pixels.len() as u64, Ordering::Relaxed);
                         // (1) resize into multiple resolutions,
                         // (2) encode each rendition.
-                        for &(w, h) in &config.ladder {
+                        for (w, h) in LADDER {
                             let resized = frame.resize(w, h);
-                            let bitstream = encode_frame(&resized, config.quality);
+                            let bitstream = encode_frame(&resized);
                             pixels_done.fetch_add(resized.pixels.len() as u64, Ordering::Relaxed);
                             bytes_out.fetch_add(bitstream.len() as u64, Ordering::Relaxed);
                             std::hint::black_box(&bitstream);
@@ -323,11 +278,8 @@ impl Benchmark for VideoTranscodeBench {
         let mut report = ReportBuilder::new(self.name());
         report.param("instances", instances as u64);
         report.param("frames_per_instance", frames_per_instance);
-        report.param(
-            "source",
-            format!("{}x{}", self.config.width, self.config.height),
-        );
-        report.param("renditions", self.config.ladder.len() as u64);
+        report.param("source", format!("{WIDTH}x{HEIGHT}"));
+        report.param("renditions", LADDER.len() as u64);
         report.metric("megapixels_per_second", megapixels / elapsed.max(1e-9));
         report.metric("frames_encoded", frames_per_instance * instances as u64);
         report.metric("bitstream_bytes", out);
@@ -414,22 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn higher_quality_produces_larger_bitstreams() {
-        let frame = Frame::synthetic(64, 64, 0, 5);
-        let fast = encode_frame(&frame, Quality::Fast);
-        let high = encode_frame(&frame, Quality::High);
-        assert!(
-            high.len() > fast.len(),
-            "high={} fast={}",
-            high.len(),
-            fast.len()
-        );
-    }
-
-    #[test]
     fn encoder_compresses_synthetic_video() {
         let frame = Frame::synthetic(64, 64, 0, 5);
-        let bitstream = encode_frame(&frame, Quality::Balanced);
+        let bitstream = encode_frame(&frame);
         assert!(
             bitstream.len() < frame.pixels.len() * 2,
             "encoded {} raw {}",
@@ -441,13 +380,6 @@ mod tests {
 
     #[test]
     fn smoke_run_reports_throughput() {
-        let bench = VideoTranscodeBench::with_config(VideoConfig {
-            width: 96,
-            height: 56,
-            base_frames: 2,
-            ladder: vec![(64, 40), (48, 24)],
-            quality: Quality::Balanced,
-        });
         let mut ctx = RunContext::new(
             RunConfig {
                 threads: Some(4),
@@ -455,9 +387,12 @@ mod tests {
             },
             "video_transcode_bench",
         );
-        let report = bench.run(&mut ctx).expect("video runs");
+        let report = VideoTranscodeBench.run(&mut ctx).expect("video runs");
         assert!(report.metric_f64("megapixels_per_second").unwrap() > 0.0);
-        assert_eq!(report.metric_f64("frames_encoded"), Some(8.0));
+        assert_eq!(
+            report.metric_f64("frames_encoded"),
+            Some((BASE_FRAMES * 4) as f64)
+        );
         assert!(report.metric_f64("compression_ratio").unwrap() > 0.5);
     }
 }

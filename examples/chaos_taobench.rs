@@ -2,7 +2,7 @@
 //! without a fault plan, and what the retry layer buys back.
 //!
 //! Scenario (the resilience layer is active throughout — per-request
-//! deadlines, retries under a budget, circuit breaking):
+//! deadlines, capped retries, circuit breaking):
 //!
 //! 1. Find the peak offered load meeting the SLO on a healthy stack.
 //! 2. Repeat under the chaos plan — 50 ms stalls on 10% of backing-store
@@ -20,14 +20,6 @@ use dcperf::loadgen::find_peak_load;
 use dcperf::resilience::RetryPolicy;
 use dcperf::workloads::chaos::{run_tao_chaos, TaoChaosConfig};
 use std::time::Duration;
-
-fn base_config() -> TaoChaosConfig {
-    TaoChaosConfig {
-        duration: Duration::from_millis(300),
-        key_space: 20_000,
-        ..TaoChaosConfig::default()
-    }
-}
 
 /// One peak search: open-loop trials at doubling offered rates, binary
 /// refinement, judged against `slo`.
@@ -65,8 +57,8 @@ fn main() {
     println!("SLO: p95 < 60 ms, error rate <= 5%\n");
 
     println!("SLO-constrained peak throughput:");
-    let healthy = find_peak("fault-free", &base_config().fault_free(), &slo);
-    let faulted = find_peak("faulted", &base_config(), &slo);
+    let healthy = find_peak("fault-free", &TaoChaosConfig::default().fault_free(), &slo);
+    let faulted = find_peak("faulted", &TaoChaosConfig::default(), &slo);
     if faulted < healthy {
         println!(
             "  chaos costs {:.0}% of SLO-attained capacity\n",
@@ -86,7 +78,7 @@ fn main() {
         offered_rps: Some(2_000.0),
         retry_policy: RetryPolicy::new(4, Duration::from_micros(200))
             .with_max_backoff(Duration::from_millis(1)),
-        ..base_config()
+        ..TaoChaosConfig::default()
     };
     let with_retries = run_tao_chaos(&shed, &slo);
     let without_retries = run_tao_chaos(&shed.clone().without_retries(), &slo);
@@ -113,7 +105,7 @@ fn main() {
         rpc_latency_fault: Some((0.2, Duration::from_millis(40))),
         request_deadline: Some(Duration::from_millis(10)),
         overload_burst: Some((10, 2)),
-        ..base_config()
+        ..TaoChaosConfig::default()
     };
     let full = run_tao_chaos(&everything, &slo);
     println!("\nResilience counters under the full chaos plan:");

@@ -9,17 +9,13 @@
 
 use dcperf::platform::profile::profiles;
 use dcperf::platform::sku::SKU2;
-use dcperf::platform::vendor::{project_impact, VendorOptimization};
+use dcperf::platform::vendor::{project_impact, L1I_MISS_MULT, L2_MISS_MULT};
 use dcperf::platform::Model;
 
 fn main() {
     let model = Model::new();
-    let opt = VendorOptimization::cache_replacement_2023();
     println!("=== 2023 cache-replacement microcode optimization ===");
-    println!(
-        "expressed as miss multipliers: L1-I x{:.2}, L2 x{:.2}\n",
-        opt.l1i_miss_mult, opt.l2_miss_mult
-    );
+    println!("expressed as miss multipliers: L1-I x{L1I_MISS_MULT:.2}, L2 x{L2_MISS_MULT:.2}\n",);
 
     println!("Projected impact (DCPerf benchmark in the vendor lab, and the");
     println!("production workload it models):\n");
@@ -28,7 +24,7 @@ fn main() {
         "workload", "appPerf", "GIPS", "IPC", "L1I-miss", "LLC-miss", "MemBW"
     );
     for workload in [profiles::mediawiki(), profiles::fbweb_prod()] {
-        let impact = project_impact(&model, &workload, &SKU2, &opt);
+        let impact = project_impact(&model, &workload, &SKU2);
         println!(
             "{:<16} {:>+7.1}% {:>+7.1}% {:>+7.1}% {:>+8.0}% {:>+8.1}% {:>+7.1}%",
             impact.workload,
@@ -44,7 +40,7 @@ fn main() {
     println!("\nAnd on SPEC 2017 (small instruction footprints):");
     let mut max_gain = 0.0f64;
     for p in profiles::spec2017_suite() {
-        let impact = project_impact(&model, &p, &SKU2, &opt);
+        let impact = project_impact(&model, &p, &SKU2);
         max_gain = max_gain.max(impact.app_perf);
     }
     println!("  largest SPEC benchmark gain: {max_gain:+.2}% — effectively invisible.");
