@@ -7,10 +7,11 @@
 //! sampler thread and assembles [`HookReport`]s when the run ends.
 //!
 //! The built-in hooks measure what an unprivileged process can read on
-//! the host: CPU utilization with user/system breakdown ([`CpuUtilHook`]),
-//! memory ([`MemStatHook`]), network ([`NetStatHook`]) and core frequency
-//! ([`CpuFreqHook`]). Power and top-down counters are not portably
-//! readable, so no hook reports them.
+//! the host: CPU utilization with user/system breakdown ([`CpuUtilHook`])
+//! and memory ([`MemStatHook`]). No hook reports network traffic or core
+//! frequency: every suite workload runs in one process, so it sends no
+//! packets, and a VM need not expose `cpufreq`. Power and top-down
+//! counters are not portably readable either.
 
 use dcperf_util::RunningStats;
 use serde::{Deserialize, Serialize};
@@ -21,7 +22,7 @@ use std::time::{Duration, Instant};
 /// One named, sampled series with summary statistics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct TimeSeries {
-    /// Unit label, e.g. `"percent"`, `"GHz"`, `"watts"`.
+    /// Unit label, e.g. `"percent"`, `"MB"`.
     pub unit: String,
     /// Milliseconds since hook start for each sample.
     pub timestamps_ms: Vec<u64>,
@@ -123,13 +124,10 @@ impl HookManager {
         self.pending.push(hook);
     }
 
-    /// Registers the default monitoring set (CPU, memory, network,
-    /// frequency).
+    /// Registers the default monitoring set (CPU and memory).
     pub fn register_defaults(&mut self) {
         self.register(Box::new(CpuUtilHook::new()));
         self.register(Box::new(MemStatHook::new()));
-        self.register(Box::new(NetStatHook::new()));
-        self.register(Box::new(CpuFreqHook::new()));
     }
 
     /// Starts the sampler thread with the given interval. No-op if no hooks
@@ -362,154 +360,6 @@ impl Hook for MemStatHook {
             ));
         }
         out
-    }
-}
-
-/// Network traffic from `/proc/net/dev`, reported as deltas in bytes/s and
-/// packets/s aggregated across interfaces.
-#[derive(Debug, Default)]
-pub struct NetStatHook {
-    last: Option<(Instant, NetTotals)>,
-}
-
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct NetTotals {
-    rx_bytes: u64,
-    tx_bytes: u64,
-    rx_packets: u64,
-    tx_packets: u64,
-}
-
-impl NetTotals {
-    fn read() -> Option<Self> {
-        let text = std::fs::read_to_string("/proc/net/dev").ok()?;
-        let mut totals = NetTotals::default();
-        for line in text.lines().skip(2) {
-            let Some((_iface, rest)) = line.split_once(':') else {
-                continue;
-            };
-            let fields: Vec<u64> = rest
-                .split_whitespace()
-                .map(|f| f.parse().unwrap_or(0))
-                .collect();
-            if fields.len() >= 16 {
-                totals.rx_bytes += fields[0];
-                totals.rx_packets += fields[1];
-                totals.tx_bytes += fields[8];
-                totals.tx_packets += fields[9];
-            }
-        }
-        Some(totals)
-    }
-}
-
-impl NetStatHook {
-    /// Creates the hook.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Hook for NetStatHook {
-    fn name(&self) -> &str {
-        "net_stat"
-    }
-
-    fn on_start(&mut self) {
-        self.last = NetTotals::read().map(|t| (Instant::now(), t));
-    }
-
-    fn sample(&mut self) -> Vec<Sample> {
-        let Some(now) = NetTotals::read() else {
-            return Vec::new();
-        };
-        let t_now = Instant::now();
-        let Some((t_prev, prev)) = self.last.replace((t_now, now)) else {
-            return Vec::new();
-        };
-        let dt = t_now.duration_since(t_prev).as_secs_f64();
-        if dt <= 0.0 {
-            return Vec::new();
-        }
-        vec![
-            (
-                "net_rx_bytes_per_sec".into(),
-                "B/s",
-                now.rx_bytes.saturating_sub(prev.rx_bytes) as f64 / dt,
-            ),
-            (
-                "net_tx_bytes_per_sec".into(),
-                "B/s",
-                now.tx_bytes.saturating_sub(prev.tx_bytes) as f64 / dt,
-            ),
-            (
-                "net_rx_packets_per_sec".into(),
-                "pkt/s",
-                now.rx_packets.saturating_sub(prev.rx_packets) as f64 / dt,
-            ),
-            (
-                "net_tx_packets_per_sec".into(),
-                "pkt/s",
-                now.tx_packets.saturating_sub(prev.tx_packets) as f64 / dt,
-            ),
-        ]
-    }
-}
-
-/// CPU core frequency as reported in sysfs
-/// (`/sys/devices/system/cpu/cpu*/cpufreq/scaling_cur_freq`), averaged
-/// across cores and reported in GHz.
-#[derive(Debug, Default)]
-pub struct CpuFreqHook {
-    paths: Vec<std::path::PathBuf>,
-}
-
-impl CpuFreqHook {
-    /// Creates the hook.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Hook for CpuFreqHook {
-    fn name(&self) -> &str {
-        "cpu_freq"
-    }
-
-    fn on_start(&mut self) {
-        let Ok(entries) = std::fs::read_dir("/sys/devices/system/cpu") else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path().join("cpufreq/scaling_cur_freq");
-            if path.exists() {
-                self.paths.push(path);
-            }
-        }
-    }
-
-    fn sample(&mut self) -> Vec<Sample> {
-        if self.paths.is_empty() {
-            return Vec::new();
-        }
-        let mut sum_khz = 0u64;
-        let mut n = 0u64;
-        for path in &self.paths {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                if let Ok(khz) = text.trim().parse::<u64>() {
-                    sum_khz += khz;
-                    n += 1;
-                }
-            }
-        }
-        if n == 0 {
-            return Vec::new();
-        }
-        vec![(
-            "core_freq_ghz".into(),
-            "GHz",
-            sum_khz as f64 / n as f64 / 1e6,
-        )]
     }
 }
 

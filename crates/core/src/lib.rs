@@ -4,8 +4,7 @@
 //! the high-level `install`/`run` driver, per-benchmark JSON result
 //! reporting, normalized scoring against a baseline machine with a
 //! geometric-mean overall score, and the extensible *hooks* system that
-//! samples CPU utilization, memory, network and core frequency while a
-//! benchmark runs.
+//! samples CPU utilization and memory while a benchmark runs.
 //!
 //! The framework is deliberately independent of the benchmarks themselves:
 //! anything implementing [`Benchmark`] can be registered in a [`Suite`] and
@@ -63,9 +62,7 @@ pub mod sysinfo;
 
 pub use benchmark::{Benchmark, RunConfig, RunContext, Scale, WorkloadCategory};
 pub use error::Error;
-pub use hooks::{
-    CpuFreqHook, CpuUtilHook, Hook, HookManager, HookReport, MemStatHook, NetStatHook, TimeSeries,
-};
+pub use hooks::{CpuUtilHook, Hook, HookManager, HookReport, MemStatHook, TimeSeries};
 pub use report::{BenchmarkReport, MetricValue, ReportBuilder};
 pub use score::{BaselineTable, ScoreCard};
 pub use slo::{SloOutcome, SloSpec};

@@ -3,9 +3,13 @@
 //! DCPerf reports "key information about the system being tested (e.g., CPU
 //! model, memory size, and kernel version)" with every benchmark result
 //! (§3.1). [`SystemInfo`] gathers that from `/proc` and `/sys`, degrading
-//! gracefully on platforms where those files are absent.
+//! gracefully on platforms where those files are absent, and adds the
+//! toolchain and source revision, so a number can be read against the
+//! code that produced it.
 
 use serde::{Deserialize, Serialize};
+use std::process::Command;
+use std::sync::OnceLock;
 
 /// A description of the machine a benchmark ran on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -20,11 +24,17 @@ pub struct SystemInfo {
     pub mem_total_kb: u64,
     /// Kernel release string, or `"unknown"`.
     pub kernel_version: String,
+    /// `rustc -V` of the toolchain on `PATH`, or `"unknown"`.
+    pub rustc: String,
+    /// `git rev-parse HEAD`, suffixed `+dirty` when the working tree has
+    /// uncommitted changes, or `"unknown"` outside a git checkout.
+    pub git_revision: String,
 }
 
 impl SystemInfo {
     /// Probes the current host.
     pub fn probe() -> Self {
+        let (rustc, git_revision) = build_info().clone();
         Self {
             hostname: read_trimmed("/proc/sys/kernel/hostname").unwrap_or_else(|| "unknown".into()),
             cpu_model: probe_cpu_model().unwrap_or_else(|| "unknown".into()),
@@ -34,8 +44,41 @@ impl SystemInfo {
             mem_total_kb: probe_mem_total_kb().unwrap_or(0),
             kernel_version: read_trimmed("/proc/sys/kernel/osrelease")
                 .unwrap_or_else(|| "unknown".into()),
+            rustc,
+            git_revision,
         }
     }
+}
+
+/// The toolchain and source revision, `(rustc, git_revision)`. Each probe
+/// starts a subprocess and neither changes while the process runs, so
+/// they run once per process however many contexts probe the host.
+fn build_info() -> &'static (String, String) {
+    static INFO: OnceLock<(String, String)> = OnceLock::new();
+    INFO.get_or_init(|| {
+        let rustc = command_output("rustc", &["-V"]).unwrap_or_else(|| "unknown".into());
+        let git_revision = match command_output("git", &["rev-parse", "HEAD"]) {
+            Some(rev) => {
+                let dirty = command_output("git", &["status", "--porcelain"])
+                    .is_some_and(|status| !status.is_empty());
+                if dirty {
+                    format!("{rev}+dirty")
+                } else {
+                    rev
+                }
+            }
+            None => "unknown".into(),
+        };
+        (rustc, git_revision)
+    })
+}
+
+/// Trimmed stdout of a successful command, `None` if it cannot run.
+fn command_output(program: &str, args: &[&str]) -> Option<String> {
+    let out = Command::new(program).args(args).output().ok()?;
+    out.status
+        .success()
+        .then(|| String::from_utf8_lossy(&out.stdout).trim().to_owned())
 }
 
 fn read_trimmed(path: &str) -> Option<String> {
@@ -84,6 +127,17 @@ mod tests {
         let json = serde_json::to_string(&info).unwrap();
         let back: SystemInfo = serde_json::from_str(&json).unwrap();
         assert_eq!(info, back);
+    }
+
+    #[test]
+    fn json_carries_toolchain_and_revision() {
+        let info = SystemInfo::probe();
+        assert!(info.rustc == "unknown" || info.rustc.starts_with("rustc "));
+        assert!(!info.git_revision.is_empty());
+        let json = serde_json::to_string(&info).unwrap();
+        for field in ["\"rustc\"", "\"git_revision\""] {
+            assert!(json.contains(field), "{field} missing from {json}");
+        }
     }
 
     #[cfg(target_os = "linux")]

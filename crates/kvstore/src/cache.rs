@@ -43,6 +43,7 @@ pub const MIN_SHARD_CAPACITY: usize = 4 * ENTRY_OVERHEAD;
 
 /// Cache sizing and sharding configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+// analyzer: allow(dead-field) — disabling_single_flight_restores_thundering_herd turns `single_flight` off
 pub struct CacheConfig {
     /// Total charged capacity across all shards.
     pub capacity_bytes: usize,
@@ -54,8 +55,8 @@ pub struct CacheConfig {
     pub default_ttl_ms: Option<u64>,
     /// Whether concurrent misses on one key are collapsed onto a single
     /// loader run (on by default). Disabling reproduces the classic
-    /// Memcached-style thundering herd, which `cargo bench-kvstore`
-    /// measures as fill amplification.
+    /// Memcached-style thundering herd: every concurrent miss runs the
+    /// loader (see `disabling_single_flight_restores_thundering_herd`).
     pub single_flight: bool,
 }
 
@@ -87,6 +88,7 @@ impl CacheConfig {
     }
 
     /// Disables single-flight fill deduplication (builder style).
+    // analyzer: allow(dead-pub) — disabling_single_flight_restores_thundering_herd builds its cache with it
     pub fn without_single_flight(mut self) -> Self {
         self.single_flight = false;
         self

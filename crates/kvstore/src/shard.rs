@@ -144,9 +144,8 @@ impl Entry {
 /// All time parameters are milliseconds on a caller-provided clock, which
 /// keeps the shard deterministic under test.
 #[derive(Debug)]
-pub struct Shard<S: BuildHasher = KeyBuildHasher> {
+pub struct Shard {
     index: HashMap<u32, u32, KeyBuildHasher>,
-    hasher: S,
     slab: Vec<Entry>,
     free: Vec<u32>,
     head: u32,
@@ -159,21 +158,10 @@ pub struct Shard<S: BuildHasher = KeyBuildHasher> {
 
 impl Shard {
     /// Creates a shard bounded to `capacity_bytes` of charged data, keyed
-    /// with the default multiply-rotate hasher.
+    /// with the multiply-rotate [`KeyBuildHasher`].
     pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_hasher(capacity_bytes, KeyBuildHasher)
-    }
-}
-
-impl<S: BuildHasher> Shard<S> {
-    /// Creates a shard with an explicit key hasher. Exists so
-    /// `bench_kvstore` can reconstruct the pre-rewrite baseline's key
-    /// hashing (std's SipHash `RandomState`); production code uses
-    /// [`Shard::new`].
-    pub fn with_hasher(capacity_bytes: usize, hasher: S) -> Self {
         Self {
             index: HashMap::with_hasher(KeyBuildHasher),
-            hasher,
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -198,7 +186,7 @@ impl<S: BuildHasher> Shard<S> {
     /// the multiply-rotate hasher the low half depends only on the low
     /// bytes of each word.
     fn tag(&self, key: &[u8]) -> u32 {
-        let h = self.hasher.hash_one(key);
+        let h = KeyBuildHasher.hash_one(key);
         (h ^ (h >> 32)) as u32
     }
 
@@ -419,7 +407,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         // Capacity fits ~3 entries of this size.
-        let charge = Shard::<KeyBuildHasher>::charge(b"k0", &[0u8; 100]);
+        let charge = Shard::charge(b"k0", &[0u8; 100]);
         let mut s = Shard::new(charge * 3);
         s.insert(b"k0", vec![0; 100], None, 0);
         s.insert(b"k1", vec![0; 100], None, 0);
@@ -446,7 +434,7 @@ mod tests {
 
     #[test]
     fn contains_does_not_refresh() {
-        let charge = Shard::<KeyBuildHasher>::charge(b"k0", &[0u8; 100]);
+        let charge = Shard::charge(b"k0", &[0u8; 100]);
         let mut s = Shard::new(charge * 2);
         s.insert(b"k0", vec![0; 100], None, 0);
         s.insert(b"k1", vec![0; 100], None, 0);
@@ -497,8 +485,7 @@ mod tests {
         for i in 0..1000u32 {
             s.insert(&i.to_le_bytes(), vec![0; 64], None, 0);
             assert!(
-                s.used_bytes()
-                    <= 5_000 + Shard::<KeyBuildHasher>::charge(&i.to_le_bytes(), &[0u8; 64]),
+                s.used_bytes() <= 5_000 + Shard::charge(&i.to_le_bytes(), &[0u8; 64]),
                 "used {} after {i}",
                 s.used_bytes()
             );
@@ -511,7 +498,7 @@ mod tests {
     fn recency_order_is_full_chain() {
         // Insert many, touch in a known order, then force evictions and
         // check survivors match the touch order.
-        let charge = Shard::<KeyBuildHasher>::charge(b"k0", &[0u8; 10]);
+        let charge = Shard::charge(b"k0", &[0u8; 10]);
         let mut s = Shard::new(charge * 5);
         for i in 0..5u8 {
             s.insert(&[i], vec![0; 10], None, 0);

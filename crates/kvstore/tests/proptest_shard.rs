@@ -1,40 +1,37 @@
 //! Model test for `Shard`: every operation is checked against a
-//! recency-ordered list that charges entries by the same formula. Keys run
-//! from 1 to 40 bytes, so entries with inline and with boxed keys both
-//! occur, and entries carry TTLs. The shard runs under its own hasher and
-//! under one that gives every key one of four hash tags, so chains of
+//! recency-ordered list that charges entries by the same formula. Entries
+//! carry TTLs, and keys are long enough that inline and boxed keys both
+//! occur. The shard runs on keys of 1 to 40 bytes, and on keys of 16 to
+//! 40 bytes built so that each hashes to one of four values, so chains of
 //! keys sharing a tag grow long and are unlinked from every position.
 
-use dcperf_kvstore::shard::{Shard, ENTRY_OVERHEAD};
+use dcperf_kvstore::shard::{KeyBuildHasher, Shard, ENTRY_OVERHEAD};
 use proptest::prelude::*;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
-/// Hashes every key to one of four values.
-#[derive(Clone, Copy, Default)]
-struct FourTags;
+/// The multiplier of the shard's multiply-rotate key hasher.
+const KEY_HASH_MUL: u64 = 0x517c_c1b7_2722_0a95;
 
-struct FourTagsHasher(u64);
-
-impl Hasher for FourTagsHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = bytes
-            .iter()
-            .fold(self.0, |h, &b| h.wrapping_add(u64::from(b)))
-            % 4;
+/// A `len`-byte key (`len` a multiple of 8, at least 16) whose hash under
+/// [`KeyBuildHasher`] is `target`. Its first `len - 8` bytes are `b'k'`
+/// except the last of them, which is `id`; the final word is solved for
+/// from the hasher's last step, `(state.rotate_left(5) ^ word) * MUL`.
+fn key_hashing_to(len: usize, id: u8, target: u64) -> Vec<u8> {
+    let mut key = vec![b'k'; len - 8];
+    key[len - 9] = id;
+    let mut hasher = KeyBuildHasher.build_hasher();
+    hasher.write_usize(len);
+    hasher.write(&key);
+    // The multiplier is odd, so it has an inverse mod 2^64 (Newton).
+    let mut inverse = KEY_HASH_MUL;
+    for _ in 0..5 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(KEY_HASH_MUL.wrapping_mul(inverse)));
     }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl BuildHasher for FourTags {
-    type Hasher = FourTagsHasher;
-
-    fn build_hasher(&self) -> FourTagsHasher {
-        FourTagsHasher(0)
-    }
+    let word = hasher.finish().rotate_left(5) ^ target.wrapping_mul(inverse);
+    key.extend_from_slice(&word.to_le_bytes());
+    assert_eq!(KeyBuildHasher.hash_one(&key[..]), target, "hasher changed");
+    key
 }
 
 struct ModelEntry {
@@ -136,6 +133,21 @@ fn keys() -> impl Strategy<Value = Vec<Vec<u8>>> {
     })
 }
 
+/// The four hashes of [`four_tag_keys`]; their 32-bit tags differ too.
+const TARGETS: [u64; 4] = [1, 2, 3, 0x9e37_79b9_7f4a_7c15];
+
+/// 24 keys of 16–40 bytes that hash to four values, so every tag chain
+/// holds about six keys. Keys over 22 bytes are boxed.
+fn four_tag_keys() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(2usize..6, 24..25).prop_map(|words| {
+        words
+            .into_iter()
+            .enumerate()
+            .map(|(i, words)| key_hashing_to(8 * words, i as u8, TARGETS[i % 4]))
+            .collect()
+    })
+}
+
 /// Inserts (half without a TTL) and reads twice as often as the rest.
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     let insert = || {
@@ -156,7 +168,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn run<S: BuildHasher>(mut shard: Shard<S>, keys: &[Vec<u8>], ops: &[Op], capacity: usize) {
+fn run(mut shard: Shard, keys: &[Vec<u8>], ops: &[Op], capacity: usize) {
     let mut model = Model {
         entries: Vec::new(),
         capacity,
@@ -213,8 +225,8 @@ proptest! {
     }
 
     #[test]
-    fn shard_matches_lru_model_with_four_tags(keys in keys(), ops in ops()) {
+    fn shard_matches_lru_model_with_four_tags(keys in four_tag_keys(), ops in ops()) {
         let capacity = 8 * (ENTRY_OVERHEAD + 140);
-        run(Shard::with_hasher(capacity, FourTags), &keys, &ops, capacity);
+        run(Shard::new(capacity), &keys, &ops, capacity);
     }
 }

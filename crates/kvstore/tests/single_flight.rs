@@ -5,7 +5,7 @@
 use dcperf_kvstore::{Cache, CacheConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THREADS: usize = 8;
 
@@ -197,18 +197,33 @@ fn disabling_single_flight_restores_thundering_herd() {
             .with_shards(4)
             .without_single_flight(),
     ));
+    // `loads` counts loader entries; `inside` counts loaders running now,
+    // and `peak` the most that ran at once.
     let loads = Arc::new(AtomicU64::new(0));
+    let inside = Arc::new(AtomicU64::new(0));
+    let peak = Arc::new(AtomicU64::new(0));
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
             let c = Arc::clone(&c);
-            let loads = Arc::clone(&loads);
+            let (loads, inside, peak) =
+                (Arc::clone(&loads), Arc::clone(&inside), Arc::clone(&peak));
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
                 c.get_or_load(b"herd", |_| {
+                    inside.fetch_add(1, Ordering::SeqCst);
                     loads.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(30));
+                    // Hold until every racer is loading too. The wait is
+                    // bounded, so a cache that collapses the herd fails
+                    // the counts below instead of hanging.
+                    let give_up = Instant::now() + Duration::from_secs(2);
+                    while loads.load(Ordering::SeqCst) < THREADS as u64 && Instant::now() < give_up
+                    {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    peak.fetch_max(inside.load(Ordering::SeqCst), Ordering::SeqCst);
+                    inside.fetch_sub(1, Ordering::SeqCst);
                     Some(vec![1])
                 })
             })
@@ -217,9 +232,15 @@ fn disabling_single_flight_restores_thundering_herd() {
     for h in handles {
         assert_eq!(h.join().expect("thread").as_deref(), Some(&[1u8][..]));
     }
-    assert!(
-        loads.load(Ordering::SeqCst) > 1,
-        "without single-flight, concurrent misses each load"
+    assert_eq!(
+        loads.load(Ordering::SeqCst),
+        THREADS as u64,
+        "without single-flight, every concurrent miss loads"
+    );
+    assert_eq!(
+        peak.load(Ordering::SeqCst),
+        THREADS as u64,
+        "all loaders run at once"
     );
     assert_eq!(c.stats().singleflight_fills(), 0);
 }

@@ -206,8 +206,7 @@ impl BreakerCore {
 ///
 /// Transitions land in the registry as `<prefix>.open_transitions`,
 /// `<prefix>.half_open_transitions`, and `<prefix>.close_transitions`;
-/// rejected admissions as `<prefix>.rejected` (prefix defaults to
-/// `resilience.breaker`).
+/// rejected admissions as `<prefix>.rejected`.
 #[derive(Debug)]
 pub struct CircuitBreaker {
     core: Mutex<BreakerCore>,
@@ -219,15 +218,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A breaker recording into a private registry.
-    pub fn new(config: BreakerConfig) -> Self {
-        Self::with_telemetry(
-            config,
-            &Telemetry::new(),
-            metrics::PREFIX_RESILIENCE_BREAKER,
-        )
-    }
-
     /// A breaker recording transitions under `<prefix>.*` in `telemetry`
     /// (pass the server's registry so breaker events appear next to the
     /// transport counters they explain).
@@ -414,7 +404,7 @@ mod tests {
                 ..cfg()
             },
             &telemetry,
-            metrics::PREFIX_RESILIENCE_BREAKER,
+            metrics::PREFIX_RPC_BREAKER,
         );
         for _ in 0..4 {
             assert!(breaker.allow());
@@ -424,18 +414,22 @@ mod tests {
         assert!(!breaker.allow());
         assert!(!breaker.allow());
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("resilience.breaker.open_transitions"), Some(1));
-        assert_eq!(snap.counter("resilience.breaker.rejected"), Some(2));
+        assert_eq!(snap.counter("rpc.breaker.open_transitions"), Some(1));
+        assert_eq!(snap.counter("rpc.breaker.rejected"), Some(2));
         assert_eq!(breaker.open_transitions(), 1);
         assert_eq!(breaker.rejected(), 2);
     }
 
     #[test]
     fn wrapper_half_opens_after_cooldown() {
-        let breaker = CircuitBreaker::new(BreakerConfig {
-            cooldown: Duration::from_millis(5),
-            ..cfg()
-        });
+        let breaker = CircuitBreaker::with_telemetry(
+            BreakerConfig {
+                cooldown: Duration::from_millis(5),
+                ..cfg()
+            },
+            &Telemetry::new(),
+            metrics::PREFIX_RPC_BREAKER,
+        );
         for _ in 0..4 {
             breaker.record_failure();
         }

@@ -43,14 +43,6 @@ impl Deadline {
             Some(self.expires - now)
         }
     }
-
-    /// The remaining budget in microseconds for re-encoding on the wire,
-    /// clamped to at least 1 so an in-flight-but-tight deadline is not
-    /// confused with "no deadline". Returns `None` once expired.
-    pub fn budget_us(&self) -> Option<u64> {
-        self.remaining()
-            .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1))
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +54,6 @@ mod tests {
         let d = Deadline::after(Duration::from_secs(60));
         assert!(!d.expired());
         assert!(d.remaining().unwrap() > Duration::from_secs(59));
-        assert!(d.budget_us().unwrap() > 59_000_000);
     }
 
     #[test]
@@ -70,13 +61,15 @@ mod tests {
         let d = Deadline::after(Duration::ZERO);
         assert!(d.expired());
         assert_eq!(d.remaining(), None);
-        assert_eq!(d.budget_us(), None);
     }
 
     #[test]
     fn wire_budget_round_trips() {
         let d = Deadline::from_budget_us(500_000);
-        let back = d.budget_us().unwrap();
-        assert!(back <= 500_000 && back > 400_000, "back={back}");
+        let back = d.remaining().unwrap();
+        assert!(
+            back <= Duration::from_micros(500_000) && back > Duration::from_micros(400_000),
+            "back={back:?}"
+        );
     }
 }

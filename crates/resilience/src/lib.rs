@@ -30,13 +30,19 @@
 //!
 //! ```
 //! use dcperf_resilience::{BreakerConfig, CircuitBreaker, RetryPolicy};
+//! use dcperf_telemetry::{metrics, Telemetry};
 //! use std::time::Duration;
 //!
 //! let policy = RetryPolicy::new(4, Duration::from_millis(1));
 //! let delays: Vec<_> = policy.schedule(42).collect();
 //! assert_eq!(delays.len(), 3); // attempts after the first
 //!
-//! let breaker = CircuitBreaker::new(BreakerConfig::default());
+//! let telemetry = Telemetry::new();
+//! let breaker = CircuitBreaker::with_telemetry(
+//!     BreakerConfig::default(),
+//!     &telemetry,
+//!     metrics::PREFIX_RPC_BREAKER,
+//! );
 //! assert!(breaker.allow());
 //! breaker.record_success();
 //! ```

@@ -58,23 +58,6 @@ impl InProcClient {
         single(self.call_many_inner(method, vec![body], None))
     }
 
-    /// As [`InProcClient::call`], with a deadline budget carried in the
-    /// request frame. The server sheds the request once the budget is
-    /// spent — at dispatch, and at handler entry.
-    ///
-    /// # Errors
-    ///
-    /// As [`InProcClient::call`], plus [`RpcError::DeadlineExceeded`]
-    /// when the server shed the expired request.
-    pub fn call_with_deadline(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        budget: Duration,
-    ) -> Result<Response, RpcError> {
-        single(self.call_many_inner(method, vec![body], Some(budget)))
-    }
-
     /// Issues a pipelined batch of same-method calls: every request is
     /// dispatched before any reply is awaited, so the slow-lane part of
     /// the batch keeps the pool busy without one thread per call, while
@@ -272,24 +255,6 @@ impl TcpClient {
     /// Returns I/O, wire, application, or overload errors.
     pub fn call(&mut self, method: &str, body: Vec<u8>) -> Result<Response, RpcError> {
         single(self.call_many(method, vec![body]))
-    }
-
-    /// Synchronous call carrying a deadline budget in the request frame:
-    /// a burst of one through [`TcpClient::call_many_with_deadline`], so a
-    /// server that never replies surfaces as [`RpcError::Timeout`] rather
-    /// than a hang.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpClient::call`], plus [`RpcError::DeadlineExceeded`] (server
-    /// shed) and [`RpcError::Timeout`] (no reply within ~the budget).
-    pub fn call_with_deadline(
-        &mut self,
-        method: &str,
-        body: Vec<u8>,
-        budget: Duration,
-    ) -> Result<Response, RpcError> {
-        single(self.call_many_with_deadline(method, vec![body], budget))
     }
 
     /// Issues a pipelined batch of same-method calls over this single

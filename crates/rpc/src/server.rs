@@ -558,26 +558,9 @@ impl std::fmt::Debug for TcpServer {
 }
 
 impl TcpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the listener cannot be bound.
-    pub fn bind<H>(addr: &str, handler: H, config: PoolConfig) -> std::io::Result<Self>
-    where
-        H: Fn(&Request) -> Response + Send + Sync + 'static,
-    {
-        Self::bind_full(
-            addr,
-            handler,
-            |_| Lane::Fast,
-            config,
-            PipelineConfig::default(),
-        )
-    }
-
-    /// Binds with an explicit pipelining configuration (every request
-    /// routed to the fast lane).
+    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving
+    /// with an explicit pipelining configuration (every request routed to
+    /// the fast lane).
     ///
     /// # Errors
     ///
@@ -927,7 +910,13 @@ mod tests {
 
     #[test]
     fn tcp_round_trip() {
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(2)).unwrap();
+        let server = TcpServer::bind_with_pipeline(
+            "127.0.0.1:0",
+            echo,
+            PoolConfig::single_lane(2),
+            PipelineConfig::default(),
+        )
+        .unwrap();
         let addr = server.local_addr();
         let mut client = TcpClient::connect(addr).unwrap();
         for i in 0..50u8 {
@@ -939,7 +928,13 @@ mod tests {
 
     #[test]
     fn tcp_multiple_connections() {
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(4)).unwrap();
+        let server = TcpServer::bind_with_pipeline(
+            "127.0.0.1:0",
+            echo,
+            PoolConfig::single_lane(4),
+            PipelineConfig::default(),
+        )
+        .unwrap();
         let addr = server.local_addr();
         let mut handles = Vec::new();
         for t in 0..4 {
@@ -959,10 +954,11 @@ mod tests {
 
     #[test]
     fn tcp_application_error_propagates() {
-        let server = TcpServer::bind(
+        let server = TcpServer::bind_with_pipeline(
             "127.0.0.1:0",
             |_req: &Request| Response::error("nope"),
             PoolConfig::single_lane(1),
+            PipelineConfig::default(),
         )
         .unwrap();
         let mut client = TcpClient::connect(server.local_addr()).unwrap();
@@ -999,7 +995,8 @@ mod tests {
         // longer) or, at the latest, at handler entry after the slow
         // classifier.
         let err = client
-            .call_with_deadline("x", vec![], std::time::Duration::from_micros(1))
+            .call_many_with_deadline("x", vec![vec![]], std::time::Duration::from_micros(1))
+            .remove(0)
             .unwrap_err();
         assert!(matches!(err, crate::frame::RpcError::DeadlineExceeded));
         assert!(!ran.load(Ordering::Relaxed), "expired work must not run");
@@ -1013,7 +1010,8 @@ mod tests {
         let server = InProcServer::start(echo, PoolConfig::single_lane(2));
         let client = server.client();
         let resp = client
-            .call_with_deadline("echo", vec![7], std::time::Duration::from_secs(5))
+            .call_many_with_deadline("echo", vec![vec![7]], std::time::Duration::from_secs(5))
+            .remove(0)
             .unwrap();
         assert_eq!(resp.body, vec![7]);
         assert_eq!(server.stats().deadline_shed(), 0);
@@ -1040,7 +1038,13 @@ mod tests {
 
     #[test]
     fn tcp_shutdown_is_idempotent_via_drop() {
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        let server = TcpServer::bind_with_pipeline(
+            "127.0.0.1:0",
+            echo,
+            PoolConfig::single_lane(1),
+            PipelineConfig::default(),
+        )
+        .unwrap();
         drop(server); // must not hang
     }
 
@@ -1201,7 +1205,8 @@ mod tests {
         // timeout fires.
         for _ in 0..20 {
             let err = client
-                .call_with_deadline("x", vec![], Duration::from_micros(1))
+                .call_many_with_deadline("x", vec![vec![]], Duration::from_micros(1))
+                .remove(0)
                 .unwrap_err();
             assert!(
                 matches!(err, crate::frame::RpcError::DeadlineExceeded),
@@ -1219,7 +1224,13 @@ mod tests {
     #[test]
     fn tcp_injected_faults_reply_without_hanging() {
         use dcperf_resilience::FaultPlan;
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        let server = TcpServer::bind_with_pipeline(
+            "127.0.0.1:0",
+            echo,
+            PoolConfig::single_lane(1),
+            PipelineConfig::default(),
+        )
+        .unwrap();
         let mut client = TcpClient::connect(server.local_addr())
             .unwrap()
             .with_window(8);
@@ -1279,7 +1290,13 @@ mod tests {
     fn tcp_fast_lane_requests_complete_before_the_next_is_read() {
         // The reader serves each fast-lane request before it reads the
         // next, so a fast-only connection never has two in flight.
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        let server = TcpServer::bind_with_pipeline(
+            "127.0.0.1:0",
+            echo,
+            PoolConfig::single_lane(1),
+            PipelineConfig::default(),
+        )
+        .unwrap();
         assert_eq!(pipelined_echo_peak(&server, 16), 1);
         assert_eq!(server.core.pool.stats().slow_jobs(), 0);
         server.shutdown();
@@ -1312,7 +1329,13 @@ mod tests {
 
     #[test]
     fn tcp_shutdown_under_pipelined_load_joins_every_thread() {
-        let mut server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(2)).unwrap();
+        let mut server = TcpServer::bind_with_pipeline(
+            "127.0.0.1:0",
+            echo,
+            PoolConfig::single_lane(2),
+            PipelineConfig::default(),
+        )
+        .unwrap();
         let addr = server.local_addr();
         let clients: Vec<_> = (0..3)
             .map(|_| {

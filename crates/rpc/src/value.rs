@@ -192,14 +192,6 @@ impl Value {
         }
     }
 
-    /// The value as `f64`, if it is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as `&str`, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -288,7 +280,6 @@ mod tests {
     fn accessors_reject_wrong_types() {
         assert_eq!(Value::Str("5".into()).as_i64(), None);
         assert_eq!(Value::I64(5).as_str(), None);
-        assert_eq!(Value::I64(5).as_f64(), None);
         assert_eq!(Value::Str("b".into()).as_bin(), None);
     }
 

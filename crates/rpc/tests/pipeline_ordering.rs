@@ -322,10 +322,11 @@ fn fast_response_is_written_before_a_read_that_could_block() {
     // buffered. Reading the rest of that frame blocks until the client
     // sends it, and the client sends it only after the fast response
     // arrives: the reader must write that response out before it reads.
-    let server = TcpServer::bind(
+    let server = TcpServer::bind_with_pipeline(
         "127.0.0.1:0",
         |req: &Request| Response::ok(req.body.clone()),
         PoolConfig::single_lane(1),
+        PipelineConfig::default(),
     )
     .expect("bind echo server");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");

@@ -225,17 +225,20 @@ fn a_corr_not_yet_sent_is_a_mismatch() {
 
 #[test]
 fn a_reply_over_max_frame_comes_back_as_an_error() {
-    let server = TcpServer::bind(
+    let server = TcpServer::bind_with_pipeline(
         "127.0.0.1:0",
         |req: &Request| match req.method.as_str() {
             "big" => Response::ok(vec![0; MAX_FRAME as usize + 1]),
             _ => Response::ok(req.body.clone()),
         },
         PoolConfig::single_lane(1),
+        PipelineConfig::default(),
     )
     .expect("bind");
     let mut client = TcpClient::connect(server.local_addr()).expect("connect");
-    let outcome = client.call_with_deadline("big", Vec::new(), Duration::from_millis(500));
+    let outcome = client
+        .call_many_with_deadline("big", vec![Vec::new()], Duration::from_millis(500))
+        .remove(0);
     assert!(
         matches!(&outcome, Err(RpcError::Application(m)) if m == "response exceeds MAX_FRAME"),
         "expected the server's error, got {outcome:?}"

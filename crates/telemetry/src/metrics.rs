@@ -54,11 +54,6 @@ pub const PREFIX_RPC_BATCH: &str = "rpc.batch";
 /// Retries performed by the resilient client.
 pub const RPC_RESILIENT_RETRIES: &str = "rpc.resilient.retries";
 
-// --- resilience ----------------------------------------------------------
-
-/// Default namespace of a breaker with a private registry.
-pub const PREFIX_RESILIENCE_BREAKER: &str = "resilience.breaker";
-
 // --- kvstore -------------------------------------------------------------
 
 /// Cache counters (`hits`, `misses`, `insertions`, `evictions`,
@@ -179,7 +174,6 @@ mod tests {
             PREFIX_RPC_PIPELINE,
             PREFIX_RPC_BATCH,
             RPC_RESILIENT_RETRIES,
-            PREFIX_RESILIENCE_BREAKER,
             PREFIX_CACHE,
             PREFIX_CHAOS_STORE,
             PREFIX_CHAOS_RPC,

@@ -1,7 +1,8 @@
 //! Phase-scoped timing spans.
 //!
-//! Benchmark runs move through a fixed lifecycle — setup, warmup,
-//! measure, teardown — and a report is only interpretable if it says how
+//! Benchmark runs move through a fixed lifecycle — setup, measure,
+//! teardown (a benchmark's own warm-up runs inside its measure phase) —
+//! and a report is only interpretable if it says how
 //! long each phase took (a 2-second measure window after a 10-minute
 //! setup is a very different experiment than the reverse). A [`PhaseSpan`]
 //! is an RAII guard: construct it when the phase starts, and its `Drop`
@@ -15,8 +16,6 @@ use std::fmt;
 pub enum Phase {
     /// Building datasets, starting servers, populating caches.
     Setup,
-    /// Traffic that runs before measurement to reach steady state.
-    Warmup,
     /// The measured interval that produces the reported metrics.
     Measure,
     /// Draining and shutting down.
@@ -28,15 +27,9 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::Setup => "setup",
-            Phase::Warmup => "warmup",
             Phase::Measure => "measure",
             Phase::Teardown => "teardown",
         }
-    }
-
-    /// All phases in lifecycle order.
-    pub fn all() -> [Phase; 4] {
-        [Phase::Setup, Phase::Warmup, Phase::Measure, Phase::Teardown]
     }
 }
 
@@ -61,8 +54,8 @@ mod tests {
 
     #[test]
     fn phase_names_are_stable() {
-        let names: Vec<_> = Phase::all().iter().map(|p| p.name()).collect();
-        assert_eq!(names, ["setup", "warmup", "measure", "teardown"]);
+        let phases = [Phase::Setup, Phase::Measure, Phase::Teardown];
+        assert_eq!(phases.map(Phase::name), ["setup", "measure", "teardown"]);
     }
 
     #[test]

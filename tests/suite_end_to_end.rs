@@ -66,7 +66,7 @@ fn suite_reports_include_hook_series() {
         "default hooks must be registered and reported"
     );
     let hook_names: Vec<&str> = report.hooks.iter().map(|h| h.hook.as_str()).collect();
-    for expected in ["cpu_util", "mem_stat", "net_stat", "cpu_freq"] {
+    for expected in ["cpu_util", "mem_stat"] {
         assert!(hook_names.contains(&expected), "missing hook {expected}");
     }
     // On Linux the CPU and memory hooks must have real samples.
